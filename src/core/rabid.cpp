@@ -1172,9 +1172,9 @@ StageStats Rabid::run_stage4() {
   for (tile::TileId t = 0; t < graph_.tile_count(); ++t) {
     site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
   }
-  // One search object for the whole stage: its stamped (tile x L) scratch
-  // warms up once and every later two-path touches only visited states.
-  TwoPathSearch search(graph_);
+  // One rerouter for the whole stage: its stamped (tile x L) scratch and
+  // tree editor warm up once and every later net touches only its own.
+  TwoPathRerouter rerouter(graph_);
 
   for (std::int32_t iter = 0; iter < options_.postprocess_iterations;
        ++iter) {
@@ -1204,42 +1204,10 @@ StageStats Rabid::run_stage4() {
       wire_cache.refresh_tree(state.tree);
 
       // Reroute one two-path at a time with joint wire+buffer costs.
-      // The decomposition is recomputed from the live tree after every
-      // replacement: a reroute may share arcs with a not-yet-processed
-      // two-path, so ripping from a stale snapshot could sever it.
-      TileTreeEditor editor(state.tree, graph_);
-      route::RouteTree current = editor.rebuild();
-      std::vector<std::pair<tile::TileId, tile::TileId>> processed;
-      const std::size_t max_rips = 3 * current.two_paths().size() + 4;
-      for (std::size_t rip = 0; rip < max_rips; ++rip) {
-        const auto paths = current.two_paths();
-        const route::RouteTree::TwoPath* next = nullptr;
-        std::pair<tile::TileId, tile::TileId> key{tile::kNoTile,
-                                                  tile::kNoTile};
-        for (const auto& tp : paths) {
-          key = {current.node(tp.head).tile, current.node(tp.tail).tile};
-          if (std::find(processed.begin(), processed.end(), key) ==
-              processed.end()) {
-            next = &tp;
-            break;
-          }
-        }
-        if (next == nullptr) break;
-        processed.push_back(key);
-        std::vector<tile::TileId> interior;
-        interior.reserve(next->interior.size());
-        for (const route::NodeId n : next->interior) {
-          interior.push_back(current.node(n).tile);
-        }
-        editor.remove_path(key.first, interior, key.second);
-        const TwoPathRoute reroute = search.route(
-            key.second, key.first, L, wire_cache.values(), site_cost,
-            options_.stage4_wire_weight, options_.stage4_buffer_weight,
-            astar ? wire_cache.min_cost() : 0.0);
-        editor.add_path(reroute.tiles);
-        current = editor.rebuild();
-      }
-      state.tree = std::move(current);
+      state.tree = rerouter.reroute(
+          state.tree, L, wire_cache.values(), site_cost,
+          options_.stage4_wire_weight, options_.stage4_buffer_weight,
+          astar ? wire_cache.min_cost() : 0.0);
       state.tree.commit(graph_, width);
       wire_cache.refresh_tree(state.tree);
 
@@ -1255,7 +1223,8 @@ StageStats Rabid::run_stage4() {
   if (obs::counting()) {
     obs::gauge_max(obs::GaugeId::kEdgeCostCacheBytes,
                    wire_cache.memory_bytes());
-    obs::gauge_max(obs::GaugeId::kMazeScratchBytes, search.memory_bytes());
+    obs::gauge_max(obs::GaugeId::kMazeScratchBytes,
+                   rerouter.memory_bytes());
   }
   record_memory_gauges();
   StageStats stats = snapshot("4", seconds_since(start));

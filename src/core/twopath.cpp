@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <utility>
+#include <vector>
 
 #include "obs/counters.hpp"
 #include "util/assert.hpp"
@@ -16,16 +18,18 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 TwoPathSearch::TwoPathSearch(const tile::TileGraph& g)
-    : g_(g), field_(static_cast<std::size_t>(g.tile_count())) {
+    : g_(g),
+      best_(static_cast<std::size_t>(g.tile_count()), TileBest{0.0, 0, 0}),
+      field_(static_cast<std::size_t>(g.tile_count())) {
   // The per-tile coordinate table replaces coord_of() in the field's
   // push loop: same values, no div/mod per relaxation.
   coords_.reserve(static_cast<std::size_t>(g.tile_count()));
   for (tile::TileId t = 0; t < g.tile_count(); ++t) {
     coords_.push_back(g.coord_of(t));
   }
-  // Pre-size both heaps from the graph so the searches never reallocate
-  // mid-wavefront (kHeapRegrows counts any push that still does).
-  heap_.reserve(static_cast<std::size_t>(g.tile_count()));
+  // Pre-size the field heap from the graph so it never reallocates
+  // mid-wavefront (kHeapRegrows counts any push that still does); the
+  // forward heap is sized with its state space in ensure_states.
   field_heap_.reserve(static_cast<std::size_t>(g.tile_count()));
 }
 
@@ -36,18 +40,62 @@ void TwoPathSearch::ensure_states(std::size_t n_states) {
       "(tile x L) state space exceeds the 31-bit label encoding");
   if (labels_.size() < n_states) {
     labels_.resize(n_states, Label{0.0, -2, 0});
+    // Size the forward heap from the state space, so that no circuit's
+    // L outgrows it mid-search (the open set peaks at 3-11% of the
+    // states on the benchmark circuits), but in no more bytes than the
+    // label array: a larger single buffer moves glibc's adaptive mmap
+    // threshold past the labels, which measurably raised peak RSS on
+    // scale10k's repeated ECO steps.
+    heap_.reserve(n_states * sizeof(Label) / sizeof(Entry));
   }
+}
+
+void TwoPathSearch::start_field(tile::TileId from, tile::TileId to,
+                                double astar_floor) {
+  ++field_epoch_;
+  field_heap_.clear();
+  field_goal_ = to;
+  FieldLabel& goal = field_[static_cast<std::size_t>(to)];
+  goal.seen = field_epoch_;
+  goal.dist = 0.0;
+  // Aim the field at the forward source: astar_floor is a lower bound
+  // on every wire_cost entry, so floor * manhattan is consistent for
+  // the field's own expansion (values stay exact, see field_settle).
+  field_hot_ = coords_[static_cast<std::size_t>(from)];
+  field_floor_ = astar_floor;
+  field_heap_.push(
+      {field_floor_ * static_cast<double>(geom::manhattan(
+                          coords_[static_cast<std::size_t>(to)], field_hot_)),
+       0.0, to});
+}
+
+void TwoPathSearch::aim_field(tile::TileId from) {
+  const geom::TileCoord hot = coords_[static_cast<std::size_t>(from)];
+  if (hot == field_hot_) return;
+  field_hot_ = hot;
+  field_heap_.rebuild([&](std::vector<FieldEntry>& open) {
+    std::erase_if(open, [&](const FieldEntry& e) {
+      const FieldLabel& fl = field_[static_cast<std::size_t>(e.t)];
+      return fl.settled == field_epoch_ || e.d != fl.dist;
+    });
+    for (FieldEntry& e : open) {
+      e.key = e.d + field_floor_ * static_cast<double>(geom::manhattan(
+                                       coords_[static_cast<std::size_t>(e.t)],
+                                       field_hot_));
+    }
+  });
 }
 
 double TwoPathSearch::field_settle(tile::TileId t,
                                    std::span<const double> wire_cost) {
   const auto ti = static_cast<std::size_t>(t);
-  while (field_[ti].settled != epoch_) {
+  while (field_[ti].settled != field_epoch_) {
     RABID_ASSERT_MSG(!field_heap_.empty(), "heuristic field ran dry");
     const FieldEntry top = field_heap_.pop();
+    ++field_pops_;
     const auto ui = static_cast<std::size_t>(top.t);
-    if (field_[ui].settled == epoch_) continue;  // stale heap entry
-    field_[ui].settled = epoch_;
+    if (field_[ui].settled == field_epoch_) continue;  // stale heap entry
+    field_[ui].settled = field_epoch_;
     const tile::TileGraph::Adjacency* adj = g_.adjacency(top.t);
     const int cnt = g_.adj_count(top.t);
     for (int k = 0; k < cnt; ++k) {
@@ -55,8 +103,8 @@ double TwoPathSearch::field_settle(tile::TileId t,
           top.d + wire_cost[static_cast<std::size_t>(adj[k].edge)];
       const auto vi = static_cast<std::size_t>(adj[k].tile);
       FieldLabel& fl = field_[vi];
-      if (fl.seen != epoch_ || nd < fl.dist) {
-        fl.seen = epoch_;
+      if (fl.seen != field_epoch_ || nd < fl.dist) {
+        fl.seen = field_epoch_;
         fl.dist = nd;
         const double bound =
             field_floor_ *
@@ -68,12 +116,12 @@ double TwoPathSearch::field_settle(tile::TileId t,
   return field_[ti].dist;
 }
 
-TwoPathRoute TwoPathSearch::route(tile::TileId from, tile::TileId to,
-                                  std::int32_t L,
-                                  std::span<const double> wire_cost,
-                                  std::span<const double> buffer_cost,
-                                  double wire_weight, double buffer_weight,
-                                  double astar_floor) {
+TwoPathRoute TwoPathSearch::search(tile::TileId from, tile::TileId to,
+                                   std::int32_t L,
+                                   std::span<const double> wire_cost,
+                                   std::span<const double> buffer_cost,
+                                   double wire_weight, double buffer_weight,
+                                   double astar_floor, bool reuse_field) {
   RABID_ASSERT(L >= 1);
   RABID_ASSERT(wire_weight >= 0.0 && buffer_weight >= 0.0);
   const auto n_tiles = static_cast<std::size_t>(g_.tile_count());
@@ -92,28 +140,17 @@ TwoPathRoute TwoPathSearch::route(tile::TileId from, tile::TileId to,
     return (static_cast<std::size_t>(t) << shift) |
            static_cast<std::size_t>(j);
   };
-  auto seen = [&](std::size_t s) { return labels_[s].stamp == epoch_; };
-  auto touch = [&](std::size_t s, double d, std::int32_t p) {
-    labels_[s] = Label{d, p, epoch_};
-  };
 
   // A* bound per *tile* (states of one tile share it): the exact wire-
   // only distance to the goal, settled lazily by a goal-rooted backward
   // Dijkstra (see the class comment for the admissibility argument).
   const bool use_h = astar_floor > 0.0;
   if (use_h) {
-    field_heap_.clear();
-    field_[static_cast<std::size_t>(to)].seen = epoch_;
-    field_[static_cast<std::size_t>(to)].dist = 0.0;
-    // Aim the field at the forward source: astar_floor is a lower bound
-    // on every wire_cost entry, so floor * manhattan is consistent for
-    // the field's own expansion (values stay exact, see field_settle).
-    field_hot_ = g_.coord_of(from);
-    field_floor_ = astar_floor;
-    field_heap_.push(
-        {field_floor_ * static_cast<double>(
-                            geom::manhattan(g_.coord_of(to), field_hot_)),
-         0.0, to});
+    if (reuse_field && field_goal_ == to && field_floor_ == astar_floor) {
+      aim_field(from);
+    } else {
+      start_field(from, to, astar_floor);
+    }
   }
   const auto h_of = [&](tile::TileId t) -> double {
     if (!use_h) return 0.0;
@@ -123,36 +160,57 @@ TwoPathRoute TwoPathSearch::route(tile::TileId from, tile::TileId to,
   // (tile x L) heap work, flushed to the registry once per search.
   std::uint64_t pushes = 0;
   std::uint64_t pops = 0;
+  std::uint64_t pruned = 0;
 
   // Start at the tail with j = 0 (the tail end is an anchor; the exact
   // downstream slack is re-established by the net-wide re-buffering).
   const std::size_t start = state_of(from, 0);
-  touch(start, 0.0, -1);
-  heap_push({h_of(from), 0.0, start});
+  labels_[start] = Label{0.0, -1, epoch_};
+  heap_.push({h_of(from), 0.0, start});
   ++pushes;
+
+  // True when tile t's record dominates a (t, j) label at distance d
+  // (see the class comment: the distance test is explicit).
+  const auto dominated = [&](tile::TileId t, std::int32_t j, double d) {
+    const TileBest& b = best_[static_cast<std::size_t>(t)];
+    return b.stamp == epoch_ && b.j <= j && b.dist <= d;
+  };
 
   // The heuristic is evaluated only when a relaxation actually improves
   // a label: h(t) is a fixed value per tile (the exact wire field), so
   // skipping it for rejected relaxations cannot change any pushed key —
   // it only avoids settling field tiles nobody ends up needing.
-  auto relax = [&](std::size_t s, double d, std::size_t from_state,
-                   tile::TileId t) {
+  auto relax = [&](tile::TileId t, std::int32_t j, double d,
+                   std::size_t from_state) {
+    const std::size_t s = state_of(t, j);
     Label& lbl = labels_[s];
-    if (lbl.stamp != epoch_ || d < lbl.dist) {
-      lbl = Label{d, static_cast<std::int32_t>(from_state), epoch_};
-      heap_push({d + h_of(t), d, s});
-      ++pushes;
+    if (lbl.stamp == epoch_ && !(d < lbl.dist)) return;
+    if (dominated(t, j, d)) {
+      ++pruned;
+      return;
     }
+    lbl = Label{d, static_cast<std::int32_t>(from_state), epoch_};
+    heap_.push({d + h_of(t), d, s});
+    ++pushes;
   };
 
   std::size_t goal = static_cast<std::size_t>(-1);
   while (!heap_.empty()) {
-    const Entry top = heap_pop();
+    const Entry top = heap_.pop();
     ++pops;
     const auto s = static_cast<std::size_t>(top.s);
     if (top.d > labels_[s].dist) continue;
     const auto t = static_cast<tile::TileId>(s >> shift);
     const auto j = static_cast<std::int32_t>(s & jmask);
+    TileBest& best = best_[static_cast<std::size_t>(t)];
+    if (best.stamp != epoch_) {
+      best = TileBest{top.d, j, epoch_};
+    } else if (best.j <= j && best.dist <= top.d) {
+      ++pruned;
+      continue;
+    } else if (j < best.j) {
+      best = TileBest{top.d, j, epoch_};
+    }
     if (t == to) {
       goal = s;
       break;
@@ -160,19 +218,17 @@ TwoPathRoute TwoPathSearch::route(tile::TileId from, tile::TileId to,
     // Buffer here: pay q(t), reset the run length.
     if (j > 0) {
       const double q = buffer_cost[static_cast<std::size_t>(t)];
-      if (std::isfinite(q)) {
-        relax(state_of(t, 0), top.d + buffer_weight * q, s, t);
-      }
+      if (std::isfinite(q)) relax(t, 0, top.d + buffer_weight * q, s);
     }
     // Step to a neighbor if the length rule still allows it.
     if (j + 1 < L) {
       const tile::TileGraph::Adjacency* adj = g_.adjacency(t);
       const int cnt = g_.adj_count(t);
       for (int k = 0; k < cnt; ++k) {
-        relax(state_of(adj[k].tile, j + 1),
+        relax(adj[k].tile, j + 1,
               top.d + wire_weight *
                           wire_cost[static_cast<std::size_t>(adj[k].edge)],
-              s, adj[k].tile);
+              s);
       }
     }
   }
@@ -181,9 +237,12 @@ TwoPathRoute TwoPathSearch::route(tile::TileId from, tile::TileId to,
     obs::count(obs::Counter::kTwoPathSearches);
     obs::count(obs::Counter::kTwoPathHeapPushes, pushes);
     obs::count(obs::Counter::kTwoPathHeapPops, pops);
+    obs::count(obs::Counter::kTwoPathLabelsPruned, pruned);
+    obs::count(obs::Counter::kTwoPathFieldPops, field_pops_);
     obs::count(obs::Counter::kHeapRegrows,
                heap_.take_regrows() + field_heap_.take_regrows());
   }
+  field_pops_ = 0;
 
   TwoPathRoute out;
   if (goal == static_cast<std::size_t>(-1)) {
@@ -241,37 +300,73 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
                         buffer_weight, /*astar_floor=*/0.0);
 }
 
+TileTreeEditor::TileTreeEditor(const tile::TileGraph& g)
+    : g_(g),
+      sink_multiplicity_(static_cast<std::size_t>(g.tile_count()), 0),
+      adj_(static_cast<std::size_t>(g.tile_count()), Arcs{{}, 0}) {}
+
 TileTreeEditor::TileTreeEditor(const route::RouteTree& tree,
                                const tile::TileGraph& g)
-    : g_(g),
-      source_(tree.node(tree.root()).tile),
-      sink_multiplicity_(static_cast<std::size_t>(g.tile_count()), 0),
-      adj_(static_cast<std::size_t>(g.tile_count())) {
+    : TileTreeEditor(g) {
+  reset(tree);
+}
+
+void TileTreeEditor::reset(const route::RouteTree& tree) {
+  for (const tile::TileId t : touched_) {
+    adj_[static_cast<std::size_t>(t)].count = 0;
+  }
+  touched_.clear();
+  for (const tile::TileId t : sink_tiles_) {
+    sink_multiplicity_[static_cast<std::size_t>(t)] = 0;
+  }
+  sink_tiles_.clear();
+  source_ = tree.node(tree.root()).tile;
   for (const route::RouteNode& n : tree.nodes()) {
     if (n.parent != route::kNoNode) {
       add_arc(n.tile, tree.node(n.parent).tile);
     }
     if (n.sink_count > 0) {
-      sink_multiplicity_[static_cast<std::size_t>(n.tile)] += n.sink_count;
+      std::int32_t& m = sink_multiplicity_[static_cast<std::size_t>(n.tile)];
+      if (m == 0) sink_tiles_.push_back(n.tile);
+      m += n.sink_count;
     }
   }
 }
 
+std::uint64_t TileTreeEditor::memory_bytes() const {
+  return static_cast<std::uint64_t>(sink_multiplicity_.capacity()) *
+             sizeof(std::int32_t) +
+         static_cast<std::uint64_t>(adj_.capacity()) * sizeof(Arcs) +
+         static_cast<std::uint64_t>(sink_tiles_.capacity() +
+                                    touched_.capacity()) *
+             sizeof(tile::TileId);
+}
+
 void TileTreeEditor::add_arc(tile::TileId a, tile::TileId b) {
   RABID_ASSERT(g_.edge_between(a, b) != tile::kNoEdge);
-  auto& na = adj_[static_cast<std::size_t>(a)];
-  if (std::find(na.begin(), na.end(), b) != na.end()) return;  // already
-  na.push_back(b);
-  adj_[static_cast<std::size_t>(b)].push_back(a);
+  Arcs& na = adj_[static_cast<std::size_t>(a)];
+  const auto end_a = na.to.begin() + na.count;
+  if (std::find(na.to.begin(), end_a, b) != end_a) return;  // already
+  Arcs& nb = adj_[static_cast<std::size_t>(b)];
+  if (na.count == 0) touched_.push_back(a);
+  if (nb.count == 0) touched_.push_back(b);
+  na.to[static_cast<std::size_t>(na.count++)] = b;
+  nb.to[static_cast<std::size_t>(nb.count++)] = a;
 }
 
 void TileTreeEditor::remove_arc(tile::TileId a, tile::TileId b) {
-  auto& na = adj_[static_cast<std::size_t>(a)];
-  const auto ia = std::find(na.begin(), na.end(), b);
-  if (ia == na.end()) return;
-  na.erase(ia);
-  auto& nb = adj_[static_cast<std::size_t>(b)];
-  nb.erase(std::find(nb.begin(), nb.end(), a));
+  // Erase keeping insertion order: rebuild()'s BFS visits arcs in it.
+  const auto erase = [](Arcs& arcs, tile::TileId t) {
+    const auto end = arcs.to.begin() + arcs.count;
+    const auto it = std::find(arcs.to.begin(), end, t);
+    if (it == end) return false;
+    std::copy(it + 1, end, it);
+    --arcs.count;
+    return true;
+  };
+  if (erase(adj_[static_cast<std::size_t>(a)], b)) {
+    erase(adj_[static_cast<std::size_t>(b)], a);
+  }
 }
 
 void TileTreeEditor::remove_path(tile::TileId head,
@@ -293,7 +388,7 @@ void TileTreeEditor::add_path(std::span<const tile::TileId> tiles) {
 
 bool TileTreeEditor::in_tree(tile::TileId t) const {
   return t == source_ || sink_multiplicity_[static_cast<std::size_t>(t)] > 0 ||
-         !adj_[static_cast<std::size_t>(t)].empty();
+         adj_[static_cast<std::size_t>(t)].count > 0;
 }
 
 route::RouteTree TileTreeEditor::rebuild(
@@ -306,7 +401,9 @@ route::RouteTree TileTreeEditor::rebuild(
     const tile::TileId u = frontier.front();
     frontier.pop();
     const route::NodeId un = tree.node_at(u);
-    for (const tile::TileId v : adj_[static_cast<std::size_t>(u)]) {
+    const Arcs& arcs = adj_[static_cast<std::size_t>(u)];
+    for (std::int32_t k = 0; k < arcs.count; ++k) {
+      const tile::TileId v = arcs.to[static_cast<std::size_t>(k)];
       if (tree.contains(v)) continue;
       tree.add_child(un, v);
       frontier.push(v);
@@ -321,10 +418,8 @@ route::RouteTree TileTreeEditor::rebuild(
     const tile::TileId t = tree.node(static_cast<route::NodeId>(i)).tile;
     sinks_at[i] = sink_multiplicity_[static_cast<std::size_t>(t)];
   }
-  for (std::size_t t = 0; t < sink_multiplicity_.size(); ++t) {
-    RABID_ASSERT_MSG(sink_multiplicity_[t] == 0 ||
-                         tree.contains(static_cast<tile::TileId>(t)),
-                     "rebuild lost a sink tile");
+  for (const tile::TileId t : sink_tiles_) {
+    RABID_ASSERT_MSG(tree.contains(t), "rebuild lost a sink tile");
   }
 
   std::vector<bool> kept(n, false);
@@ -360,6 +455,52 @@ route::RouteTree TileTreeEditor::rebuild(
     }
   }
   return pruned;
+}
+
+TwoPathRerouter::TwoPathRerouter(const tile::TileGraph& g)
+    : search_(g), editor_(g) {}
+
+route::RouteTree TwoPathRerouter::reroute(const route::RouteTree& tree,
+                                          std::int32_t L,
+                                          std::span<const double> wire_cost,
+                                          std::span<const double> buffer_cost,
+                                          double wire_weight,
+                                          double buffer_weight,
+                                          double astar_floor) {
+  // Costs may have moved since the last call: no field survives it.
+  // Inside this call they hold still (the net stays uncommitted).
+  search_.drop_field();
+  editor_.reset(tree);
+  route::RouteTree current = editor_.rebuild();
+  std::vector<std::pair<tile::TileId, tile::TileId>> processed;
+  const std::size_t max_rips = 3 * current.two_paths().size() + 4;
+  for (std::size_t rip = 0; rip < max_rips; ++rip) {
+    const auto paths = current.two_paths();
+    const route::RouteTree::TwoPath* next = nullptr;
+    std::pair<tile::TileId, tile::TileId> key{tile::kNoTile, tile::kNoTile};
+    for (const auto& tp : paths) {
+      key = {current.node(tp.head).tile, current.node(tp.tail).tile};
+      if (std::find(processed.begin(), processed.end(), key) ==
+          processed.end()) {
+        next = &tp;
+        break;
+      }
+    }
+    if (next == nullptr) break;
+    processed.push_back(key);
+    std::vector<tile::TileId> interior;
+    interior.reserve(next->interior.size());
+    for (const route::NodeId n : next->interior) {
+      interior.push_back(current.node(n).tile);
+    }
+    editor_.remove_path(key.first, interior, key.second);
+    const TwoPathRoute reroute = search_.route_keeping_field(
+        key.second, key.first, L, wire_cost, buffer_cost, wire_weight,
+        buffer_weight, astar_floor);
+    editor_.add_path(reroute.tiles);
+    current = editor_.rebuild();
+  }
+  return current;
 }
 
 }  // namespace rabid::core

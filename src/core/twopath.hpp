@@ -15,6 +15,7 @@
 /// the same); the search only has to find a corridor where both wire and
 /// buffer capacity exist.
 
+#include <array>
 #include <functional>
 #include <span>
 #include <vector>
@@ -82,6 +83,47 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
 /// keeps the tile, leaving h unchanged), so the returned cost is
 /// identical to plain Dijkstra's — only equal-cost tie-breaking differs.
 /// Results are identical to route_two_path() given the same arguments.
+///
+/// **Dominance pruning.**  A state (t, j) with distance d is *dominated*
+/// when a label (t, j') with j' <= j and distance d' <= d was already
+/// popped: every continuation of (t, j) is legal from (t, j') too (less
+/// unbuffered length) and costs no more.  The search keeps one stamped
+/// record per tile — the smallest j popped there and that label's
+/// distance — and skips a pop, or refuses a relaxation, that the record
+/// dominates.  Both distances are compared explicitly: keys share h(t),
+/// but "popped earlier" does not imply d' <= d once rounding enters the
+/// keys, so order alone is no proof of dominance.
+///
+/// The pruning is lossless *and* leaves every route bit-identical.
+/// Proof sketch, for the unpruned search U and a popped dominated label
+/// e = (t, j, d) with dominator f = (t, j', d'), j' < j (j' == j is the
+/// same state, whose later pop is stale):
+///   1. e's buffer move offers (t, 0) fl(d + bq) >= d >= d' — never a
+///      strict improvement of a label f already set or popped.
+///   2. e's step to (u, j+1) offers x = fl(d + c); f already offered
+///      (u, j'+1) the value fl(d' + c) <= x (rounding is monotone).  Any
+///      label (u, j+1) with final distance d_s <= x is therefore beaten
+///      by (u, j'+1) in (key, id) order — keys are monotone in d and the
+///      smaller j has the smaller state id — so if x ever decided that
+///      label, (u, j+1) is itself dominated.  By induction no label that
+///      survives pruning ever takes its distance or its parent from a
+///      dominated one.
+///   3. The surviving labels thus carry bit-identical (dist, prev) and
+///      keys, and the heap's strict total order (util/dheap.hpp) pops
+///      them in the same sequence.  The goal — the first pop at `to` —
+///      cannot be dominated (its dominator would have been the goal), so
+///      the same goal state and parent chain come out.
+/// The record prunes a subset of the dominated labels (a later pop with
+/// a smaller j replaces it), which the argument allows.
+///
+/// **Field reuse.**  route_keeping_field() lets consecutive searches
+/// toward the same goal, under unchanged wire costs, keep the settled
+/// field and only re-aim its open set at the new source.  route() always
+/// starts a fresh field.  Settled field values do not depend on the aim
+/// in exact arithmetic; in floating point a key tie can settle a tile
+/// one rounding step apart from a fresh field (scale10k: 4 more heap
+/// pops out of 3.3M).  twopath_equivalence_test checks, call by call,
+/// that no route changes.
 class TwoPathSearch {
  public:
   explicit TwoPathSearch(const tile::TileGraph& g);
@@ -90,7 +132,28 @@ class TwoPathSearch {
                      std::span<const double> wire_cost,
                      std::span<const double> buffer_cost,
                      double wire_weight = 1.0, double buffer_weight = 1.0,
-                     double astar_floor = 0.0);
+                     double astar_floor = 0.0) {
+    return search(from, to, L, wire_cost, buffer_cost, wire_weight,
+                  buffer_weight, astar_floor, /*reuse_field=*/false);
+  }
+
+  /// route() for a caller that holds the wire costs still between
+  /// searches: when the previous search had the same goal and floor, its
+  /// settled field is kept and re-aimed at `from` instead of rebuilt.
+  /// Valid only while `wire_cost` holds the values of that previous
+  /// search — call drop_field() whenever they change.
+  TwoPathRoute route_keeping_field(tile::TileId from, tile::TileId to,
+                                   std::int32_t L,
+                                   std::span<const double> wire_cost,
+                                   std::span<const double> buffer_cost,
+                                   double wire_weight, double buffer_weight,
+                                   double astar_floor) {
+    return search(from, to, L, wire_cost, buffer_cost, wire_weight,
+                  buffer_weight, astar_floor, /*reuse_field=*/true);
+  }
+
+  /// Forgets the kept field: the next search builds a fresh one.
+  void drop_field() { field_goal_ = tile::kNoTile; }
 
  private:
   struct Entry {
@@ -132,11 +195,22 @@ class TwoPathSearch {
   };
   static_assert(sizeof(FieldLabel) == 16);
 
+  /// Per-tile dominance record (stamped by epoch_): the smallest j popped
+  /// at the tile in this search and that label's distance.
+  struct TileBest {
+    double dist;
+    std::int32_t j;
+    std::uint32_t stamp;
+  };
+  static_assert(sizeof(TileBest) == 16);
+
  public:
-  /// Bytes held by the (tile x L) labels, the heuristic field, and both
-  /// heaps' backing stores (obs memory.maze_scratch accounting).
+  /// Bytes held by the (tile x L) labels, the dominance records, the
+  /// heuristic field, and both heaps' backing stores (obs
+  /// memory.maze_scratch accounting).
   std::uint64_t memory_bytes() const {
     return static_cast<std::uint64_t>(labels_.capacity()) * sizeof(Label) +
+           static_cast<std::uint64_t>(best_.capacity()) * sizeof(TileBest) +
            static_cast<std::uint64_t>(field_.capacity()) *
                sizeof(FieldLabel) +
            static_cast<std::uint64_t>(coords_.capacity()) *
@@ -147,16 +221,27 @@ class TwoPathSearch {
   }
 
  private:
+  /// The search behind route().  With `reuse_field`, a field left by the
+  /// previous search toward the same goal (and floor) is kept and
+  /// re-aimed; the caller guarantees `wire_cost` has not changed since.
+  TwoPathRoute search(tile::TileId from, tile::TileId to, std::int32_t L,
+                      std::span<const double> wire_cost,
+                      std::span<const double> buffer_cost,
+                      double wire_weight, double buffer_weight,
+                      double astar_floor, bool reuse_field);
   void ensure_states(std::size_t n_states);
-  void heap_push(Entry e) { heap_.push(e); }
-  Entry heap_pop() { return heap_.pop(); }
+  /// Starts a fresh goal-rooted field aimed at `from`.
+  void start_field(tile::TileId from, tile::TileId to, double astar_floor);
+  /// Re-aims the open set of the current field at `from`: drops stale
+  /// entries and re-keys the rest.  Settled values are kept.
+  void aim_field(tile::TileId from);
   /// Settles the goal-rooted wire-distance field up to `t` (lazy
   /// backward Dijkstra); returns the unweighted wire distance t -> goal.
   /// Called once per relaxation, so the settled case — by far the most
   /// common once the field has spread — must be a single stamped load.
   double field_distance(tile::TileId t, std::span<const double> wire_cost) {
     const FieldLabel& fl = field_[static_cast<std::size_t>(t)];
-    if (fl.settled == epoch_) return fl.dist;
+    if (fl.settled == field_epoch_) return fl.dist;
     return field_settle(t, wire_cost);
   }
   /// Out-of-line slow path of field_distance: pops the backward-Dijkstra
@@ -165,29 +250,45 @@ class TwoPathSearch {
 
   const tile::TileGraph& g_;
   std::vector<Label> labels_;
+  std::vector<TileBest> best_;
   std::uint32_t epoch_ = 0;
   util::DaryHeap<Entry> heap_;
 
-  // Heuristic field scratch (per goal tile, stamped by epoch_).  The
-  // field is itself an A* search aimed at the forward search's source:
-  // with a consistent bound every settled tile's distance is exact (the
-  // standard A* optimality argument), so the *values* the forward search
-  // reads — and therefore its keys, pops, and routes — are identical to
-  // a plain-Dijkstra field; only which tiles get settled (a corridor
-  // goal -> source instead of a disk around the goal) changes.
+  // Heuristic field scratch (per goal tile, stamped by field_epoch_).
+  // The field is itself an A* search aimed at the forward search's
+  // source: with a consistent bound every settled tile's distance is
+  // exact (the standard A* optimality argument), so the *values* the
+  // forward search reads — and therefore its keys, pops, and routes — are
+  // identical to a plain-Dijkstra field; only which tiles get settled (a
+  // corridor goal -> source instead of a disk around the goal) changes.
+  // The same argument lets a field outlive its search: re-aiming the open
+  // set at another source changes which tiles settle next, not what they
+  // settle to (up to rounding, see the class comment).
   std::vector<FieldLabel> field_;
   std::vector<geom::TileCoord> coords_;  ///< per-tile coordinate table
   util::DaryHeap<FieldEntry> field_heap_;
+  std::uint32_t field_epoch_ = 0;
+  tile::TileId field_goal_ = tile::kNoTile;  ///< goal of the live field
   geom::TileCoord field_hot_{0, 0};  ///< forward source; field A* target
   double field_floor_ = 0.0;         ///< admissible per-step bound (0 = off)
+  std::uint64_t field_pops_ = 0;     ///< flushed to obs once per search
 };
 
 /// An editable tile-level tree: a RouteTree exploded into undirected
 /// arcs, supporting two-path removal, path insertion, pruning of dangling
 /// stubs, and reconstruction into a RouteTree.
+///
+/// One editor can serve many trees: reset() clears only the tiles the
+/// previous tree touched, and rebuild() checks the tree's own sink tiles,
+/// so per-tree work is O(tree), not O(chip).
 class TileTreeEditor {
  public:
+  /// An editor holding no tree; call reset() before editing.
+  explicit TileTreeEditor(const tile::TileGraph& g);
   TileTreeEditor(const route::RouteTree& tree, const tile::TileGraph& g);
+
+  /// Replaces the edited tree with `tree`.
+  void reset(const route::RouteTree& tree);
 
   /// Removes the arcs of a two-path (interior tiles plus both boundary
   /// arcs). `interior` may be empty (single-arc two-path).
@@ -207,13 +308,64 @@ class TileTreeEditor {
   route::RouteTree rebuild(
       const std::function<bool(tile::TileId)>& keep = {}) const;
 
+  /// Bytes held by the per-tile arc lists and sink counts.
+  std::uint64_t memory_bytes() const;
+
  private:
+  /// The tree arcs at one tile, in insertion order.  A grid tile has at
+  /// most four neighbors, so the list is inline: editing allocates
+  /// nothing.
+  struct Arcs {
+    std::array<tile::TileId, 4> to;
+    std::int32_t count;
+  };
+
   const tile::TileGraph& g_;
-  tile::TileId source_;
+  tile::TileId source_ = tile::kNoTile;
   std::vector<std::int32_t> sink_multiplicity_;  // per tile
-  std::vector<std::vector<tile::TileId>> adj_;   // per tile
+  std::vector<Arcs> adj_;                        // per tile
+  std::vector<tile::TileId> sink_tiles_;  ///< tiles with multiplicity > 0
+  /// Tiles whose arc list went non-empty since the last reset() (may
+  /// repeat; reset() only clears them).
+  std::vector<tile::TileId> touched_;
   void remove_arc(tile::TileId a, tile::TileId b);
   void add_arc(tile::TileId a, tile::TileId b);
+};
+
+/// Stage 4's rip-and-reroute of one net (Section III-D), shared by
+/// Rabid::run_stage4 and the ECO polish pass: one two-path at a time is
+/// ripped out of the tree and reconnected by the (tile x L) search with
+/// joint wire+buffer costs.  The decomposition is recomputed from the
+/// live tree after every replacement: a reroute may share arcs with a
+/// not-yet-processed two-path, so ripping from a stale snapshot could
+/// sever it.
+///
+/// One rerouter serves a whole stage or ECO step: it owns the search and
+/// the tree editor, whose scratch stays warm across nets.  Wire and site
+/// costs cannot change inside one reroute() call (the net is uncommitted
+/// throughout), so consecutive searches toward one goal share their
+/// heuristic field; every reroute() call starts with a fresh field, so
+/// callers may change costs freely between calls.
+class TwoPathRerouter {
+ public:
+  explicit TwoPathRerouter(const tile::TileGraph& g);
+
+  /// Returns `tree` with every two-path rerouted.  `tree` must already be
+  /// uncommitted from the books the cost arrays price.
+  route::RouteTree reroute(const route::RouteTree& tree, std::int32_t L,
+                           std::span<const double> wire_cost,
+                           std::span<const double> buffer_cost,
+                           double wire_weight, double buffer_weight,
+                           double astar_floor);
+
+  /// Search plus editor scratch (obs memory.maze_scratch accounting).
+  std::uint64_t memory_bytes() const {
+    return search_.memory_bytes() + editor_.memory_bytes();
+  }
+
+ private:
+  TwoPathSearch search_;
+  TileTreeEditor editor_;
 };
 
 }  // namespace rabid::core

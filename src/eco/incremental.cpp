@@ -205,7 +205,7 @@ void IncrementalPlanner::rebuffer_net(std::size_t i) {
 void IncrementalPlanner::polish_net(std::size_t i,
                                     route::EdgeCostCache& cache,
                                     std::vector<double>& site_cost,
-                                    core::TwoPathSearch& search) {
+                                    core::TwoPathRerouter& rerouter) {
   core::NetState& st = nets_[i];
   const auto id = static_cast<netlist::NetId>(i);
   const std::int32_t L = design_.length_limit(id);
@@ -223,40 +223,9 @@ void IncrementalPlanner::polish_net(std::size_t i,
   st.tree.uncommit(graph_, width);
   cache.refresh_tree(st.tree);
 
-  // One two-path at a time with joint wire+buffer costs, recomputing
-  // the decomposition from the live tree after every replacement —
-  // exactly the stage-4 inner loop.
-  core::TileTreeEditor editor(st.tree, graph_);
-  route::RouteTree current = editor.rebuild();
-  std::vector<std::pair<tile::TileId, tile::TileId>> processed;
-  const std::size_t max_rips = 3 * current.two_paths().size() + 4;
-  for (std::size_t rip = 0; rip < max_rips; ++rip) {
-    const auto paths = current.two_paths();
-    const route::RouteTree::TwoPath* next = nullptr;
-    std::pair<tile::TileId, tile::TileId> key{tile::kNoTile, tile::kNoTile};
-    for (const auto& tp : paths) {
-      key = {current.node(tp.head).tile, current.node(tp.tail).tile};
-      if (std::find(processed.begin(), processed.end(), key) ==
-          processed.end()) {
-        next = &tp;
-        break;
-      }
-    }
-    if (next == nullptr) break;
-    processed.push_back(key);
-    std::vector<tile::TileId> interior;
-    interior.reserve(next->interior.size());
-    for (const route::NodeId n : next->interior) {
-      interior.push_back(current.node(n).tile);
-    }
-    editor.remove_path(key.first, interior, key.second);
-    const core::TwoPathRoute reroute =
-        search.route(key.second, key.first, L, cache.values(), site_cost,
-                     1.0, 1.0, cache.min_cost());
-    editor.add_path(reroute.tiles);
-    current = editor.rebuild();
-  }
-  st.tree = std::move(current);
+  // The stage-4 reroute, shared with Rabid::run_stage4.
+  st.tree = rerouter.reroute(st.tree, L, cache.values(), site_cost, 1.0, 1.0,
+                             cache.min_cost());
   st.tree.commit(graph_, width);
   cache.refresh_tree(st.tree);
 
@@ -468,10 +437,10 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
     for (tile::TileId t = 0; t < graph_.tile_count(); ++t) {
       site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
     }
-    core::TwoPathSearch search(graph_);
+    core::TwoPathRerouter rerouter(graph_);
     for (std::size_t i = 0; i < nets_.size(); ++i) {
       if (ever[i] && !nets_[i].tree.empty()) {
-        polish_net(i, cache, site_cost, search);
+        polish_net(i, cache, site_cost, rerouter);
       }
     }
   }
@@ -506,13 +475,13 @@ core::AuditReport IncrementalPlanner::audit() const {
 
 bool EquivalenceReport::within(double epsilon) const {
   if (!audit_clean) return false;
-  const double wl_gap =
-      std::abs(wirelength_incremental_mm - wirelength_scratch_mm);
+  // One-sided: an incremental plan that beats scratch is within bound.
+  const double wl_gap = wirelength_incremental_mm - wirelength_scratch_mm;
   if (wl_gap > epsilon * wirelength_scratch_mm + 1e-9) return false;
   // Absolute floors keep the relative bound meaningful on fuzz-sized
   // circuits, where "one more buffer" is a large relative move.
   const auto buf_gap =
-      std::abs(static_cast<double>(buffers_incremental - buffers_scratch));
+      static_cast<double>(buffers_incremental - buffers_scratch);
   if (buf_gap > epsilon * std::max(static_cast<double>(buffers_scratch),
                                    20.0)) {
     return false;

@@ -53,7 +53,7 @@
 #include "timing/tech.hpp"
 
 namespace rabid::core {
-class TwoPathSearch;  // core/twopath.hpp
+class TwoPathRerouter;  // core/twopath.hpp
 }  // namespace rabid::core
 
 namespace rabid::eco {
@@ -163,7 +163,8 @@ class IncrementalPlanner {
   void rebuffer_net(std::size_t i);
   /// Stage-4 two-path polish for net i (buffers must be committed).
   void polish_net(std::size_t i, route::EdgeCostCache& cache,
-                  std::vector<double>& site_cost, core::TwoPathSearch& search);
+                  std::vector<double>& site_cost,
+                  core::TwoPathRerouter& rerouter);
   void refresh_delay(std::size_t i);
 
   netlist::Design design_;
@@ -184,10 +185,11 @@ struct EquivalenceReport {
   std::int64_t buffers_incremental = 0;
   std::int64_t buffers_scratch = 0;
 
-  /// The declared equivalence bound: the incremental audit is clean,
-  /// wirelength and buffer count are within `epsilon` (relative, with a
-  /// small absolute allowance for fuzz-sized circuits), and overflow
-  /// does not exceed what the from-scratch plan also could not avoid.
+  /// The declared equivalence bound, one-sided: the incremental audit is
+  /// clean, wirelength and buffer count are no worse than scratch plus
+  /// `epsilon` (relative, with a small absolute allowance for fuzz-sized
+  /// circuits) — beating scratch is fine — and overflow does not exceed
+  /// what the from-scratch plan also could not avoid.
   bool within(double epsilon) const;
   std::string summary() const;
 };

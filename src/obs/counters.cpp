@@ -44,6 +44,8 @@ constexpr std::array<std::string_view,
         "twopath.searches",
         "twopath.heap_pushes",
         "twopath.heap_pops",
+        "twopath.labels_pruned",
+        "twopath.field_pops",
         "pool.tasks",
         "pool.parallel_fors",
         "pool.indices_inline",

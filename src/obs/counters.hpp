@@ -96,6 +96,8 @@ enum class Counter : std::uint16_t {
   kTwoPathSearches,    ///< route() calls
   kTwoPathHeapPushes,  ///< (tile, j) state heap insertions
   kTwoPathHeapPops,    ///< (tile, j) state heap extractions
+  kTwoPathLabelsPruned,  ///< dominated labels: pops skipped + relaxations refused
+  kTwoPathFieldPops,     ///< heuristic-field heap extractions
   // util/thread_pool.cpp.
   kPoolTasks,          ///< queue tasks executed by workers
   kPoolParallelFors,   ///< parallel_for() calls

@@ -79,7 +79,39 @@ class DaryHeap {
     return top;
   }
 
+  /// Lets `edit` rewrite the stored elements in place (change keys, drop
+  /// elements), then restores heap order bottom-up in O(n).  The pop
+  /// sequence afterwards depends only on the edited element set.
+  template <typename Edit>
+  void rebuild(Edit&& edit) {
+    edit(v_);
+    if (v_.size() < 2) return;
+    for (std::size_t i = (v_.size() - 2) / D + 1; i-- > 0;) {
+      sift_down(i, v_[i]);
+    }
+  }
+
  private:
+  /// Moves `e` down from slot i until no child orders before it.  pop()
+  /// keeps its own copy of this loop, so the wavefront hot path compiles
+  /// exactly as it did before rebuild() existed.
+  void sift_down(std::size_t i, const T e) {
+    const std::size_t n = v_.size();
+    while (true) {
+      const std::size_t first = i * D + 1;
+      if (first >= n) break;
+      std::size_t best = first;
+      const std::size_t end = first + D < n ? first + D : n;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (v_[best] > v_[c]) best = c;
+      }
+      if (!(e > v_[best])) break;
+      v_[i] = v_[best];
+      i = best;
+    }
+    v_[i] = e;
+  }
+
   std::vector<T> v_;
   std::uint64_t regrows_ = 0;
 };

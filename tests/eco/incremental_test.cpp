@@ -7,6 +7,7 @@
 #include "circuits/random_circuit.hpp"
 #include "core/rabid.hpp"
 #include "eco/incremental.hpp"
+#include "fuzz/differential.hpp"
 #include "geom/point.hpp"
 #include "netlist/design.hpp"
 #include "tile/tile_graph.hpp"
@@ -212,6 +213,35 @@ TEST(IncrementalPlanner, EquivalentToScratchWithinEpsilon) {
     EXPECT_TRUE(report.within(0.30))
         << "seed " << seed << ": " << report.summary();
   }
+}
+
+TEST(EquivalenceReport, BoundIsOneSided) {
+  EquivalenceReport r;
+  r.audit_clean = true;
+  r.wirelength_scratch_mm = 44.48;
+  r.buffers_scratch = 28;
+  // Beating scratch by more than epsilon is no violation.
+  r.wirelength_incremental_mm = 42.96;
+  r.buffers_incremental = 24;
+  EXPECT_TRUE(r.within(0.02));
+  // Losing to scratch by more than epsilon is.
+  r.wirelength_incremental_mm = 44.48 * 1.11;
+  EXPECT_FALSE(r.within(0.10));
+  r.wirelength_incremental_mm = 44.48;
+  r.buffers_incremental = 28 + 3;  // floor: 0.10 * max(28, 20) = 2.8
+  EXPECT_FALSE(r.within(0.10));
+  r.buffers_incremental = 28 + 2;
+  EXPECT_TRUE(r.within(0.10));
+}
+
+TEST(EquivalenceReport, IncrementalBeatingScratchPassesTheSweep) {
+  // The 3-step ECO sweep on seed 36 ends at 42.96 vs 44.48 mm and 24 vs
+  // 28 buffers: better than scratch, which a symmetric bound rejected.
+  fuzz::EcoFuzzOptions options;
+  options.steps = 3;
+  options.epsilon = 0.10;
+  const fuzz::EcoFuzzResult result = fuzz::run_eco(36, options);
+  EXPECT_TRUE(result.ok()) << result.describe();
 }
 
 TEST(IncrementalPlanner, ValidationRejectsAndMutatesNothing) {

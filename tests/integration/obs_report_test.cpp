@@ -96,6 +96,9 @@ TEST(ObsReportIntegration, Ami49CountersMatchAuditRecounts) {
   EXPECT_GT(counter_value(report, "twopath.searches"), 0);
   EXPECT_LE(counter_value(report, "twopath.heap_pops"),
             counter_value(report, "twopath.heap_pushes"));
+  // Stage 4's dominance pruning and heuristic field both do real work.
+  EXPECT_GT(counter_value(report, "twopath.labels_pruned"), 0);
+  EXPECT_GT(counter_value(report, "twopath.field_pops"), 0);
 
   // Every net ran the buffer DP at least once in stage 3 and once more
   // in the stage-4 re-buffering.
