@@ -161,12 +161,15 @@ TwoPathRoute TwoPathSearch::search(tile::TileId from, tile::TileId to,
   std::uint64_t pushes = 0;
   std::uint64_t pops = 0;
   std::uint64_t pruned = 0;
+  std::uint64_t deferred = 0;
+  std::uint64_t resolved = 0;
+  std::uint64_t dropped = 0;
 
   // Start at the tail with j = 0 (the tail end is an anchor; the exact
   // downstream slack is re-established by the net-wide re-buffering).
-  const std::size_t start = state_of(from, 0);
+  const auto start = static_cast<std::uint32_t>(state_of(from, 0));
   labels_[start] = Label{0.0, -1, epoch_};
-  heap_.push({h_of(from), 0.0, start});
+  heap_.push({h_of(from), 0.0, start, false});
   ++pushes;
 
   // True when tile t's record dominates a (t, j) label at distance d
@@ -176,10 +179,10 @@ TwoPathRoute TwoPathSearch::search(tile::TileId from, tile::TileId to,
     return b.stamp == epoch_ && b.j <= j && b.dist <= d;
   };
 
-  // The heuristic is evaluated only when a relaxation actually improves
-  // a label: h(t) is a fixed value per tile (the exact wire field), so
-  // skipping it for rejected relaxations cannot change any pushed key —
-  // it only avoids settling field tiles nobody ends up needing.
+  // A relaxation that improves a label pushes its exact key when the
+  // field already holds h(t), and a lower bound on it otherwise: the
+  // field is settled up to t only if the entry reaches the top of the
+  // heap (see "Deferred keys" in the class comment).
   auto relax = [&](tile::TileId t, std::int32_t j, double d,
                    std::size_t from_state) {
     const std::size_t s = state_of(t, j);
@@ -190,7 +193,16 @@ TwoPathRoute TwoPathSearch::search(tile::TileId from, tile::TileId to,
       return;
     }
     lbl = Label{d, static_cast<std::int32_t>(from_state), epoch_};
-    heap_.push({d + h_of(t), d, s});
+    const auto s32 = static_cast<std::uint32_t>(s);
+    if (!use_h) {
+      heap_.push({d, d, s32, false});
+    } else if (const FieldLabel& fl = field_[static_cast<std::size_t>(t)];
+               fl.settled == field_epoch_) {
+      heap_.push({d + wire_weight * fl.dist, d, s32, false});
+    } else {
+      heap_.push({d + wire_weight * field_lower_bound(t), d, s32, true});
+      ++deferred;
+    }
     ++pushes;
   };
 
@@ -199,8 +211,22 @@ TwoPathRoute TwoPathSearch::search(tile::TileId from, tile::TileId to,
     const Entry top = heap_.pop();
     ++pops;
     const auto s = static_cast<std::size_t>(top.s);
-    if (top.d > labels_[s].dist) continue;
+    if (top.d > labels_[s].dist) {
+      if (top.deferred) ++dropped;
+      continue;
+    }
     const auto t = static_cast<tile::TileId>(s >> shift);
+    if (top.deferred) {
+      // Resolve: settle the field up to t and queue the exact key.  Only
+      // exact pops reach the dominance record, the goal test or the
+      // expansion below.
+      const double key = top.d + h_of(t);
+      RABID_ASSERT(key >= top.key);
+      heap_.push({key, top.d, top.s, false});
+      ++pushes;
+      ++resolved;
+      continue;
+    }
     const auto j = static_cast<std::int32_t>(s & jmask);
     TileBest& best = best_[static_cast<std::size_t>(t)];
     if (best.stamp != epoch_) {
@@ -239,6 +265,9 @@ TwoPathRoute TwoPathSearch::search(tile::TileId from, tile::TileId to,
     obs::count(obs::Counter::kTwoPathHeapPops, pops);
     obs::count(obs::Counter::kTwoPathLabelsPruned, pruned);
     obs::count(obs::Counter::kTwoPathFieldPops, field_pops_);
+    obs::count(obs::Counter::kTwoPathKeysDeferred, deferred);
+    obs::count(obs::Counter::kTwoPathKeysResolved, resolved);
+    obs::count(obs::Counter::kTwoPathKeysDropped, dropped);
     obs::count(obs::Counter::kHeapRegrows,
                heap_.take_regrows() + field_heap_.take_regrows());
   }

@@ -15,6 +15,7 @@
 /// the same); the search only has to find a corridor where both wire and
 /// buffer capacity exist.
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <span>
@@ -76,12 +77,13 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
 /// With `astar_floor > 0` the search upgrades the Manhattan bound to the
 /// *exact* wire-only distance-to-goal: a goal-rooted tile-level Dijkstra
 /// over `wire_cost` (no length rule, no buffers) settled lazily, exactly
-/// as far as the forward wavefront asks.  h(t) = wire_weight * that
-/// distance is admissible (buffer costs are nonnegative and every legal
-/// continuation is in particular a wire path) and consistent (a shortest
-/// -path field obeys the triangle inequality edge by edge; buffering
-/// keeps the tile, leaving h unchanged), so the returned cost is
-/// identical to plain Dijkstra's — only equal-cost tie-breaking differs.
+/// as far as the forward search's pops ask (see "Deferred keys").
+/// h(t) = wire_weight * that distance is admissible (buffer costs are
+/// nonnegative and every legal continuation is in particular a wire
+/// path) and consistent (a shortest-path field obeys the triangle
+/// inequality edge by edge; buffering keeps the tile, leaving h
+/// unchanged), so the returned cost is identical to plain Dijkstra's —
+/// only equal-cost tie-breaking differs.
 /// Results are identical to route_two_path() given the same arguments.
 ///
 /// **Dominance pruning.**  A state (t, j) with distance d is *dominated*
@@ -115,6 +117,42 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
 ///      the same goal state and parent chain come out.
 /// The record prunes a subset of the dominated labels (a later pop with
 /// a smaller j replaces it), which the argument allows.
+///
+/// **Deferred keys.**  The field settles a ball around the goal, which
+/// grows with the square of the two-path's length, while the forward
+/// search walks a corridor that grows linearly; most states pushed at
+/// the edge of the search are never popped.  So a relaxation that
+/// improves a label at a tile whose field value is not settled yet
+/// pushes a *lower bound* on the key, d + wire_weight * b(t), and marks
+/// the entry deferred.  A deferred pop that is stale is dropped; any
+/// other settles the field up to its tile and pushes the entry again at
+/// its exact key d + wire_weight * h(t).  Only exact pops expand, touch
+/// the dominance record or end the search.  The bound is
+///     b(t) = max(floor * manh(t, goal), K_open - floor * manh(t, hot)),
+/// K_open being the smallest key in the field's open set and hot the
+/// forward source the field is aimed at.
+///   1. Every edge costs at least the floor, so h(t) >= the first term.
+///   2. Take the path goal -> t that yields h(t), and its first tile o
+///      not settled when the bound is taken.  o's predecessor is, so o
+///      sits in the open set with its final distance d(o), keyed d(o) +
+///      floor * manh(o, hot) >= K_open.  Then h(t) >= d(o) + floor *
+///      manh(o, t) >= K_open - floor * manh(t, hot) by the triangle
+///      inequality.  A stale heap top only lowers K_open.
+///   3. Rounding: a computed n-edge path sum can sit about 2n ulps below
+///      its real value, so each term gives up kBoundMargin (1e-9) of its
+///      scale; b(t) then stays below the *computed* h(t), and since
+///      rounding is monotone the bound key stays below the exact key.
+///      The resolution asserts it, so an unsound bound aborts instead
+///      of reordering pops.
+/// Routes cannot change.  A deferred (bound, s) orders before the exact
+/// (key, s) it stands for, so it is popped and resolved before any exact
+/// entry that (key, s) precedes can be expanded: the exact entries pop
+/// in the same strict (key, s) sequence as with eager keys.  The field's
+/// own pops form one fixed sequence within a search, so a value settled
+/// later is the value settled earlier.  Across searches that keep a
+/// field, the settled extent at re-aim time is smaller than with eager
+/// keys; as with any re-aim, values agree up to rounding ties, and
+/// twopath_equivalence_test checks every route against eager keys.
 ///
 /// **Field reuse.**  route_keeping_field() lets consecutive searches
 /// toward the same goal, under unchanged wire costs, keep the settled
@@ -156,15 +194,19 @@ class TwoPathSearch {
   void drop_field() { field_goal_ = tile::kNoTile; }
 
  private:
+  /// Forward-heap entry.  `deferred` stays outside the (key, s) order:
+  /// a deferred entry sorts by its bound exactly like an exact one.
   struct Entry {
-    double key;  ///< d + heuristic; == d when A* is off
+    double key;  ///< d + heuristic (== d when A* is off); a bound if deferred
     double d;
-    std::uint64_t s;
+    std::uint32_t s;  ///< (tile, j) state; 31 bits, see ensure_states
+    bool deferred;    ///< key is a lower bound: resolve before expanding
     bool operator>(const Entry& o) const {
       if (key != o.key) return key > o.key;
       return s > o.s;
     }
   };
+  static_assert(sizeof(Entry) == 24);
   struct FieldEntry {
     double key;  ///< d + field A* bound; == d when the bound is off
     double d;
@@ -237,8 +279,8 @@ class TwoPathSearch {
   void aim_field(tile::TileId from);
   /// Settles the goal-rooted wire-distance field up to `t` (lazy
   /// backward Dijkstra); returns the unweighted wire distance t -> goal.
-  /// Called once per relaxation, so the settled case — by far the most
-  /// common once the field has spread — must be a single stamped load.
+  /// Called for the start state and for each deferred key resolved; the
+  /// settled case is a single stamped load.
   double field_distance(tile::TileId t, std::span<const double> wire_cost) {
     const FieldLabel& fl = field_[static_cast<std::size_t>(t)];
     if (fl.settled == field_epoch_) return fl.dist;
@@ -247,6 +289,29 @@ class TwoPathSearch {
   /// Out-of-line slow path of field_distance: pops the backward-Dijkstra
   /// heap until `t` is settled.
   double field_settle(tile::TileId t, std::span<const double> wire_cost);
+  /// A lower bound on field_distance(t) that settles nothing (see
+  /// "Deferred keys" in the class comment).  Each term gives up
+  /// kBoundMargin of its scale to rounding, so the bound stays below
+  /// the computed field value, not just the real one.
+  double field_lower_bound(tile::TileId t) const {
+    const geom::TileCoord c = coords_[static_cast<std::size_t>(t)];
+    const double to_goal =
+        field_floor_ *
+        static_cast<double>(geom::manhattan(
+            c, coords_[static_cast<std::size_t>(field_goal_)]));
+    double bound = to_goal * (1.0 - kBoundMargin);
+    if (!field_heap_.empty()) {
+      bound = std::max(
+          bound, field_heap_.top().key * (1.0 - kBoundMargin) -
+                     field_floor_ * static_cast<double>(
+                                        geom::manhattan(c, field_hot_)));
+    }
+    return bound;
+  }
+  /// Relative rounding allowance of field_lower_bound: a computed field
+  /// value of an n-edge path can sit (2n + 4) ulps below the real-number
+  /// bound, so 1e-9 covers paths of up to ~4M edges.
+  static constexpr double kBoundMargin = 1e-9;
 
   const tile::TileGraph& g_;
   std::vector<Label> labels_;

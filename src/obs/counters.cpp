@@ -46,6 +46,9 @@ constexpr std::array<std::string_view,
         "twopath.heap_pops",
         "twopath.labels_pruned",
         "twopath.field_pops",
+        "twopath.keys_deferred",
+        "twopath.keys_resolved",
+        "twopath.keys_dropped",
         "pool.tasks",
         "pool.parallel_fors",
         "pool.indices_inline",

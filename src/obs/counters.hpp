@@ -98,6 +98,9 @@ enum class Counter : std::uint16_t {
   kTwoPathHeapPops,    ///< (tile, j) state heap extractions
   kTwoPathLabelsPruned,  ///< dominated labels: pops skipped + relaxations refused
   kTwoPathFieldPops,     ///< heuristic-field heap extractions
+  kTwoPathKeysDeferred,  ///< pushes keyed by a lower bound on the A* key
+  kTwoPathKeysResolved,  ///< deferred pops re-pushed at their exact key
+  kTwoPathKeysDropped,   ///< deferred pops stale on arrival, dropped
   // util/thread_pool.cpp.
   kPoolTasks,          ///< queue tasks executed by workers
   kPoolParallelFors,   ///< parallel_for() calls

@@ -54,6 +54,9 @@ class DaryHeap {
     }
   }
 
+  /// The minimum element, left in place (heap must be non-empty).
+  const T& top() const { return v_.front(); }
+
   /// Removes and returns the minimum element (heap must be non-empty).
   T pop() {
     T top = v_.front();

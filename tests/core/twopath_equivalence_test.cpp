@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <span>
 #include <string>
@@ -18,15 +19,18 @@
 #include "circuits/specs.hpp"
 #include "core/rabid.hpp"
 #include "core/twopath.hpp"
+#include "eco/incremental.hpp"
+#include "obs/counters.hpp"
 #include "route/maze.hpp"
 #include "util/rng.hpp"
 
 namespace rabid::core {
 namespace {
 
-/// The (tile x L) search without dominance pruning or field reuse: every
-/// label is expanded and every search builds its own goal-rooted field,
-/// aimed at the source and read lazily at each improving relaxation.
+/// The (tile x L) search without dominance pruning, field reuse or
+/// deferred keys: every label is expanded and every search builds its own
+/// goal-rooted field, aimed at the source and read at each improving
+/// relaxation (an eager key, where the engine under test may defer it).
 /// Keys, the strict (key, state id) order and the field's (key, tile)
 /// order are those of TwoPathSearch, so a lossless engine must return
 /// bit-identical routes.
@@ -190,9 +194,12 @@ struct Tally {
 /// on one shared editor; each net's outcome is also checked against one
 /// TwoPathRerouter shared across all nets.  Net wires move as in stage 4
 /// (ripped, rerouted, recommitted), so the costs change between nets.
+/// A non-empty `only` replays just those nets, in that order (an ECO
+/// polish pass); the rest keep their routes.
 void replay_stage4(const std::string& name, const netlist::Design& design,
                    tile::TileGraph& graph, std::vector<NetState> nets,
-                   bool astar, Tally* tally) {
+                   bool astar, Tally* tally,
+                   std::vector<std::size_t> only = {}) {
   route::EdgeCostCache cache(graph, [&](tile::EdgeId e) {
     return route::soft_wire_cost(graph, e);
   });
@@ -206,7 +213,11 @@ void replay_stage4(const std::string& name, const netlist::Design& design,
   TileTreeEditor shared_editor(graph);
   TwoPathRerouter rerouter(graph);
 
-  for (std::size_t i = 0; i < nets.size(); ++i) {
+  if (only.empty()) {
+    only.resize(nets.size());
+    std::iota(only.begin(), only.end(), std::size_t{0});
+  }
+  for (const std::size_t i : only) {
     NetState& st = nets[i];
     if (st.tree.empty()) continue;
     const auto id = static_cast<netlist::NetId>(i);
@@ -337,6 +348,97 @@ TEST_P(TwoPathEquivalenceRandom, SharedEngineMatchesReferenceAfterStage3) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TwoPathEquivalenceRandom,
                          ::testing::Range<std::uint64_t>(1, 25));
+
+/// The obs counters accumulated since construction; restores the
+/// registry's level on exit.  Every engine in a replay feeds them.
+class CounterScope {
+ public:
+  CounterScope() : saved_(obs::Registry::instance().level()) {
+    obs::Registry::instance().set_level(obs::Level::kCounters);
+    start_ = obs::Registry::instance().snapshot();
+  }
+  ~CounterScope() { obs::Registry::instance().set_level(saved_); }
+  CounterScope(const CounterScope&) = delete;
+  CounterScope& operator=(const CounterScope&) = delete;
+
+  std::uint64_t operator[](obs::Counter c) const {
+    return obs::Registry::instance().snapshot()[c] - start_[c];
+  }
+
+ private:
+  obs::Level saved_;
+  obs::Snapshot start_;
+};
+
+/// Every branch of the deferred-key path ran: pushes keyed by a bound,
+/// deferred entries dropped stale, and deferred entries resolved.
+void expect_deferral_exercised(const CounterScope& counters) {
+  EXPECT_GT(counters[obs::Counter::kTwoPathKeysDeferred], 0u);
+  EXPECT_GT(counters[obs::Counter::kTwoPathKeysDropped], 0u);
+  EXPECT_GT(counters[obs::Counter::kTwoPathKeysResolved], 0u);
+}
+
+/// 96x96-tile random circuits.  On the Table-I grids the field soon
+/// covers the whole search, so keys are rarely deferred; here two-paths
+/// run long and the forward frontier keeps reaching unsettled tiles.
+circuits::RandomCircuitOptions large_grid() {
+  circuits::RandomCircuitOptions o;
+  o.min_grid = 96;
+  o.max_grid = 96;
+  o.min_nets = 24;
+  o.max_nets = 24;
+  o.min_length_limit = 6;
+  o.max_length_limit = 12;
+  return o;
+}
+
+TEST(TwoPathEquivalenceLarge, DeferredKeysKeepEveryRouteAfterStage3) {
+  const circuits::RandomCircuit rc(7, large_grid());
+  const netlist::Design design = rc.design();
+  tile::TileGraph graph = rc.graph(design);
+  Rabid rabid(design, graph, RabidOptions{});
+  rabid.run_stage1();
+  rabid.run_stage2();
+  rabid.run_stage3();
+  const CounterScope counters;
+  Tally tally;
+  replay_stage4(rc.name(), design, graph, rabid.nets(), /*astar=*/true,
+                &tally);
+  EXPECT_EQ(tally.nets, static_cast<std::int64_t>(design.nets().size()));
+  expect_deferral_exercised(counters);
+}
+
+TEST(TwoPathEquivalenceLarge, DeferredKeysKeepEveryEcoPolishRoute) {
+  // Batch plan, then a seeded pin-move ECO re-planned without its polish
+  // pass; the replay runs that pass's searches over the re-planned nets.
+  const circuits::RandomCircuit rc(11, large_grid());
+  const netlist::Design design = rc.design();
+  tile::TileGraph graph = rc.graph(design);
+  const RabidOptions options;
+  Rabid rabid(design, graph, options);
+  rabid.run_all();
+  eco::EcoOptions eco;
+  eco.tech = options.tech;
+  eco.buffer_library = options.buffer_library;
+  eco.two_path_pass = false;
+  eco::IncrementalPlanner planner(design, graph, rabid.nets(), eco);
+  ASSERT_TRUE(
+      planner.replan(eco::random_move_perturbation(planner, 0.25, 1))
+          .ok_status());
+  std::vector<std::size_t> replanned;
+  for (std::size_t i = 0; i < planner.nets().size(); ++i) {
+    if (!same_tree(planner.nets()[i].tree, rabid.nets()[i].tree)) {
+      replanned.push_back(i);
+    }
+  }
+  ASSERT_FALSE(replanned.empty());
+  const CounterScope counters;
+  Tally tally;
+  replay_stage4(rc.name() + " eco", planner.design(), graph, planner.nets(),
+                /*astar=*/true, &tally, replanned);
+  EXPECT_EQ(tally.nets, static_cast<std::int64_t>(replanned.size()));
+  expect_deferral_exercised(counters);
+}
 
 TEST(TwoPathEquivalence, SameGoalFromManySourcesKeepsOneField) {
   util::Rng rng(2024);

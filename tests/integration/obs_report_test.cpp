@@ -99,6 +99,12 @@ TEST(ObsReportIntegration, Ami49CountersMatchAuditRecounts) {
   // Stage 4's dominance pruning and heuristic field both do real work.
   EXPECT_GT(counter_value(report, "twopath.labels_pruned"), 0);
   EXPECT_GT(counter_value(report, "twopath.field_pops"), 0);
+  // Deferred A* keys: each deferred entry is resolved or dropped at most
+  // once (some are still queued when the goal pops), and both paths ran.
+  const std::int64_t resolved = counter_value(report, "twopath.keys_resolved");
+  EXPECT_GT(resolved, 0);
+  EXPECT_LE(resolved + counter_value(report, "twopath.keys_dropped"),
+            counter_value(report, "twopath.keys_deferred"));
 
   // Every net ran the buffer DP at least once in stage 3 and once more
   // in the stage-4 re-buffering.

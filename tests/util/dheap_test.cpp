@@ -25,6 +25,7 @@ TEST(DaryHeap, PopsInSortedOrderAcrossRegrows) {
   std::sort(values.begin(), values.end());
   for (const std::int64_t v : values) {
     ASSERT_FALSE(heap.empty());
+    EXPECT_EQ(heap.top(), v);
     EXPECT_EQ(heap.pop(), v);
   }
   EXPECT_TRUE(heap.empty());
