@@ -68,22 +68,6 @@ int main(int argc, char** argv) {
   }
   table.add_rule();
 
-  // (b') stage-2 engine: Nair-style eq. (1) vs negotiated congestion.
-  {
-    core::RabidOptions opt;
-    opt.stage2_mode = core::Stage2Mode::kNegotiated;
-    run("negotiated stage 2", opt, /*stage4=*/true);
-  }
-  table.add_rule();
-
-  // (c') stage-1 tree construction: exact RSMT for small nets.
-  {
-    core::RabidOptions opt;
-    opt.exact_steiner_max_terminals = 5;
-    run("exact RSMT (<=5 pins)", opt, /*stage4=*/true);
-  }
-  table.add_rule();
-
   // (c) stage 4 on/off.
   run("no stage 4", {}, /*stage4=*/false);
   run("full RABID", {}, /*stage4=*/true);

@@ -40,25 +40,6 @@ BENCHMARK_CAPTURE(BM_FullFlow, apte, "apte");
 BENCHMARK_CAPTURE(BM_FullFlow, xerox, "xerox");
 BENCHMARK_CAPTURE(BM_FullFlow, ami49, "ami49");
 
-// The pre-overhaul reference configuration: blind Dijkstra wavefronts
-// and reroute-everything stage-2 iterations.  The spread between this
-// and BM_FullFlow/ami49 is the measured payoff of the A* + dirty-net
-// hot-path work (see README "Performance").
-void BM_FullFlowLegacy(benchmark::State& state, const char* circuit) {
-  const circuits::CircuitSpec& spec = circuits::spec_by_name(circuit);
-  const netlist::Design design = circuits::generate_design(spec);
-  const tile::TileGraph prototype = circuits::build_tile_graph(design, spec);
-  core::RabidOptions options;
-  options.router_heuristic = core::RouterHeuristic::kDijkstra;
-  options.stage2_dirty_filter = false;
-  for (auto _ : state) {
-    tile::TileGraph graph = prototype;
-    core::Rabid rabid(design, graph, options);
-    benchmark::DoNotOptimize(rabid.run_all());
-  }
-}
-BENCHMARK_CAPTURE(BM_FullFlowLegacy, ami49, "ami49");
-
 void BM_Stage(benchmark::State& state, const char* circuit, int stage) {
   const circuits::CircuitSpec& spec = circuits::spec_by_name(circuit);
   const netlist::Design design = circuits::generate_design(spec);

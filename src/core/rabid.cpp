@@ -19,8 +19,6 @@
 #include "obs/trace.hpp"
 #include "route/embed.hpp"
 #include "route/maze.hpp"
-#include "route/negotiated.hpp"
-#include "route/rsmt.hpp"
 #include "util/assert.hpp"
 
 namespace rabid::core {
@@ -86,11 +84,22 @@ Rabid::Rabid(const netlist::Design& design, tile::TileGraph& graph,
   const std::size_t workers = util::resolve_thread_count(options_.threads);
   if (workers >= 2) pool_ = std::make_unique<util::ThreadPool>(workers);
   if (options_.deadline_ms > 0.0) {
-    has_deadline_ = true;
-    deadline_ =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(options_.deadline_ms));
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const double ticks =
+        std::chrono::duration<double, Clock::period>(
+            std::chrono::duration<double, std::milli>(options_.deadline_ms))
+            .count();
+    // A budget the clock cannot represent (+inf, or ~292 years of
+    // nanoseconds) is no deadline: casting it to ticks would overflow.
+    // Any double below the rounded room is below the exact room, so the
+    // cast and the addition stay in range.
+    const auto room =
+        static_cast<double>((Clock::time_point::max() - now).count());
+    if (ticks < room) {
+      has_deadline_ = true;
+      deadline_ = now + Clock::duration(static_cast<Clock::rep>(ticks));
+    }
   }
 }
 
@@ -164,10 +173,6 @@ Status Rabid::restore_stage2_progress(Stage2Progress progress) {
   if (!stage1_done_) {
     return Status::failed_precondition(
         "stage-2 progress needs a restored stage-1 solution first");
-  }
-  if (options_.stage2_mode != Stage2Mode::kRipUpReroute) {
-    return Status::failed_precondition(
-        "stage-2 progress applies to the rip-up/reroute engine only");
   }
   if (options_.stage2_shards > 0 && progress.next_pos > 0) {
     return Status::failed_precondition(
@@ -342,16 +347,9 @@ void Rabid::check_books() const {
 }
 
 route::RouteTree Rabid::build_net_tree(std::size_t index) const {
-  const netlist::Net& net = design_.net(static_cast<netlist::NetId>(index));
-  const auto terminals = static_cast<std::int32_t>(net.sinks.size()) + 1;
-  if (terminals <= options_.exact_steiner_max_terminals &&
-      terminals <= route::kMaxExactRsmtTerminals) {
-    std::vector<geom::Point> pts;
-    pts.push_back(net.source.location);
-    for (const netlist::Pin& p : net.sinks) pts.push_back(p.location);
-    return route::embed_tree(route::rsmt_exact(pts, 0), net, graph_);
-  }
-  return route::build_initial_route(net, graph_, options_.pd_alpha);
+  return route::build_initial_route(
+      design_.net(static_cast<netlist::NetId>(index)), graph_,
+      options_.pd_alpha);
 }
 
 StageStats Rabid::run_stage1() {
@@ -416,11 +414,10 @@ StageStats Rabid::run_stage2() {
   } else {
     order = nets_by_delay(/*ascending=*/true);
   }
-  const bool astar = options_.router_heuristic == RouterHeuristic::kAStar;
 
-  // Per-pass flat edge costs: the eq. (1) / PathFinder evaluation is
-  // hoisted out of the wavefront inner loop into a cache that is
-  // refreshed only for edges a rip-up or commit actually changed.
+  // Per-pass flat edge costs: the eq. (1) evaluation is hoisted out of
+  // the wavefront inner loop into a cache that is refreshed only for
+  // edges a rip-up or commit actually changed.
   // `shard_floor`, when non-null, owns the A* step floor instead of the
   // cache's global bound: a parallel shard folds its refreshes into a
   // private floor (refresh_tree_sharded), so the shared minimum is
@@ -437,9 +434,8 @@ StageStats Rabid::run_stage2() {
     } else {
       cache.refresh_tree(state.tree);
     }
-    const double floor = !astar                  ? 0.0
-                         : shard_floor != nullptr ? *shard_floor
-                                                  : cache.min_cost();
+    const double floor =
+        shard_floor != nullptr ? *shard_floor : cache.min_cost();
     state.tree = mr.route_net(net, options_.pd_alpha, cache.values(), floor);
     state.tree.commit(graph_, net.width);
     if (shard_floor != nullptr) {
@@ -452,380 +448,356 @@ StageStats Rabid::run_stage2() {
                    design_.length_limit(static_cast<netlist::NetId>(i)));
   };
 
-  if (options_.stage2_mode == Stage2Mode::kNegotiated) {
-    // PathFinder-style negotiation (the future-work "industrial global
-    // router"): overuse is legal but priced, history accumulates.
-    route::NegotiationState nego(graph_);
-    route::EdgeCostCache cache(graph_,
-                               [&](tile::EdgeId e) { return nego.cost(e); });
-    for (std::int32_t iter = 0; iter < nego.params().max_iterations;
-         ++iter) {
+  route::EdgeCostCache cache(graph_, [this](tile::EdgeId e) {
+    return route::soft_wire_cost(graph_, e);
+  });
+  // Iteration-start cost snapshot driving the dirty-net filter.
+  std::vector<double> cost_snapshot;
+  std::vector<std::uint8_t> edge_dirty;
+  std::int32_t first_iter = 0;
+  std::int64_t resume_pos = 0;
+  double resume_floor = 0.0;
+  if (stage2_progress_ != nullptr) {
+    first_iter = stage2_progress_->iteration;
+    resume_pos = stage2_progress_->next_pos;
+    resume_floor = stage2_progress_->min_cost;
+    cost_snapshot = std::move(stage2_progress_->snapshot);
+    edge_dirty = std::move(stage2_progress_->edge_dirty);
+  }
+
+  // Checkpoint cadence (RabidOptions::checkpoint_every_nets): write a
+  // resumable snapshot every N processed nets.  Failures warn and
+  // continue — losing a checkpoint must not kill a multi-hour run.
+  const bool cadence = options_.checkpoint_every_nets > 0 &&
+                       !options_.checkpoint_dir.empty();
+  std::int64_t nets_since_checkpoint = 0;
+  const auto maybe_checkpoint =
+      [&](std::int32_t next_iter, std::int64_t next_pos,
+          const std::vector<std::uint8_t>* dirty_mask, double floor) {
+        if (!cadence ||
+            nets_since_checkpoint < options_.checkpoint_every_nets) {
+          return;
+        }
+        nets_since_checkpoint = 0;
+        Stage2Progress p;
+        p.iteration = next_iter;
+        p.next_pos = next_pos;
+        p.order.reserve(order.size());
+        for (const std::size_t i : order) {
+          p.order.push_back(static_cast<std::uint32_t>(i));
+        }
+        p.snapshot = cost_snapshot;
+        if (dirty_mask != nullptr) p.edge_dirty = *dirty_mask;
+        p.min_cost = floor;
+        if (Status s =
+                write_stage2_checkpoint(options_.checkpoint_dir, *this, p);
+            !s) {
+          std::fprintf(stderr, "warning: stage-2 checkpoint failed: %s\n",
+                       s.to_string().c_str());
+        }
+      };
+
+  // Iteration prologue shared by both engines: refresh the cache,
+  // rebuild the dirty-edge mask from the previous iteration's
+  // snapshot, then re-snapshot.  A mid-iteration resume replays the
+  // persisted bookkeeping instead — recomputing it from the
+  // mid-iteration books would diverge from the interrupted run (and
+  // point refreshes only ever lowered the floor, so folding the
+  // captured value back under refresh_all()'s reproduces it exactly).
+  const auto begin_iteration = [&](std::int32_t iter,
+                                   bool resumed_mid) -> std::uint64_t {
+    cache.refresh_all();
+    std::uint64_t dirty_edges = 0;
+    if (resumed_mid) {
+      cache.lower_min(resume_floor);
+      for (const std::uint8_t d : edge_dirty) dirty_edges += d;
+      return dirty_edges;
+    }
+    if (options_.stage2_dirty_filter && iter > 0) {
+      edge_dirty.assign(static_cast<std::size_t>(graph_.edge_count()), 0);
+      for (tile::EdgeId e = 0; e < graph_.edge_count(); ++e) {
+        const auto k = static_cast<std::size_t>(e);
+        const bool overflowed =
+            graph_.wire_usage(e) > graph_.wire_capacity(e);
+        const bool moved =
+            std::abs(cache[e] - cost_snapshot[k]) >
+            kDirtyCostThreshold * cost_snapshot[k];
+        if (overflowed || moved) {
+          edge_dirty[k] = 1;
+          ++dirty_edges;
+        }
+      }
+    }
+    cost_snapshot.assign(cache.values().begin(), cache.values().end());
+    return dirty_edges;
+  };
+  // A net keeps its route unless the congestion picture under it
+  // changed: every overflowed edge is dirty, so any net still causing
+  // overflow is always ripped up.
+  const auto net_dirty = [&](std::size_t i) {
+    const route::RouteTree& tree = nets_[i].tree;
+    for (const route::RouteNode& n : tree.nodes()) {
+      if (n.parent == route::kNoNode) continue;
+      const tile::EdgeId e =
+          graph_.edge_between(n.tile, tree.node(n.parent).tile);
+      if (edge_dirty[static_cast<std::size_t>(e)] != 0) return true;
+    }
+    return false;
+  };
+  // Does the net's current tree ride any edge that is overflowed right
+  // now (books, not snapshot)?  Drives the sharded engine's
+  // iteration-0 selectivity and its boundary escalation.
+  const auto net_overflowed = [&](std::size_t i) {
+    const route::RouteTree& tree = nets_[i].tree;
+    for (const route::RouteNode& n : tree.nodes()) {
+      if (n.parent == route::kNoNode) continue;
+      const tile::EdgeId e =
+          graph_.edge_between(n.tile, tree.node(n.parent).tile);
+      if (graph_.wire_usage(e) > graph_.wire_capacity(e)) return true;
+    }
+    return false;
+  };
+
+  if (options_.stage2_shards <= 0) {
+    // ---- Serial engine (the golden-pinned legacy loop). ----
+    for (std::int32_t iter = first_iter;
+         iter < options_.reroute_iterations; ++iter) {
       if (deadline_hit()) break;  // per-pass cancellation point
       obs::ScopedTimer iter_timer("stage2 iteration", "stage");
       obs::count(obs::Counter::kStage2Iterations);
-      // History and present-sharing moved between iterations.
-      cache.refresh_all();
-      for (const std::size_t i : order) {
-        reroute_net(i, router, cache, nullptr);
-      }
-      obs::count(obs::Counter::kStage2NetsRipped,
-                 static_cast<std::uint64_t>(order.size()));
-      if (nego.finish_iteration() == 0) break;
-    }
-  } else {
-    route::EdgeCostCache cache(graph_, [this](tile::EdgeId e) {
-      return route::soft_wire_cost(graph_, e);
-    });
-    // Iteration-start cost snapshot driving the dirty-net filter.
-    std::vector<double> snapshot;
-    std::vector<std::uint8_t> edge_dirty;
-    std::int32_t first_iter = 0;
-    std::int64_t resume_pos = 0;
-    double resume_floor = 0.0;
-    if (stage2_progress_ != nullptr) {
-      first_iter = stage2_progress_->iteration;
-      resume_pos = stage2_progress_->next_pos;
-      resume_floor = stage2_progress_->min_cost;
-      snapshot = std::move(stage2_progress_->snapshot);
-      edge_dirty = std::move(stage2_progress_->edge_dirty);
-    }
-
-    // Checkpoint cadence (RabidOptions::checkpoint_every_nets): write a
-    // resumable snapshot every N processed nets.  Failures warn and
-    // continue — losing a checkpoint must not kill a multi-hour run.
-    const bool cadence = options_.checkpoint_every_nets > 0 &&
-                         !options_.checkpoint_dir.empty();
-    std::int64_t nets_since_checkpoint = 0;
-    const auto maybe_checkpoint =
-        [&](std::int32_t next_iter, std::int64_t next_pos,
-            const std::vector<std::uint8_t>* dirty_mask, double floor) {
-          if (!cadence ||
-              nets_since_checkpoint < options_.checkpoint_every_nets) {
-            return;
-          }
-          nets_since_checkpoint = 0;
-          Stage2Progress p;
-          p.iteration = next_iter;
-          p.next_pos = next_pos;
-          p.order.reserve(order.size());
-          for (const std::size_t i : order) {
-            p.order.push_back(static_cast<std::uint32_t>(i));
-          }
-          p.snapshot = snapshot;
-          if (dirty_mask != nullptr) p.edge_dirty = *dirty_mask;
-          p.min_cost = floor;
-          if (Status s =
-                  write_stage2_checkpoint(options_.checkpoint_dir, *this, p);
-              !s) {
-            std::fprintf(stderr, "warning: stage-2 checkpoint failed: %s\n",
-                         s.to_string().c_str());
-          }
-        };
-
-    // Iteration prologue shared by both engines: refresh the cache,
-    // rebuild the dirty-edge mask from the previous iteration's
-    // snapshot, then re-snapshot.  A mid-iteration resume replays the
-    // persisted bookkeeping instead — recomputing it from the
-    // mid-iteration books would diverge from the interrupted run (and
-    // point refreshes only ever lowered the floor, so folding the
-    // captured value back under refresh_all()'s reproduces it exactly).
-    const auto begin_iteration = [&](std::int32_t iter,
-                                     bool resumed_mid) -> std::uint64_t {
-      cache.refresh_all();
-      std::uint64_t dirty_edges = 0;
-      if (resumed_mid) {
-        cache.lower_min(resume_floor);
-        for (const std::uint8_t d : edge_dirty) dirty_edges += d;
-        return dirty_edges;
-      }
-      if (options_.stage2_dirty_filter && iter > 0) {
-        edge_dirty.assign(static_cast<std::size_t>(graph_.edge_count()), 0);
-        for (tile::EdgeId e = 0; e < graph_.edge_count(); ++e) {
-          const auto k = static_cast<std::size_t>(e);
-          const bool overflowed =
-              graph_.wire_usage(e) > graph_.wire_capacity(e);
-          const bool moved =
-              std::abs(cache[e] - snapshot[k]) >
-              options_.stage2_dirty_threshold * snapshot[k];
-          if (overflowed || moved) {
-            edge_dirty[k] = 1;
-            ++dirty_edges;
-          }
-        }
-      }
-      snapshot.assign(cache.values().begin(), cache.values().end());
-      return dirty_edges;
-    };
-    // A net keeps its route unless the congestion picture under it
-    // changed: every overflowed edge is dirty, so any net still causing
-    // overflow is always ripped up.
-    const auto net_dirty = [&](std::size_t i) {
-      const route::RouteTree& tree = nets_[i].tree;
-      for (const route::RouteNode& n : tree.nodes()) {
-        if (n.parent == route::kNoNode) continue;
-        const tile::EdgeId e =
-            graph_.edge_between(n.tile, tree.node(n.parent).tile);
-        if (edge_dirty[static_cast<std::size_t>(e)] != 0) return true;
-      }
-      return false;
-    };
-    // Does the net's current tree ride any edge that is overflowed right
-    // now (books, not snapshot)?  Drives the sharded engine's
-    // iteration-0 selectivity and its boundary escalation.
-    const auto net_overflowed = [&](std::size_t i) {
-      const route::RouteTree& tree = nets_[i].tree;
-      for (const route::RouteNode& n : tree.nodes()) {
-        if (n.parent == route::kNoNode) continue;
-        const tile::EdgeId e =
-            graph_.edge_between(n.tile, tree.node(n.parent).tile);
-        if (graph_.wire_usage(e) > graph_.wire_capacity(e)) return true;
-      }
-      return false;
-    };
-
-    if (options_.stage2_shards <= 0) {
-      // ---- Serial engine (the golden-pinned legacy loop). ----
-      for (std::int32_t iter = first_iter;
-           iter < options_.reroute_iterations; ++iter) {
-        if (deadline_hit()) break;  // per-pass cancellation point
-        obs::ScopedTimer iter_timer("stage2 iteration", "stage");
-        obs::count(obs::Counter::kStage2Iterations);
-        const bool resumed_mid = iter == first_iter && resume_pos > 0;
-        const bool filter = options_.stage2_dirty_filter && iter > 0;
-        const std::uint64_t dirty_edges = begin_iteration(iter, resumed_mid);
-        std::uint64_t ripped = 0;
-        std::uint64_t kept = 0;
-        for (std::size_t k =
-                 resumed_mid ? static_cast<std::size_t>(resume_pos) : 0;
-             k < order.size(); ++k) {
-          const std::size_t i = order[k];
-          if (filter && !net_dirty(i)) {
-            ++kept;
-          } else {
-            ++ripped;
-            reroute_net(i, router, cache, nullptr);
-          }
-          ++nets_since_checkpoint;
-          maybe_checkpoint(iter, static_cast<std::int64_t>(k) + 1,
-                           filter ? &edge_dirty : nullptr, cache.min_cost());
-        }
-        if (obs::counting()) {
-          obs::count(obs::Counter::kStage2DirtyEdges, dirty_edges);
-          obs::count(obs::Counter::kStage2NetsRipped, ripped);
-          obs::count(obs::Counter::kStage2NetsKept, kept);
-        }
-        if (graph_.wire_feasible()) break;
-        // Boundary checkpoint: next iteration, position 0, no mask (the
-        // resume recomputes it from the persisted snapshot).
-        maybe_checkpoint(iter + 1, 0, nullptr, 0.0);
-      }
-    } else {
-      // ---- Region-sharded engine (RabidOptions::stage2_shards). ----
-      const std::int32_t K = std::min(
-          options_.stage2_shards, std::min(graph_.nx(), graph_.ny()));
-      const tile::RegionGrid regions(graph_, K);
-      const auto R = static_cast<std::size_t>(regions.region_count());
-      // Interior-edge lists: edge e belongs to region r iff both of its
-      // endpoints do.  A region-local net's uncommit/reroute/commit
-      // touches only these, which is what makes shards disjoint.
-      std::vector<std::vector<tile::EdgeId>> interior(R);
-      for (tile::EdgeId e = 0; e < graph_.edge_count(); ++e) {
-        const auto [a, b] = graph_.edge_tiles(e);
-        const std::int32_t ra = regions.region_of(a);
-        if (ra == regions.region_of(b)) {
-          interior[static_cast<std::size_t>(ra)].push_back(e);
-        }
-      }
-      // Router hand-out: one per concurrently live shard (bounded by
-      // the pool width, not the region count — router scratch is the
-      // per-shard memory cost).  Scratch is stamped, so which instance
-      // a region draws cannot affect its routes.
-      std::mutex router_mu;
-      std::vector<std::unique_ptr<route::MazeRouter>> idle_routers;
-      const auto acquire_router = [&]() -> std::unique_ptr<route::MazeRouter> {
-        {
-          std::lock_guard<std::mutex> lock(router_mu);
-          if (!idle_routers.empty()) {
-            std::unique_ptr<route::MazeRouter> r =
-                std::move(idle_routers.back());
-            idle_routers.pop_back();
-            return r;
-          }
-        }
-        return std::make_unique<route::MazeRouter>(graph_);
-      };
-      const auto release_router = [&](std::unique_ptr<route::MazeRouter> r) {
-        std::lock_guard<std::mutex> lock(router_mu);
-        idle_routers.push_back(std::move(r));
-      };
-
-      std::vector<std::vector<std::size_t>> local(R);
-      // Boundary-crossing nets, replayed serially: (net, escalated).
-      // An escalated net — still overflow-touching at iteration >= 1 —
-      // routes truly unconfined; everything else is clipped to its own
-      // tree's bounding box plus a detour halo (see the replay loop).
-      std::vector<std::pair<std::size_t, bool>> boundary;
-      std::vector<double> floors(R, 0.0);
-      for (std::int32_t iter = first_iter;
-           iter < options_.reroute_iterations; ++iter) {
-        if (deadline_hit()) break;  // per-pass cancellation point
-        obs::ScopedTimer iter_timer("stage2 iteration", "stage");
-        obs::count(obs::Counter::kStage2Iterations);
-        const bool filter = options_.stage2_dirty_filter && iter > 0;
-        const std::uint64_t dirty_edges =
-            begin_iteration(iter, /*resumed_mid=*/false);
-        // Classify: a net is region-local iff every tile of its current
-        // tree (which spans all its pins) sits in one region.  Local
-        // nets keep the delay order within their shard; the boundary
-        // replay is ordered by net id — both orders are fixed before
-        // any routing, so the thread schedule cannot leak into results.
-        //
-        // Iteration 0 is overflow-selective (when the dirty filter is
-        // enabled): stage 1 leaves congestion on a localized edge set,
-        // so only nets actually riding an overflowed edge are ripped up
-        // — everything else keeps its stage-1 tree, which is what makes
-        // the sharded engine cheaper than the legacy full first pass.
-        // From iteration 1 on, a net that is *still* overflow-touching
-        // escalates to the unconfined boundary pass: a net whose region
-        // has no spare capacity must be free to leave it, or it would
-        // stay overflowed behind the confined search forever.
-        const bool selective = options_.stage2_dirty_filter;
-        for (std::vector<std::size_t>& l : local) l.clear();
-        boundary.clear();
-        std::uint64_t kept = 0;
-        for (const std::size_t i : order) {
-          const route::RouteTree& tree = nets_[i].tree;
-          if (tree.empty()) continue;
-          const bool over = selective && net_overflowed(i);
-          if (selective && iter == 0 && !over) {
-            ++kept;
-            ++nets_since_checkpoint;
-            continue;
-          }
-          if (filter && iter > 0 && !net_dirty(i)) {
-            ++kept;
-            ++nets_since_checkpoint;
-            continue;
-          }
-          std::int32_t region =
-              over && iter > 0 ? -1 : regions.region_of(tree.node(0).tile);
-          for (const route::RouteNode& n : tree.nodes()) {
-            if (region < 0 || regions.region_of(n.tile) != region) {
-              region = -1;
-              break;
-            }
-          }
-          if (region >= 0) {
-            local[static_cast<std::size_t>(region)].push_back(i);
-          } else {
-            boundary.emplace_back(i, over && iter > 0);
-          }
-          ++nets_since_checkpoint;
-        }
-        std::sort(boundary.begin(), boundary.end());
-        std::uint64_t local_count = 0;
-        for (const std::vector<std::size_t>& l : local) {
-          local_count += l.size();
-        }
-        // The bounding-box clip: any route that could still meet the
-        // net's length limit lives inside its current tree's bbox plus
-        // a halo of L_i tiles, so the wavefront is confined to O(net)
-        // tiles instead of O(region) or O(chip).  Deterministic — a
-        // pure function of the net's pre-rip tree.
-        const auto halo_span = [&](std::size_t i) {
-          const route::RouteTree& tree = nets_[i].tree;
-          geom::TileCoord lo = graph_.coord_of(tree.node(0).tile);
-          geom::TileCoord hi = lo;
-          for (const route::RouteNode& n : tree.nodes()) {
-            const geom::TileCoord c = graph_.coord_of(n.tile);
-            lo.x = std::min(lo.x, c.x);
-            lo.y = std::min(lo.y, c.y);
-            hi.x = std::max(hi.x, c.x);
-            hi.y = std::max(hi.y, c.y);
-          }
-          const std::int32_t halo = std::max<std::int32_t>(
-              8, design_.length_limit(static_cast<netlist::NetId>(i)));
-          return tile::TileSpan{
-              std::max(lo.x - halo, 0), std::max(lo.y - halo, 0),
-              std::min(hi.x + halo, graph_.nx() - 1),
-              std::min(hi.y + halo, graph_.ny() - 1)};
-        };
-        // Parallel phase: each shard owns its region's interior edges —
-        // of the books and of the cache — plus a private A* floor
-        // seeded from the shard's own minimum, which is tighter than
-        // the global bound.  Each net is further clipped to its halo
-        // span intersected with the region, which preserves the
-        // disjointness of concurrent shards' edge reads and writes.
-        const auto run_region = [&](std::size_t r) {
-          if (local[r].empty()) return;
-          std::unique_ptr<route::MazeRouter> mr = acquire_router();
-          const tile::TileSpan rs = regions.span(static_cast<std::int32_t>(r));
-          floors[r] = astar ? cache.min_over(interior[r]) : 0.0;
-          for (const std::size_t i : local[r]) {
-            tile::TileSpan s = halo_span(i);
-            s.x0 = std::max(s.x0, rs.x0);
-            s.y0 = std::max(s.y0, rs.y0);
-            s.x1 = std::min(s.x1, rs.x1);
-            s.y1 = std::min(s.y1, rs.y1);
-            mr->confine(s);
-            reroute_net(i, *mr, cache, &floors[r]);
-          }
-          release_router(std::move(mr));
-        };
-        if (pool_ != nullptr) {
-          pool_->parallel_for(0, R, run_region);
+      const bool resumed_mid = iter == first_iter && resume_pos > 0;
+      const bool filter = options_.stage2_dirty_filter && iter > 0;
+      const std::uint64_t dirty_edges = begin_iteration(iter, resumed_mid);
+      std::uint64_t ripped = 0;
+      std::uint64_t kept = 0;
+      for (std::size_t k =
+               resumed_mid ? static_cast<std::size_t>(resume_pos) : 0;
+           k < order.size(); ++k) {
+        const std::size_t i = order[k];
+        if (filter && !net_dirty(i)) {
+          ++kept;
         } else {
-          for (std::size_t r = 0; r < R; ++r) run_region(r);
-        }
-        // Fold the shard floors back into the global bound, then replay
-        // the boundary-crossing nets serially, unconfined.
-        if (astar) {
-          for (std::size_t r = 0; r < R; ++r) {
-            if (!local[r].empty()) cache.lower_min(floors[r]);
-          }
-        }
-        // A congested reroute is what blows a wavefront up — the A*
-        // floor is a chip-wide lower bound, so a path priced through
-        // overflowed edges looks arbitrarily far from done and the
-        // search floods.  Clip each boundary net to its current tree's
-        // bounding box plus a detour halo of its own length limit: any
-        // route that could still meet L_i lives inside that clip, and a
-        // net whose clip has no spare capacity comes back overflowed
-        // and escalates to a truly unconfined pass next iteration.
-        // Selective mode only — without the overflow classification
-        // there is no escalation path out of a too-tight clip.
-        for (const auto& [i, escalated] : boundary) {
-          if (selective && !escalated) {
-            router.confine(halo_span(i));
-          } else {
-            router.unconfine();
-          }
+          ++ripped;
           reroute_net(i, router, cache, nullptr);
         }
-        router.unconfine();
-        if (obs::counting()) {
-          obs::count(obs::Counter::kStage2DirtyEdges, dirty_edges);
-          obs::count(obs::Counter::kStage2NetsRipped,
-                     local_count + boundary.size());
-          obs::count(obs::Counter::kStage2NetsKept, kept);
-          obs::count(obs::Counter::kStage2LocalNets, local_count);
-          obs::count(obs::Counter::kStage2BoundaryNets, boundary.size());
-        }
-        if (graph_.wire_feasible()) break;
-        maybe_checkpoint(iter + 1, 0, nullptr, 0.0);
+        ++nets_since_checkpoint;
+        maybe_checkpoint(iter, static_cast<std::int64_t>(k) + 1,
+                         filter ? &edge_dirty : nullptr, cache.min_cost());
       }
       if (obs::counting()) {
-        std::uint64_t scratch = 0;
-        for (const std::unique_ptr<route::MazeRouter>& r : idle_routers) {
-          scratch += r->memory_bytes();
-        }
-        obs::gauge_max(obs::GaugeId::kMazeScratchBytes, scratch);
+        obs::count(obs::Counter::kStage2DirtyEdges, dirty_edges);
+        obs::count(obs::Counter::kStage2NetsRipped, ripped);
+        obs::count(obs::Counter::kStage2NetsKept, kept);
+      }
+      if (graph_.wire_feasible()) break;
+      // Boundary checkpoint: next iteration, position 0, no mask (the
+      // resume recomputes it from the persisted snapshot).
+      maybe_checkpoint(iter + 1, 0, nullptr, 0.0);
+    }
+  } else {
+    // ---- Region-sharded engine (RabidOptions::stage2_shards). ----
+    const std::int32_t K = std::min(
+        options_.stage2_shards, std::min(graph_.nx(), graph_.ny()));
+    const tile::RegionGrid regions(graph_, K);
+    const auto R = static_cast<std::size_t>(regions.region_count());
+    // Interior-edge lists: edge e belongs to region r iff both of its
+    // endpoints do.  A region-local net's uncommit/reroute/commit
+    // touches only these, which is what makes shards disjoint.
+    std::vector<std::vector<tile::EdgeId>> interior(R);
+    for (tile::EdgeId e = 0; e < graph_.edge_count(); ++e) {
+      const auto [a, b] = graph_.edge_tiles(e);
+      const std::int32_t ra = regions.region_of(a);
+      if (ra == regions.region_of(b)) {
+        interior[static_cast<std::size_t>(ra)].push_back(e);
       }
     }
-    if (obs::counting()) {
-      obs::gauge_max(obs::GaugeId::kEdgeCostCacheBytes, cache.memory_bytes());
-      obs::gauge_max(obs::GaugeId::kMazeScratchBytes, router.memory_bytes());
+    // Router hand-out: one per concurrently live shard (bounded by
+    // the pool width, not the region count — router scratch is the
+    // per-shard memory cost).  Scratch is stamped, so which instance
+    // a region draws cannot affect its routes.
+    std::mutex router_mu;
+    std::vector<std::unique_ptr<route::MazeRouter>> idle_routers;
+    const auto acquire_router = [&]() -> std::unique_ptr<route::MazeRouter> {
+      {
+        std::lock_guard<std::mutex> lock(router_mu);
+        if (!idle_routers.empty()) {
+          std::unique_ptr<route::MazeRouter> r =
+              std::move(idle_routers.back());
+          idle_routers.pop_back();
+          return r;
+        }
+      }
+      return std::make_unique<route::MazeRouter>(graph_);
+    };
+    const auto release_router = [&](std::unique_ptr<route::MazeRouter> r) {
+      std::lock_guard<std::mutex> lock(router_mu);
+      idle_routers.push_back(std::move(r));
+    };
+
+    std::vector<std::vector<std::size_t>> local(R);
+    // Boundary-crossing nets, replayed serially: (net, escalated).
+    // An escalated net — still overflow-touching at iteration >= 1 —
+    // routes truly unconfined; everything else is clipped to its own
+    // tree's bounding box plus a detour halo (see the replay loop).
+    std::vector<std::pair<std::size_t, bool>> boundary;
+    std::vector<double> floors(R, 0.0);
+    for (std::int32_t iter = first_iter;
+         iter < options_.reroute_iterations; ++iter) {
+      if (deadline_hit()) break;  // per-pass cancellation point
+      obs::ScopedTimer iter_timer("stage2 iteration", "stage");
+      obs::count(obs::Counter::kStage2Iterations);
+      const bool filter = options_.stage2_dirty_filter && iter > 0;
+      const std::uint64_t dirty_edges =
+          begin_iteration(iter, /*resumed_mid=*/false);
+      // Classify: a net is region-local iff every tile of its current
+      // tree (which spans all its pins) sits in one region.  Local
+      // nets keep the delay order within their shard; the boundary
+      // replay is ordered by net id — both orders are fixed before
+      // any routing, so the thread schedule cannot leak into results.
+      //
+      // Iteration 0 is overflow-selective (when the dirty filter is
+      // enabled): stage 1 leaves congestion on a localized edge set,
+      // so only nets actually riding an overflowed edge are ripped up
+      // — everything else keeps its stage-1 tree, which is what makes
+      // the sharded engine cheaper than the legacy full first pass.
+      // From iteration 1 on, a net that is *still* overflow-touching
+      // escalates to the unconfined boundary pass: a net whose region
+      // has no spare capacity must be free to leave it, or it would
+      // stay overflowed behind the confined search forever.
+      const bool selective = options_.stage2_dirty_filter;
+      for (std::vector<std::size_t>& l : local) l.clear();
+      boundary.clear();
+      std::uint64_t kept = 0;
+      for (const std::size_t i : order) {
+        const route::RouteTree& tree = nets_[i].tree;
+        if (tree.empty()) continue;
+        const bool over = selective && net_overflowed(i);
+        if (selective && iter == 0 && !over) {
+          ++kept;
+          ++nets_since_checkpoint;
+          continue;
+        }
+        if (filter && iter > 0 && !net_dirty(i)) {
+          ++kept;
+          ++nets_since_checkpoint;
+          continue;
+        }
+        std::int32_t region =
+            over && iter > 0 ? -1 : regions.region_of(tree.node(0).tile);
+        for (const route::RouteNode& n : tree.nodes()) {
+          if (region < 0 || regions.region_of(n.tile) != region) {
+            region = -1;
+            break;
+          }
+        }
+        if (region >= 0) {
+          local[static_cast<std::size_t>(region)].push_back(i);
+        } else {
+          boundary.emplace_back(i, over && iter > 0);
+        }
+        ++nets_since_checkpoint;
+      }
+      std::sort(boundary.begin(), boundary.end());
+      std::uint64_t local_count = 0;
+      for (const std::vector<std::size_t>& l : local) {
+        local_count += l.size();
+      }
+      // The bounding-box clip: any route that could still meet the
+      // net's length limit lives inside its current tree's bbox plus
+      // a halo of L_i tiles, so the wavefront is confined to O(net)
+      // tiles instead of O(region) or O(chip).  Deterministic — a
+      // pure function of the net's pre-rip tree.
+      const auto halo_span = [&](std::size_t i) {
+        const route::RouteTree& tree = nets_[i].tree;
+        geom::TileCoord lo = graph_.coord_of(tree.node(0).tile);
+        geom::TileCoord hi = lo;
+        for (const route::RouteNode& n : tree.nodes()) {
+          const geom::TileCoord c = graph_.coord_of(n.tile);
+          lo.x = std::min(lo.x, c.x);
+          lo.y = std::min(lo.y, c.y);
+          hi.x = std::max(hi.x, c.x);
+          hi.y = std::max(hi.y, c.y);
+        }
+        const std::int32_t halo = std::max<std::int32_t>(
+            8, design_.length_limit(static_cast<netlist::NetId>(i)));
+        return tile::TileSpan{
+            std::max(lo.x - halo, 0), std::max(lo.y - halo, 0),
+            std::min(hi.x + halo, graph_.nx() - 1),
+            std::min(hi.y + halo, graph_.ny() - 1)};
+      };
+      // Parallel phase: each shard owns its region's interior edges —
+      // of the books and of the cache — plus a private A* floor
+      // seeded from the shard's own minimum, which is tighter than
+      // the global bound.  Each net is further clipped to its halo
+      // span intersected with the region, which preserves the
+      // disjointness of concurrent shards' edge reads and writes.
+      const auto run_region = [&](std::size_t r) {
+        if (local[r].empty()) return;
+        std::unique_ptr<route::MazeRouter> mr = acquire_router();
+        const tile::TileSpan rs = regions.span(static_cast<std::int32_t>(r));
+        floors[r] = cache.min_over(interior[r]);
+        for (const std::size_t i : local[r]) {
+          tile::TileSpan s = halo_span(i);
+          s.x0 = std::max(s.x0, rs.x0);
+          s.y0 = std::max(s.y0, rs.y0);
+          s.x1 = std::min(s.x1, rs.x1);
+          s.y1 = std::min(s.y1, rs.y1);
+          mr->confine(s);
+          reroute_net(i, *mr, cache, &floors[r]);
+        }
+        release_router(std::move(mr));
+      };
+      if (pool_ != nullptr) {
+        pool_->parallel_for(0, R, run_region);
+      } else {
+        for (std::size_t r = 0; r < R; ++r) run_region(r);
+      }
+      // Fold the shard floors back into the global bound, then replay
+      // the boundary-crossing nets serially, unconfined.
+      for (std::size_t r = 0; r < R; ++r) {
+        if (!local[r].empty()) cache.lower_min(floors[r]);
+      }
+      // A congested reroute is what blows a wavefront up — the A*
+      // floor is a chip-wide lower bound, so a path priced through
+      // overflowed edges looks arbitrarily far from done and the
+      // search floods.  Clip each boundary net to its current tree's
+      // bounding box plus a detour halo of its own length limit: any
+      // route that could still meet L_i lives inside that clip, and a
+      // net whose clip has no spare capacity comes back overflowed
+      // and escalates to a truly unconfined pass next iteration.
+      // Selective mode only — without the overflow classification
+      // there is no escalation path out of a too-tight clip.
+      for (const auto& [i, escalated] : boundary) {
+        if (selective && !escalated) {
+          router.confine(halo_span(i));
+        } else {
+          router.unconfine();
+        }
+        reroute_net(i, router, cache, nullptr);
+      }
+      router.unconfine();
+      if (obs::counting()) {
+        obs::count(obs::Counter::kStage2DirtyEdges, dirty_edges);
+        obs::count(obs::Counter::kStage2NetsRipped,
+                   local_count + boundary.size());
+        obs::count(obs::Counter::kStage2NetsKept, kept);
+        obs::count(obs::Counter::kStage2LocalNets, local_count);
+        obs::count(obs::Counter::kStage2BoundaryNets, boundary.size());
+      }
+      if (graph_.wire_feasible()) break;
+      maybe_checkpoint(iter + 1, 0, nullptr, 0.0);
     }
+    if (obs::counting()) {
+      std::uint64_t scratch = 0;
+      for (const std::unique_ptr<route::MazeRouter>& r : idle_routers) {
+        scratch += r->memory_bytes();
+      }
+      obs::gauge_max(obs::GaugeId::kMazeScratchBytes, scratch);
+    }
+  }
+  if (obs::counting()) {
+    obs::gauge_max(obs::GaugeId::kEdgeCostCacheBytes, cache.memory_bytes());
+    obs::gauge_max(obs::GaugeId::kMazeScratchBytes, router.memory_bytes());
   }
   stage2_progress_.reset();
   if (options_.congestion_post_after_stage2) {
@@ -1159,7 +1131,6 @@ StageStats Rabid::run_stage4() {
   const auto start = std::chrono::steady_clock::now();
   const std::vector<double> no_demand(
       static_cast<std::size_t>(graph_.tile_count()), 0.0);
-  const bool astar = options_.router_heuristic == RouterHeuristic::kAStar;
 
   // Flat cost tables so the (tile x L) search pays one load per
   // relaxation.  Wire usage only moves at uncommit/commit, buffer-site
@@ -1176,47 +1147,42 @@ StageStats Rabid::run_stage4() {
   // tree editor warm up once and every later net touches only its own.
   TwoPathRerouter rerouter(graph_);
 
-  for (std::int32_t iter = 0; iter < options_.postprocess_iterations;
-       ++iter) {
+  for (const std::size_t i : nets_by_delay(/*ascending=*/true)) {
+    // Per-net cancellation point: a skipped net keeps its complete
+    // (stage-3) solution, so the state stays fully legal.
     if (deadline_hit()) break;
-    wire_cache.refresh_all();
-    for (const std::size_t i : nets_by_delay(/*ascending=*/true)) {
-      // Per-net cancellation point: a skipped net keeps its complete
-      // (stage-3) solution, so the state stays fully legal.
-      if (deadline_hit()) break;
-      NetState& state = nets_[i];
-      if (state.tree.empty()) continue;
-      const std::int32_t L =
-          design_.length_limit(static_cast<netlist::NetId>(i));
+    NetState& state = nets_[i];
+    if (state.tree.empty()) continue;
+    const std::int32_t L =
+        design_.length_limit(static_cast<netlist::NetId>(i));
 
-      // Rip out the net's buffers and wires from the books.
-      obs::count(obs::Counter::kBuffersRemoved,
-                 static_cast<std::uint64_t>(state.buffers.size()));
-      for (const route::BufferPlacement& b : state.buffers) {
-        const tile::TileId t = state.tree.node(b.node).tile;
-        graph_.remove_buffer(t);
-        site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
-      }
-      state.buffers.clear();
-      const std::int32_t width =
-          design_.net(static_cast<netlist::NetId>(i)).width;
-      state.tree.uncommit(graph_, width);
-      wire_cache.refresh_tree(state.tree);
+    // Rip out the net's buffers and wires from the books.
+    obs::count(obs::Counter::kBuffersRemoved,
+               static_cast<std::uint64_t>(state.buffers.size()));
+    for (const route::BufferPlacement& b : state.buffers) {
+      const tile::TileId t = state.tree.node(b.node).tile;
+      graph_.remove_buffer(t);
+      site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
+    }
+    state.buffers.clear();
+    const std::int32_t width =
+        design_.net(static_cast<netlist::NetId>(i)).width;
+    state.tree.uncommit(graph_, width);
+    wire_cache.refresh_tree(state.tree);
 
-      // Reroute one two-path at a time with joint wire+buffer costs.
-      state.tree = rerouter.reroute(
-          state.tree, L, wire_cache.values(), site_cost,
-          options_.stage4_wire_weight, options_.stage4_buffer_weight,
-          astar ? wire_cache.min_cost() : 0.0);
-      state.tree.commit(graph_, width);
-      wire_cache.refresh_tree(state.tree);
+    // Reroute one two-path at a time with joint wire+buffer costs.
+    state.tree = rerouter.reroute(
+        state.tree, L, wire_cache.values(), site_cost,
+        options_.stage4_wire_weight, options_.stage4_buffer_weight,
+        wire_cache.min_cost());
+    state.tree.commit(graph_, width);
+    wire_cache.refresh_tree(state.tree);
 
-      // Re-insert buffers net-wide, exactly as in Stage 3.
-      buffer_net(i, no_demand);
-      for (const route::BufferPlacement& b : state.buffers) {
-        const tile::TileId t = state.tree.node(b.node).tile;
-        site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
-      }
+    // Re-insert buffers net-wide, exactly as in Stage 3.
+    buffer_net(i, no_demand);
+    for (const route::BufferPlacement& b : state.buffers) {
+      const tile::TileId t = state.tree.node(b.node).tile;
+      site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
     }
   }
   refresh_delays();

@@ -57,38 +57,19 @@ enum class Stage3Order {
   kAsGiven,          ///< netlist order (what a naive tool would do)
 };
 
-/// Stage-2 routing engine.
-enum class Stage2Mode {
-  /// The paper's Nair-style full rip-up/reroute with eq. (1) costs.
-  kRipUpReroute,
-  /// PathFinder-style negotiated congestion (the "industrial global
-  /// router" of the paper's future-work section; see route/negotiated.hpp).
-  kNegotiated,
-};
-
-/// Wavefront expansion order for the rerouting stages (2 and 4).
-enum class RouterHeuristic {
-  /// Blind Dijkstra expansion — the paper-faithful reference mode.
-  kDijkstra,
-  /// A*-guided expansion: an admissible Manhattan-distance x min-edge-
-  /// cost bound aims the wavefront at the remaining targets.  Path costs
-  /// are provably identical to kDijkstra (the bound never overestimates);
-  /// only tie-breaking among equal-cost routes can differ.
-  kAStar,
-};
+/// Relative eq. (1) cost movement that marks an edge dirty for the
+/// stage-2 rip-up filter (RabidOptions::stage2_dirty_filter) and for the
+/// ECO closure (eco::IncrementalPlanner).
+inline constexpr double kDirtyCostThreshold = 0.05;
 
 struct RabidOptions {
   double pd_alpha = 0.4;        ///< Prim-Dijkstra trade-off (footnote 5)
-  Stage2Mode stage2_mode = Stage2Mode::kRipUpReroute;
-  /// Wavefront order for stages 2 and 4 (see RouterHeuristic).
-  RouterHeuristic router_heuristic = RouterHeuristic::kAStar;
   /// Dirty-net filtering for Stage-2 rip-up: after the first full Nair
   /// pass, an iteration only rips up nets that cross an overflowed edge
   /// or an edge whose eq. (1) cost moved by more than
-  /// stage2_dirty_threshold (relative) since the previous iteration
-  /// began.  Off reproduces the paper-faithful reroute-everything loop.
+  /// kDirtyCostThreshold (relative) since the previous iteration began.
+  /// Off reproduces the paper-faithful reroute-everything loop.
   bool stage2_dirty_filter = true;
-  double stage2_dirty_threshold = 0.05;
   /// Region sharding for Stage-2 rip-up: the grid is cut into K-by-K
   /// regions; nets whose current tree lies entirely inside one region
   /// are rerouted concurrently across regions, each shard's wavefront
@@ -106,12 +87,9 @@ struct RabidOptions {
   /// K = 0 — selectivity, confinement, and processing order
   /// legitimately differ, and both solutions are audit-clean.  Values
   /// above min(nx, ny) clamp.
-  /// Applies to Stage2Mode::kRipUpReroute only (negotiated mode runs
-  /// serial regardless).
   std::int32_t stage2_shards = 0;
   Stage3Order stage3_order = Stage3Order::kDescendingDelay;
-  std::int32_t reroute_iterations = 3;      ///< Stage-2 cap (Section III-B)
-  std::int32_t postprocess_iterations = 1;  ///< Stage-4 passes
+  std::int32_t reroute_iterations = 3;  ///< Stage-2 cap (Section III-B)
   /// Stage-4 objective = wire_weight * eq.(1) + buffer_weight * eq.(2)
   /// (footnote 7: the paper simply adds them, i.e. 1.0/1.0, but "one
   /// could use any linear combination").
@@ -120,11 +98,6 @@ struct RabidOptions {
   /// Runs the wirelength-neutral congestion post-pass (Section IV-C's
   /// Table-V step) at the end of stage 2, before any buffers exist.
   bool congestion_post_after_stage2 = false;
-  /// Stage-1 alternative: nets with at most this many terminals get a
-  /// provably minimum-wirelength Hanan-grid RSMT instead of the
-  /// Prim-Dijkstra construction (0 = always PD).  Trades source-sink
-  /// radius for wirelength; see the ablation bench.
-  std::int32_t exact_steiner_max_terminals = 0;
   /// Worker threads for the per-net stages (Stage-1 tree construction,
   /// Stage-3 buffer DP, delay refreshes).  0 = one per hardware thread;
   /// 1 = today's serial code path, instruction for instruction.  Any
@@ -144,7 +117,9 @@ struct RabidOptions {
   /// honored (sub-millisecond budgets are real for fuzz-sized
   /// circuits).  Under a deadline the result depends on wall-clock
   /// timing, so the bit-identical-at-any-thread-count guarantee is
-  /// deliberately waived for runs that actually time out.
+  /// deliberately waived for runs that actually time out.  A budget
+  /// the steady clock cannot represent (+inf, or about 292 years) means
+  /// no deadline.
   double deadline_ms = 0.0;
   /// Mid-stage-2 checkpoint cadence: when > 0 and checkpoint_dir is
   /// set, Stage 2 writes a resumable checkpoint (solution dump plus a
@@ -337,7 +312,7 @@ class Rabid {
   void buffer_net(std::size_t index, const std::vector<double>& demand,
                   const buffer::InsertionResult* first_attempt = nullptr);
 
-  /// Stage-1 construction for one net (PD/RSMT + embedding).  Pure:
+  /// Stage-1 construction for one net (PD + Steiner + embedding).  Pure:
   /// reads only the design and the graph's geometry, never its books.
   route::RouteTree build_net_tree(std::size_t index) const;
 

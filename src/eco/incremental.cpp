@@ -272,7 +272,7 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
     ++capacity_edits;
     const bool overflowed = graph_.wire_usage(we.edge) > we.new_capacity;
     if (overflowed || std::abs(cache[we.edge] - before) >
-                          options_.dirty_threshold * before) {
+                          core::kDirtyCostThreshold * before) {
       edge_dirty[static_cast<std::size_t>(we.edge)] = 1;
     }
   }
@@ -523,7 +523,6 @@ EquivalenceReport compare_with_scratch(const IncrementalPlanner& planner) {
   core::RabidOptions ropt;
   ropt.pd_alpha = planner.options().pd_alpha;
   ropt.reroute_iterations = planner.options().reroute_iterations;
-  ropt.stage2_dirty_threshold = planner.options().dirty_threshold;
   ropt.threads = 1;
   ropt.tech = planner.options().tech;
   ropt.buffer_library = planner.options().buffer_library;

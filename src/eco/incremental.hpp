@@ -98,9 +98,6 @@ struct EcoOptions {
   double pd_alpha = 0.4;  ///< RabidOptions::pd_alpha
   /// Rip-up/reroute iterations of the closure loop (stage-2 cap).
   std::int32_t reroute_iterations = 3;
-  /// Relative eq. (1) cost movement that marks an edge dirty
-  /// (RabidOptions::stage2_dirty_threshold).
-  double dirty_threshold = 0.05;
   /// Run the stage-4-style two-path + re-buffer polish over the closure.
   bool two_path_pass = true;
   /// Declared equivalence bound: relative wirelength / buffer-count gap

@@ -52,6 +52,18 @@ def main():
     expect("unknown-flag", run(cli, "--bogus"), 2)
     expect("bad-grid", run(cli, "--circuit", "apte", "--grid", "banana"), 2)
     expect("resume-without-dir", run(cli, "--circuit", "apte", "--resume"), 2)
+    # Numeric values parse whole, finite and in range, or not at all.
+    for name, flag, value in [
+        ("threads-not-a-number", "--threads", "abc"),
+        ("shards-trailing-junk", "--stage2-shards", "2x"),
+        ("stages-trailing-junk", "--stages", "3x"),
+        ("vg-negative", "--vg", "-1"),
+        ("deadline-infinite", "--deadline-ms", "inf"),
+    ]:
+        expect(name, run(cli, "--circuit", "apte", flag, value), 2,
+               stderr_contains=flag)
+    expect("dijkstra-removed", run(cli, "--circuit", "apte", "--dijkstra"), 2,
+           stderr_contains="unknown flag --dijkstra")
 
     # 3: structured input/I-O errors, printed in Status::to_string form.
     expect(
@@ -80,6 +92,13 @@ def main():
         "deadline-expired",
         run(cli, "--circuit", "apte", "--deadline-ms", "0.05", "--audit"),
         4,
+    )
+    # A budget past the clock's range is no deadline at all.
+    expect(
+        "deadline-beyond-clock-range",
+        run(cli, "--circuit", "apte", "--threads", "1",
+            "--deadline-ms", "1e13"),
+        0,
     )
 
     # 0: a clean full run, plus checkpoint -> resume reproducing it

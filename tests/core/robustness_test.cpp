@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -155,6 +156,24 @@ TEST(Deadline, NoDeadlineMeansNoTimeout) {
   EXPECT_FALSE(rabid.timed_out());
   EXPECT_EQ(rabid.nets_cancelled(), 0);
   EXPECT_EQ(rabid.run_report().verdict, "ok");
+}
+
+// A budget past the steady clock's range (about 9.2e12 ms) used to
+// overflow the cast to clock ticks and land the deadline in the past.
+TEST(Deadline, BudgetBeyondTheClockRangeNeverExpires) {
+  const circuits::RandomCircuit circuit(2);
+  const netlist::Design design = circuit.design();
+  for (const double budget :
+       {1e13, std::numeric_limits<double>::infinity()}) {
+    tile::TileGraph graph = circuit.graph(design);
+    RabidOptions opt;
+    opt.deadline_ms = budget;
+    Rabid rabid(design, graph, opt);
+    rabid.run_all();
+    EXPECT_FALSE(rabid.timed_out()) << budget;
+    EXPECT_EQ(rabid.nets_cancelled(), 0) << budget;
+    EXPECT_EQ(rabid.run_report().verdict, "ok") << budget;
+  }
 }
 
 // ---------------------------------------------------------------------

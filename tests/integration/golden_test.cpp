@@ -40,35 +40,6 @@ TEST(Golden, ApteFullFlowSolutionInvariants) {
   rabid.check_books();
 }
 
-/// The paper-faithful reference configuration (blind Dijkstra wavefronts,
-/// no dirty-net filtering) must keep reproducing the numbers the flow
-/// produced before the hot-path overhaul, bit for bit: A* with floor 0
-/// and a cached-but-identical cost function may not perturb anything.
-TEST(Golden, ApteLegacyModeMatchesPreOverhaulPins) {
-  const circuits::CircuitSpec& spec = circuits::spec_by_name("apte");
-  const netlist::Design design = circuits::generate_design(spec);
-  tile::TileGraph graph = circuits::build_tile_graph(design, spec);
-  core::RabidOptions options;
-  options.router_heuristic = core::RouterHeuristic::kDijkstra;
-  options.stage2_dirty_filter = false;
-  core::Rabid rabid(design, graph, options);
-  const auto stats = rabid.run_all();
-
-  EXPECT_EQ(stats[0].overflow, 50);
-  EXPECT_EQ(stats[0].failed_nets, 71);
-  EXPECT_EQ(stats[3].overflow, 0);
-  EXPECT_EQ(stats[3].buffers, 463);
-  EXPECT_EQ(stats[3].failed_nets, 7);
-
-  std::int64_t arcs = 0;
-  for (const core::NetState& n : rabid.nets()) {
-    arcs += n.tree.wirelength_tiles();
-  }
-  EXPECT_EQ(arcs, 2825);
-
-  rabid.check_books();
-}
-
 TEST(Golden, HpFullFlowSolutionInvariants) {
   const circuits::CircuitSpec& spec = circuits::spec_by_name("hp");
   const netlist::Design design = circuits::generate_design(spec);

@@ -218,6 +218,23 @@ TEST(ServerTest, DeadlineJobReportsTimedOut) {
   EXPECT_EQ(server.stats().timed_out, 1);
 }
 
+// The protocol accepts any finite deadline, and an uncapped server
+// passes it through: a budget past the clock's range must mean "no
+// deadline", not one that expired before the run began.
+TEST(ServerTest, HugeDeadlineJobFinishesDone) {
+  ServerOptions options;
+  options.workers = 1;
+  CapturingSink sink;  // outlives the server: events arrive until drain ends
+  Server server(options);
+  server.handle_line(
+      plan_line("patient", "apte", "normal", R"(,"deadline_ms":1e13)"),
+      sink.sink());
+  Value done = sink.wait_terminal("patient");
+  ASSERT_EQ(done.find("event")->as_string(), "done");
+  EXPECT_EQ(done.find("verdict")->as_string(), "ok");
+  EXPECT_EQ(server.stats().timed_out, 0);
+}
+
 TEST(ServerTest, MaxDeadlineClampsGreedyJobs) {
   ServerOptions options;
   options.workers = 1;

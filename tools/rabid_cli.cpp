@@ -23,10 +23,6 @@
 //   --sites N          override the buffer-site count (default: Table I)
 //   --no-blocked       disable the 9x9 blocked cache region
 //   --post             enable the congestion post-pass after stage 2
-//   --dijkstra         blind Dijkstra wavefronts in stages 2/4 (the
-//                      paper-faithful reference; default is A* targeting)
-//   --no-dirty-filter  stage 2 reroutes every net every iteration
-//                      instead of only nets whose congestion moved
 //   --stage2-shards K  region-sharded stage 2: KxK regions, region-local
 //                      nets rerouted in parallel under confinement,
 //                      boundary nets serially (0 = legacy serial loop;
@@ -73,13 +69,18 @@
 //                      declared equivalence bound (audit-clean + within
 //                      epsilon); exit 1 past the bound.  Implies --eco
 //
+// Numeric flag values must parse whole, be finite and lie in the flag's
+// range; anything else is a usage error.
+//
 // Exit codes (docs/ROBUSTNESS.md): 0 success, 1 audit violations,
 // 2 usage error, 3 input/I-O error, 4 deadline exceeded.
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include <fstream>
@@ -111,8 +112,6 @@ struct Args {
   std::int64_t sites = -1;
   bool no_blocked = false;
   bool post = false;
-  bool dijkstra = false;
-  bool no_dirty_filter = false;
   std::int32_t stage2_shards = 0;
   int stages = 4;
   std::int64_t checkpoint_every_nets = 0;
@@ -144,8 +143,8 @@ struct Args {
   std::fprintf(stderr,
                "usage: rabid_cli --circuit NAME [--threads N] [--grid NxM]\n"
                "       [--sites N] [--no-blocked] [--post] [--vg K]\n"
-               "       [--dijkstra] [--no-dirty-filter] [--stage2-shards K]\n"
-               "       [--stages N] [--checkpoint-every-nets N]\n"
+               "       [--stage2-shards K] [--stages N]\n"
+               "       [--checkpoint-every-nets N]\n"
                "       [--inverters] [--audit] [--audit-json F]\n"
                "       [--obs off|counters|trace] [--report F] [--trace F]\n"
                "       [--two-pin] [--backend rabid|bbp|mcf] [--dump-design F]\n"
@@ -164,6 +163,22 @@ int fail(const rabid::core::Status& status) {
   return status.exit_code();
 }
 
+/// Parses a numeric flag value strictly: the whole string must parse as
+/// a T, and the value must be finite and lie in [lo, hi].  Otherwise
+/// exits through usage(msg).
+template <typename T>
+T parse_number(const char* text, T lo, T hi, const char* msg) {
+  T v{};
+  const char* const end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  // NaN fails both comparisons; an infinity fails the finite bound.
+  if (ec != std::errc() || ptr != end || !(v >= lo && v <= hi)) usage(msg);
+  return v;
+}
+
+template <typename T>
+constexpr T kMax = std::numeric_limits<T>::max();
+
 Args parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
@@ -175,35 +190,39 @@ Args parse(int argc, char** argv) {
     if (flag == "--circuit") {
       a.circuit = value();
     } else if (flag == "--threads") {
-      a.threads = static_cast<std::int32_t>(std::atoi(value()));
-      if (a.threads < 0) usage("--threads expects a non-negative count");
+      a.threads = parse_number<std::int32_t>(
+          value(), 0, kMax<std::int32_t>,
+          "--threads expects a non-negative count");
     } else if (flag == "--grid") {
-      const char* v = value();
-      if (std::sscanf(v, "%dx%d", &a.nx, &a.ny) != 2 || a.nx < 1 || a.ny < 1)
-        usage("--grid expects NxM");
+      const std::string v = value();
+      const std::size_t x = v.find('x');
+      if (x == std::string::npos) usage("--grid expects NxM");
+      a.nx = parse_number<std::int32_t>(v.substr(0, x).c_str(), 1,
+                                        kMax<std::int32_t>,
+                                        "--grid expects NxM");
+      a.ny = parse_number<std::int32_t>(v.c_str() + x + 1, 1,
+                                        kMax<std::int32_t>,
+                                        "--grid expects NxM");
     } else if (flag == "--sites") {
-      a.sites = std::atoll(value());
-      if (a.sites < 0) usage("--sites expects a non-negative count");
+      a.sites = parse_number<std::int64_t>(
+          value(), 0, kMax<std::int64_t>,
+          "--sites expects a non-negative count");
     } else if (flag == "--no-blocked") {
       a.no_blocked = true;
     } else if (flag == "--post") {
       a.post = true;
-    } else if (flag == "--dijkstra") {
-      a.dijkstra = true;
-    } else if (flag == "--no-dirty-filter") {
-      a.no_dirty_filter = true;
     } else if (flag == "--stage2-shards") {
-      a.stage2_shards = static_cast<std::int32_t>(std::atoi(value()));
-      if (a.stage2_shards < 0) usage("--stage2-shards expects >= 0");
+      a.stage2_shards = parse_number<std::int32_t>(
+          value(), 0, kMax<std::int32_t>, "--stage2-shards expects >= 0");
     } else if (flag == "--stages") {
-      a.stages = std::atoi(value());
-      if (a.stages < 1 || a.stages > 4) usage("--stages expects 1..4");
+      a.stages = parse_number<int>(value(), 1, 4, "--stages expects 1..4");
     } else if (flag == "--checkpoint-every-nets") {
-      a.checkpoint_every_nets = std::atoll(value());
-      if (a.checkpoint_every_nets < 0)
-        usage("--checkpoint-every-nets expects >= 0");
+      a.checkpoint_every_nets = parse_number<std::int64_t>(
+          value(), 0, kMax<std::int64_t>,
+          "--checkpoint-every-nets expects >= 0");
     } else if (flag == "--vg") {
-      a.vg = static_cast<std::size_t>(std::atoll(value()));
+      a.vg = parse_number<std::size_t>(value(), 0, kMax<std::size_t>,
+                                       "--vg expects a non-negative count");
     } else if (flag == "--inverters") {
       a.inverters = true;
     } else if (flag == "--audit") {
@@ -233,8 +252,9 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--heatmaps") {
       a.heatmaps = true;
     } else if (flag == "--deadline-ms") {
-      a.deadline_ms = std::atof(value());
-      if (a.deadline_ms < 0) usage("--deadline-ms expects >= 0");
+      a.deadline_ms = parse_number<double>(
+          value(), 0.0, kMax<double>,
+          "--deadline-ms expects a finite value >= 0");
     } else if (flag == "--checkpoint-dir") {
       a.checkpoint_dir = value();
     } else if (flag == "--resume") {
@@ -247,11 +267,14 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--eco") {
       a.eco = true;
     } else if (flag == "--eco-perturb") {
-      a.eco_perturb = std::atof(value());
-      if (a.eco_perturb <= 0.0 || a.eco_perturb > 1.0)
+      a.eco_perturb = parse_number<double>(
+          value(), 0.0, 1.0, "--eco-perturb expects a fraction in (0, 1]");
+      if (a.eco_perturb == 0.0)
         usage("--eco-perturb expects a fraction in (0, 1]");
     } else if (flag == "--eco-seed") {
-      a.eco_seed = std::strtoull(value(), nullptr, 10);
+      a.eco_seed = parse_number<std::uint64_t>(
+          value(), 0, kMax<std::uint64_t>,
+          "--eco-seed expects an unsigned seed");
     } else if (flag == "--eco-verify") {
       a.eco_verify = true;
       a.eco = true;
@@ -281,8 +304,8 @@ Args parse(int argc, char** argv) {
   // the library layer, as exit-code-3 input errors).
   if (a.backend != rabid::core::Backend::kRabid &&
       (a.resume || !a.checkpoint_dir.empty() || a.deadline_ms > 0 ||
-       a.post || a.dijkstra || a.no_dirty_filter || a.stage2_shards > 0 ||
-       a.stages != 4 || a.vg > 0 || a.eco))
+       a.post || a.stage2_shards > 0 || a.stages != 4 || a.vg > 0 ||
+       a.eco))
     usage("stage/checkpoint/deadline flags apply to --backend rabid only");
   // The ECO adopts the finished four-stage solution; a partial flow
   // (early stages, a deadline) or a vg-rebuffered one is not that.
@@ -430,9 +453,6 @@ int main(int argc, char** argv) {
     options.threads = args.threads;
     options.obs_level = args.obs_level;
     options.congestion_post_after_stage2 = args.post;
-    if (args.dijkstra)
-      options.router_heuristic = core::RouterHeuristic::kDijkstra;
-    options.stage2_dirty_filter = !args.no_dirty_filter;
     options.stage2_shards = args.stage2_shards;
     if (args.audit) options.audit_level = core::AuditLevel::kPerStage;
     options.deadline_ms = args.deadline_ms;
