@@ -6,12 +6,11 @@
 // Flow demonstrated on the ami33 benchmark:
 //   1. early planning         — the four RABID stages (length rule);
 //   2. timing-driven ECO      — van Ginneken rebuffering of the worst
-//                               nets, with inverting repeaters;
-//   3. power-level selection  — greedy sizing of the remaining
-//                               unit-buffer nets' worst offenders;
-//   4. site legalization      — every buffer lands on a concrete
+//                               nets, picking power levels and
+//                               inverting repeaters per buffer;
+//   3. site legalization      — every buffer lands on a concrete
 //                               physical site inside its tile;
-//   5. spare-site audit       — leftover sites become ECO spares/decap.
+//   4. spare-site audit       — leftover sites become ECO spares/decap.
 //
 //   $ ./eco_rebuffer
 
@@ -20,7 +19,6 @@
 #include "circuits/generator.hpp"
 #include "circuits/specs.hpp"
 #include "core/rabid.hpp"
-#include "core/sizing.hpp"
 #include "report/table.hpp"
 #include "tile/decap.hpp"
 #include "tile/sites.hpp"
@@ -40,7 +38,7 @@ int main() {
 
   // 2. Timing-driven ECO on the 30 worst nets (inverters allowed).
   const core::StageStats eco = rabid.rebuffer_timing_driven(
-      30, timing::BufferLibrary::standard_180nm(), /*use_inverters=*/true);
+      30, buffer::BufferLibrary::standard_180nm(), /*use_inverters=*/true);
 
   report::Table table({"step", "#bufs", "max delay (ps)", "avg delay (ps)",
                        "max slew (ps)"});
@@ -62,10 +60,10 @@ int main() {
                  report::fmt(slews(), 0)});
   table.print();
 
-  // 3. Count the library mix the ECO chose.
+  // The library mix the ECO chose.
   std::int64_t inverters = 0, upsized = 0, total_sized = 0;
   for (const core::NetState& n : rabid.nets()) {
-    for (const timing::BufferType& t : n.buffer_types) {
+    for (const buffer::BufferType& t : n.buffer_types) {
       ++total_sized;
       if (t.inverting) ++inverters;
       if (t.size > 1.0) ++upsized;
@@ -77,7 +75,7 @@ int main() {
       static_cast<long long>(total_sized), static_cast<long long>(inverters),
       static_cast<long long>(upsized));
 
-  // 4. Legalize every buffer onto a concrete site.
+  // 3. Legalize every buffer onto a concrete site.
   std::vector<tile::SiteRequest> requests;
   for (const core::NetState& n : rabid.nets()) {
     for (const route::BufferPlacement& b : n.buffers) {
@@ -92,7 +90,7 @@ int main() {
       "(max displacement %.0f um)\n",
       legal.assignment.size(), legal.max_displacement_um);
 
-  // 5. What's left becomes ECO spares / decap.
+  // 4. What's left becomes ECO spares / decap.
   const tile::DecapSummary decap = tile::summarize_decap(graph);
   std::printf(
       "spare sites: %lld (%.1f nF of decap chip-wide; %d tiles fully "

@@ -105,7 +105,7 @@ double BbpPlanner::evenly_buffered_delay(const std::vector<tile::TileId>& path,
             [](const route::BufferPlacement& a,
                const route::BufferPlacement& b) { return a.node < b.node; });
   buffers.erase(std::unique(buffers.begin(), buffers.end()), buffers.end());
-  return timing::evaluate_delay(tree, buffers, graph_, options_.tech).max_ps;
+  return timing::evaluate_delay(tree, buffers, {}, graph_, options_.tech).max_ps;
 }
 
 BbpResult BbpPlanner::run(double buffer_area_um2) {
@@ -208,8 +208,8 @@ BbpResult BbpPlanner::run(double buffer_area_um2) {
     cur = walk_to(state.tree, graph_, cur, dst);
     state.tree.add_sink(cur);
     state.tree.commit(graph_);
-    state.delay =
-        timing::evaluate_delay(state.tree, state.buffers, graph_, options_.tech);
+    state.delay = timing::evaluate_delay(state.tree, state.buffers, {}, graph_,
+                                         options_.tech);
 
     result.buffers += static_cast<std::int64_t>(state.buffers.size());
     if (state.delay.max_ps > constraint) ++result.nets_missing_constraint;
@@ -270,7 +270,7 @@ BbpResult BbpPlanner::congestion_post(double buffer_area_um2) {
                        "pinned buffer tile lost in post-pass");
       state.buffers.push_back({n, route::kNoNode});
     }
-    state.delay = timing::evaluate_delay(state.tree, state.buffers, graph_,
+    state.delay = timing::evaluate_delay(state.tree, state.buffers, {}, graph_,
                                          options_.tech);
     result.buffers += static_cast<std::int64_t>(state.buffers.size());
     if (state.delay.max_ps > state.constraint_ps) {

@@ -50,7 +50,7 @@ std::vector<core::StageStats> BbpAllocator::plan() {
         to.tree, to.buffers, design_.length_limit(id));
     const timing::Technology tech =
         timing::scaled_for_width(options_.tech, design_.net(id).width);
-    to.delay = timing::evaluate_delay(to.tree, to.buffers, graph_, tech);
+    to.delay = timing::evaluate_delay(to.tree, to.buffers, {}, graph_, tech);
     nets_.push_back(std::move(to));
   }
 

@@ -1,68 +1,85 @@
 #include "buffer/library.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 #include <utility>
 
-#include "timing/tech.hpp"
 #include "util/assert.hpp"
 
 namespace rabid::buffer {
 
 namespace {
 
-BufferTypeSpec make_spec(std::string name, double cost_scale,
-                         double drive_scale) {
-  BufferTypeSpec s;
-  s.name = std::move(name);
-  s.cost_scale = cost_scale;
-  s.drive_scale = drive_scale;
-  // Electrical payload: drive_scale maps onto the timing model's size
-  // knob (output resistance down, input cap up), like timing::scaled.
-  const timing::Technology& tech = timing::kTech180nm;
-  s.electrical.size = drive_scale;
-  s.electrical.input_cap = tech.buffer_cap * drive_scale;
-  s.electrical.output_res = tech.buffer_res / drive_scale;
-  s.electrical.intrinsic_ps = tech.buffer_intrinsic_ps;
-  s.electrical.inverting = false;
-  return s;
+/// A `size`-times unit cell: output resistance down, input cap up.
+BufferType scaled(std::string name, double size, bool inverting,
+                  const timing::Technology& tech) {
+  BufferType t;
+  t.name = std::move(name);
+  t.size = size;
+  t.input_cap = tech.buffer_cap * size;
+  t.output_res = tech.buffer_res / size;
+  // Inverters are a single stage: slightly quicker through.
+  t.intrinsic_ps = tech.buffer_intrinsic_ps * (inverting ? 0.6 : 1.0);
+  t.inverting = inverting;
+  return t;
+}
+
+/// A planning type: its drive_scale is also its electrical size.
+BufferType planning(std::string name, double cost_scale,
+                    double drive_scale) {
+  BufferType t =
+      scaled(std::move(name), drive_scale, false, timing::kTech180nm);
+  t.cost_scale = cost_scale;
+  t.drive_scale = drive_scale;
+  return t;
 }
 
 }  // namespace
 
-BufferLibrary::BufferLibrary(std::vector<BufferTypeSpec> types)
+BufferLibrary::BufferLibrary(std::vector<BufferType> types)
     : types_(std::move(types)) {
   RABID_ASSERT_MSG(!types_.empty(), "buffer library must have >= 1 type");
   std::unordered_set<std::string_view> names;
-  for (BufferTypeSpec& t : types_) {
+  for (const BufferType& t : types_) {
     RABID_ASSERT_MSG(!t.name.empty(), "buffer type needs a name");
     RABID_ASSERT_MSG(names.insert(t.name).second,
                      "duplicate buffer type name");
     RABID_ASSERT_MSG(t.cost_scale >= 0.0, "cost_scale must be >= 0");
     RABID_ASSERT_MSG(t.drive_scale > 0.0, "drive_scale must be > 0");
-    // The electrical name always mirrors the spec name; rebinding here
-    // (and on copy/move) keeps the view pointing into this library.
-    t.electrical.name = t.name;
   }
 }
 
 BufferLibrary BufferLibrary::single_unit() {
-  return BufferLibrary({make_spec("dpbuf_x1", 1.0, 1.0)});
+  return BufferLibrary({planning("dpbuf_x1", 1.0, 1.0)});
 }
 
 BufferLibrary BufferLibrary::paper2() {
   return BufferLibrary({
-      make_spec("dpbuf_x1", 1.0, 1.0),
-      make_spec("dpbuf_x2", 2.0, 2.0),
+      planning("dpbuf_x1", 1.0, 1.0),
+      planning("dpbuf_x2", 2.0, 2.0),
   });
 }
 
 BufferLibrary BufferLibrary::paper4() {
   return BufferLibrary({
-      make_spec("dpbuf_x0p5", 0.6, 0.5),
-      make_spec("dpbuf_x1", 1.0, 1.0),
-      make_spec("dpbuf_x2", 2.0, 2.0),
-      make_spec("dpbuf_x4", 4.0, 4.0),
+      planning("dpbuf_x0p5", 0.6, 0.5),
+      planning("dpbuf_x1", 1.0, 1.0),
+      planning("dpbuf_x2", 2.0, 2.0),
+      planning("dpbuf_x4", 4.0, 4.0),
+  });
+}
+
+BufferLibrary BufferLibrary::standard_180nm(const timing::Technology& tech) {
+  return BufferLibrary({
+      scaled("BUF_X0P5", 0.5, false, tech),
+      scaled("BUF_X1", 1.0, false, tech),
+      scaled("BUF_X2", 2.0, false, tech),
+      scaled("BUF_X4", 4.0, false, tech),
+      scaled("BUF_X8", 8.0, false, tech),
+      scaled("INV_X1", 1.0, true, tech),
+      scaled("INV_X2", 2.0, true, tech),
+      scaled("INV_X4", 4.0, true, tech),
   });
 }
 

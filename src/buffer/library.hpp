@@ -1,52 +1,66 @@
 #pragma once
 
 /// \file library.hpp
-/// The *planning-level* buffer library: the b buffer types the stage-3/4
-/// insertion DP chooses between (Li & Shi's multi-type candidate-list
-/// formulation, arXiv:0710.4691; buffer sizing per Kallakuri,
-/// arXiv:0710.4638).
+/// The buffer library: the cells a buffer site may realize.
 ///
-/// This is deliberately distinct from timing::BufferLibrary (the
-/// electrical power levels the post-pass sizer picks between): here a
-/// type changes the *planning problem itself* —
+/// Section I-B: a buffer site may realize "either a buffer, inverter
+/// (with a range of power levels), or even a decoupling capacitor" —
+/// the cell is chosen only when the site is assigned.  One library
+/// serves every consumer:
 ///
-///   * `cost_scale`  multiplies the eq. (2) site cost q(v): a stronger
-///     buffer occupies one site but burns more area/power, so the DP
-///     should prefer it only where its reach pays for itself.
-///   * `drive_scale` multiplies the net's length rule L: a type t gate
-///     may drive up to L_t = max(1, floor(drive_scale * L)) tile-units
-///     of unbuffered interconnect.  The net driver itself always obeys
-///     the plain L.
+///   * the stage-3/4 insertion DP chooses between its types (Li & Shi's
+///     multi-type candidate-list formulation, arXiv:0710.4691; buffer
+///     sizing per Kallakuri, arXiv:0710.4638), where a type changes the
+///     planning problem itself —
+///       - `cost_scale`  multiplies the eq. (2) site cost q(v): a
+///         stronger buffer occupies one site but burns more area/power,
+///         so the DP should prefer it only where its reach pays;
+///       - `drive_scale` multiplies the net's length rule L: a type t
+///         gate may drive up to L_t = max(1, floor(drive_scale * L))
+///         tile-units of unbuffered interconnect.  The net driver
+///         itself always obeys the plain L;
+///   * the van Ginneken rebuffering (buffer/timing_driven.hpp) picks
+///     power levels by their electrical numbers;
+///   * the delay model (timing/delay.hpp) and the solution dump read a
+///     placed cell's electrical numbers and name.
+///
+/// Electrical scaling: a k-times buffer has output resistance R_b/k and
+/// input capacitance ~k*C_b; intrinsic delay is size-independent to
+/// first order.  All types fit the same 400 um^2 buffer site footprint
+/// envelope except the largest, which is why power levels above ~8x are
+/// not offered.
 ///
 /// The default library holds exactly the paper's single unit type
 /// (cost_scale == drive_scale == 1), for which the engine runs the
 /// original dense single-type DP bit-for-bit; any other library routes
 /// through the dominance-pruned candidate-list engine.
-///
-/// Each type also carries its electrical payload (timing::BufferType) so
-/// the flow's delay model and the solution dump can speak the same
-/// names.
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "timing/buffer_library.hpp"
+#include "timing/tech.hpp"
 
 namespace rabid::buffer {
 
-struct BufferTypeSpec {
-  std::string name;          ///< identity in solutions / audits
+/// One library cell.  Placed buffers carry a copy (core::NetState::
+/// buffer_types), so a tag never refers back into its library.
+struct BufferType {
+  std::string name;           ///< identity in solutions / audits
+  double size = 1.0;          ///< drive strength multiple of the unit buffer
+  double input_cap = 0.0;     ///< pF
+  double output_res = 0.0;    ///< ohm
+  double intrinsic_ps = 0.0;  ///< ps
+  bool inverting = false;
   double cost_scale = 1.0;   ///< multiplies q(v); >= 0
   double drive_scale = 1.0;  ///< multiplies L; > 0
-  timing::BufferType electrical;  ///< delay-model payload (name mirrors)
 };
 
-/// An ordered, immutable set of planning buffer types.  Index 0 is the
-/// cheapest-by-convention entry; the DP tie-breaks equal-cost choices
-/// toward lower indices, so library order is part of the deterministic
-/// contract.
+/// An ordered, immutable set of buffer types.  The DP tie-breaks
+/// equal-cost choices toward lower indices, so library order is part of
+/// the deterministic contract.
 class BufferLibrary {
  public:
   /// The paper's library: one unit type.  This is the RabidOptions
@@ -59,28 +73,25 @@ class BufferLibrary {
   /// Four power levels: 0.5x / 1x / 2x / 4x reach with matching cost.
   static BufferLibrary paper4();
 
+  /// The van Ginneken power levels for 0.18 um: non-inverting buffers
+  /// at 0.5x, 1x, 2x, 4x, 8x the unit drive (1x == the Technology
+  /// buffer), plus matching inverters at 1x/2x/4x.  Planning scales are
+  /// all 1.
+  static BufferLibrary standard_180nm(
+      const timing::Technology& tech = timing::kTech180nm);
+
   /// Library preset by name ("unit", "paper2", "paper4"); false when
   /// `name` matches no preset.
   static bool preset(std::string_view name, BufferLibrary* out);
 
-  /// Builds a library from explicit specs (validated: nonempty, names
+  /// Builds a library from explicit types (validated: nonempty, names
   /// unique and nonempty, cost_scale >= 0, drive_scale > 0).
-  explicit BufferLibrary(std::vector<BufferTypeSpec> types);
+  explicit BufferLibrary(std::vector<BufferType> types);
   BufferLibrary() : BufferLibrary(single_unit()) {}
 
-  std::span<const BufferTypeSpec> types() const { return types_; }
-  const BufferTypeSpec& type(std::size_t i) const { return types_.at(i); }
+  std::span<const BufferType> types() const { return types_; }
+  const BufferType& type(std::size_t i) const { return types_.at(i); }
   std::size_t size() const { return types_.size(); }
-
-  /// Type i's electrical payload with its name view bound to *this*
-  /// library's storage (the stored spec's view can go stale when a
-  /// library is copied, e.g. inside RabidOptions).  The returned value
-  /// is valid while this BufferLibrary is alive.
-  timing::BufferType electrical_of(std::size_t i) const {
-    timing::BufferType t = types_.at(i).electrical;
-    t.name = types_.at(i).name;
-    return t;
-  }
 
   /// True when the library is exactly {unit}: the dense single-type DP
   /// applies and existing goldens must reproduce bit-for-bit.
@@ -97,7 +108,7 @@ class BufferLibrary {
   std::int32_t index_of(std::string_view name) const;
 
  private:
-  std::vector<BufferTypeSpec> types_;
+  std::vector<BufferType> types_;
 };
 
 }  // namespace rabid::buffer

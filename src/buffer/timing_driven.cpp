@@ -10,8 +10,6 @@ namespace rabid::buffer {
 
 namespace {
 
-using timing::BufferType;
-
 /// A (capacitance, slack) candidate with provenance for the traceback.
 ///
 /// `parity` bookkeeping (inverter support): a candidate's list index is
@@ -78,16 +76,17 @@ struct NodeLists {
 class VgSolver {
  public:
   VgSolver(const route::RouteTree& tree, const tile::TileGraph& g,
-           const timing::BufferLibrary& lib, bool use_inverters,
+           const BufferLibrary& lib, bool use_inverters,
            const TileAllowFn& allow, const timing::Technology& tech)
       : tree_(tree), g_(g), allow_(allow), tech_(tech) {
-    for (const BufferType& t : lib.types()) {
-      if (t.inverting && !use_inverters) continue;
-      cells_.push_back(t);
+    for (std::size_t i = 0; i < lib.size(); ++i) {
+      if (lib.type(i).inverting && !use_inverters) continue;
+      cells_.push_back(&lib.type(i));
+      cell_index_.push_back(static_cast<std::int32_t>(i));
     }
     RABID_ASSERT_MSG(
         std::any_of(cells_.begin(), cells_.end(),
-                    [](const BufferType& t) { return !t.inverting; }),
+                    [](const BufferType* t) { return !t->inverting; }),
         "library has no non-inverting buffer");
     nodes_.resize(tree.node_count());
     for (const route::NodeId v : tree.postorder()) process(v);
@@ -125,7 +124,7 @@ class VgSolver {
   void add_repeater_options(const PList& source, Cand::Op op,
                             PList& out) const {
     for (std::size_t t = 0; t < cells_.size(); ++t) {
-      const BufferType& cell = cells_[t];
+      const BufferType& cell = *cells_[t];
       for (std::int8_t out_parity = 0; out_parity < 2; ++out_parity) {
         // The cell sits above the source point: signal passes the cell,
         // then the source's subtree.  Inversions below the cell's input
@@ -269,7 +268,7 @@ class VgSolver {
         n.final[static_cast<std::size_t>(parity)][static_cast<std::size_t>(idx)];
     if (c.op == Cand::Op::kDrive) {
       out.buffers.push_back({v, route::kNoNode});
-      out.types.push_back(cells_[static_cast<std::size_t>(c.type)]);
+      out.types.push_back(cell_index_[static_cast<std::size_t>(c.type)]);
       trace_merge(v, static_cast<std::int32_t>(n.merge.size()) - 1,
                   c.src_parity, c.a, out);
     } else {
@@ -324,7 +323,7 @@ class VgSolver {
                                [static_cast<std::size_t>(idx)];
     if (c.op == Cand::Op::kArcBuf) {
       out.buffers.push_back({v, w});
-      out.types.push_back(cells_[static_cast<std::size_t>(c.type)]);
+      out.types.push_back(cell_index_[static_cast<std::size_t>(c.type)]);
       const Cand& wired =
           n.arc_wire[static_cast<std::size_t>(child_pos)]
                     [static_cast<std::size_t>(c.src_parity)]
@@ -340,7 +339,8 @@ class VgSolver {
   const tile::TileGraph& g_;
   const TileAllowFn& allow_;
   const timing::Technology& tech_;
-  std::vector<BufferType> cells_;
+  std::vector<const BufferType*> cells_;   ///< the cells in play
+  std::vector<std::int32_t> cell_index_;  ///< their library indices
   std::vector<NodeLists> nodes_;
 };
 
@@ -348,7 +348,7 @@ class VgSolver {
 
 TimingDrivenResult van_ginneken(const route::RouteTree& tree,
                                 const tile::TileGraph& g,
-                                const timing::BufferLibrary& lib,
+                                const BufferLibrary& lib,
                                 const TileAllowFn& allow,
                                 const timing::Technology& tech) {
   RABID_ASSERT_MSG(!tree.empty(), "cannot buffer an empty route");
@@ -358,7 +358,7 @@ TimingDrivenResult van_ginneken(const route::RouteTree& tree,
 
 TimingDrivenResult van_ginneken_with_inverters(
     const route::RouteTree& tree, const tile::TileGraph& g,
-    const timing::BufferLibrary& lib, const TileAllowFn& allow,
+    const BufferLibrary& lib, const TileAllowFn& allow,
     const timing::Technology& tech) {
   RABID_ASSERT_MSG(!tree.empty(), "cannot buffer an empty route");
   VgSolver solver(tree, g, lib, /*use_inverters=*/true, allow, tech);

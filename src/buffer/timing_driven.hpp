@@ -25,10 +25,10 @@
 #include <functional>
 #include <vector>
 
+#include "buffer/library.hpp"
 #include "route/buffers.hpp"
 #include "route/route_tree.hpp"
 #include "tile/tile_graph.hpp"
-#include "timing/buffer_library.hpp"
 #include "timing/delay.hpp"
 #include "timing/tech.hpp"
 
@@ -39,8 +39,9 @@ using TileAllowFn = std::function<bool(tile::TileId)>;
 
 struct TimingDrivenResult {
   route::BufferList buffers;
-  /// Library cell per placement (types[i] realizes buffers[i]).
-  std::vector<timing::BufferType> types;
+  /// Library index per placement (lib.type(types[i]) realizes
+  /// buffers[i]).
+  std::vector<std::int32_t> types;
   /// Predicted worst source-to-sink Elmore delay, ps.
   double delay_ps = 0.0;
 };
@@ -51,7 +52,7 @@ struct TimingDrivenResult {
 /// critical nets, not the full netlist.
 TimingDrivenResult van_ginneken(const route::RouteTree& tree,
                                 const tile::TileGraph& g,
-                                const timing::BufferLibrary& lib,
+                                const BufferLibrary& lib,
                                 const TileAllowFn& allow,
                                 const timing::Technology& tech =
                                     timing::kTech180nm);
@@ -65,7 +66,7 @@ TimingDrivenResult van_ginneken(const route::RouteTree& tree,
 /// pairs.  Never worse than van_ginneken() on the same library.
 TimingDrivenResult van_ginneken_with_inverters(
     const route::RouteTree& tree, const tile::TileGraph& g,
-    const timing::BufferLibrary& lib, const TileAllowFn& allow,
+    const BufferLibrary& lib, const TileAllowFn& allow,
     const timing::Technology& tech = timing::kTech180nm);
 
 }  // namespace rabid::buffer

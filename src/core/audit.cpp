@@ -349,7 +349,7 @@ void SolutionAuditor::audit_net(netlist::NetId id, const NetState& state,
     lib_types.reserve(state.buffer_types.size());
     std::vector<std::int64_t> per_type(lib.size() + 1, 0);  // last: unknown
     for (std::size_t k = 0; k < state.buffer_types.size(); ++k) {
-      const timing::BufferType& tag = state.buffer_types[k];
+      const buffer::BufferType& tag = state.buffer_types[k];
       ++report.checks_run;
       if (tag.name.empty()) {
         violation(AuditCheck::kBufferTypes, 1.0, 0.0,
@@ -360,14 +360,14 @@ void SolutionAuditor::audit_net(netlist::NetId id, const NetState& state,
       ++per_type[t < 0 ? lib.size() : static_cast<std::size_t>(t)];
       if (t >= 0) {
         // A known name with foreign electrical numbers is a tampered or
-        // stale tag: the sized delay evaluator would silently use it.
-        const timing::BufferType want =
-            lib.electrical_of(static_cast<std::size_t>(t));
+        // stale tag: the delay evaluator would silently use it.
+        const buffer::BufferType& want =
+            lib.type(static_cast<std::size_t>(t));
         ++report.checks_run;
         if (tag.input_cap != want.input_cap ||
             tag.output_res != want.output_res || tag.size != want.size) {
           violation(AuditCheck::kBufferTypes, want.input_cap, tag.input_cap,
-                    "tag '" + std::string(tag.name) +
+                    "tag '" + tag.name +
                         "' disagrees with the library's electrical spec");
         }
       }
@@ -407,11 +407,8 @@ void SolutionAuditor::audit_net(netlist::NetId id, const NetState& state,
   if (buffers_ok && options_.check_delays) {
     const timing::Technology tech =
         timing::scaled_for_width(options_.tech, net.width);
-    const timing::DelayResult fresh =
-        state.buffer_types.empty()
-            ? timing::evaluate_delay(tree, state.buffers, graph_, tech)
-            : timing::evaluate_delay_sized(tree, state.buffers,
-                                           state.buffer_types, graph_, tech);
+    const timing::DelayResult fresh = timing::evaluate_delay(
+        tree, state.buffers, state.buffer_types, graph_, tech);
     report.checks_run += 2;
     if (fresh.max_ps != state.delay.max_ps) {
       violation(AuditCheck::kDelay, fresh.max_ps, state.delay.max_ps,

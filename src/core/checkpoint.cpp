@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 
 #include "core/rabid.hpp"
@@ -402,8 +403,11 @@ Status resume_from_checkpoint(const std::string& dir, Rabid& rabid,
   const std::string sol_path = dir + "/" + m.solution_file;
   std::ifstream in(sol_path);
   if (!in) return Status::io_error("cannot open for reading", sol_path);
-  Result<LoadedSolution> sol =
-      read_solution_checked(in, rabid.design(), rabid.graph());
+  // Cell names resolve against the run's own library, so a resumed
+  // multi-type run keeps its type tags (and with them its delays).
+  Result<LoadedSolution> sol = read_solution_checked(
+      in, rabid.design(), rabid.graph(),
+      std::span(&rabid.options().buffer_library, 1));
   if (!sol.ok()) return sol.status();
 
   if (Status s = rabid.restore_solution(sol.value(), m.stage); !s) return s;

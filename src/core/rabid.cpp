@@ -11,6 +11,7 @@
 
 #include "buffer/timing_driven.hpp"
 #include "core/allocator.hpp"
+#include "core/buffer_commit.hpp"
 #include "core/checkpoint.hpp"
 #include "core/congestion_post.hpp"
 #include "core/solution_io.hpp"
@@ -246,12 +247,8 @@ void Rabid::refresh_delays() {
     // Wide-wire classes scale the RC model per net (footnote 4).
     const timing::Technology tech = timing::scaled_for_width(
         options_.tech, design_.net(static_cast<netlist::NetId>(i)).width);
-    if (n.buffer_types.empty()) {
-      n.delay = timing::evaluate_delay(n.tree, n.buffers, graph_, tech);
-    } else {
-      n.delay = timing::evaluate_delay_sized(n.tree, n.buffers,
-                                             n.buffer_types, graph_, tech);
-    }
+    n.delay =
+        timing::evaluate_delay(n.tree, n.buffers, n.buffer_types, graph_, tech);
   };
   // Each net touches only its own state; reads of the graph and design
   // are shared and const, so any schedule gives identical delays.
@@ -829,73 +826,25 @@ StageStats Rabid::run_stage2() {
   return stats;
 }
 
-void Rabid::buffer_net(std::size_t index, const std::vector<double>& demand,
+void Rabid::buffer_net(std::size_t index, std::span<const double> demand,
                        const buffer::InsertionResult* first_attempt) {
   NetState& state = nets_[index];
   const std::int32_t L =
       design_.length_limit(static_cast<netlist::NetId>(index));
-
-  // Tiles the DP must avoid because an earlier attempt oversubscribed
-  // them within this one net (q is computed per net, so a single net can
-  // otherwise claim more sites than a tile has left; see Section III-C's
-  // multiple-buffers-per-tile remark).
-  std::vector<tile::TileId> forbidden;
-  for (int attempt = 0;; ++attempt) {
-    RABID_ASSERT_MSG(attempt < 64, "buffer commit failed to converge");
-    if (attempt > 0) obs::count(obs::Counter::kBufferCommitRetries);
-    const auto q = [&](tile::TileId t) {
-      if (std::find(forbidden.begin(), forbidden.end(), t) != forbidden.end())
-        return tile::kInfCost;
-      return graph_.buffer_cost(t, demand[static_cast<std::size_t>(t)]);
-    };
-    buffer::InsertionResult result =
-        attempt == 0 && first_attempt != nullptr
-            ? *first_attempt
-            : buffer::insert_buffers_planned_relaxed(state.tree, L, q,
-                                                     options_.buffer_library);
-
-    // Count proposed buffers per tile; find oversubscribed tiles.
-    bool ok = true;
-    std::vector<std::pair<tile::TileId, std::int32_t>> per_tile;
-    for (const route::BufferPlacement& b : result.buffers) {
-      const tile::TileId t = state.tree.node(b.node).tile;
-      auto it = std::find_if(per_tile.begin(), per_tile.end(),
-                             [&](const auto& p) { return p.first == t; });
-      if (it == per_tile.end()) {
-        per_tile.emplace_back(t, 1);
-      } else {
-        ++it->second;
-      }
-    }
-    for (const auto& [t, count] : per_tile) {
-      if (count > graph_.site_supply(t) - graph_.site_usage(t)) {
-        forbidden.push_back(t);
-        ok = false;
-      }
-    }
-    if (!ok) continue;
-
-    for (const auto& [t, count] : per_tile) {
-      for (std::int32_t k = 0; k < count; ++k) graph_.add_buffer(t);
-    }
-    obs::count(obs::Counter::kBuffersCommitted,
-               static_cast<std::uint64_t>(result.buffers.size()));
-    state.buffers = std::move(result.buffers);
-    // Unit libraries leave the tags empty (the historical state, and
-    // what the bit-identical goldens pin); the multi-type engine's
-    // chosen types become electrical cells so delays and dumps see them.
-    state.buffer_types.clear();
-    for (const std::int32_t t : result.types) {
-      state.buffer_types.push_back(
-          options_.buffer_library.electrical_of(static_cast<std::size_t>(t)));
-    }
-    state.meets_length_rule = result.feasible && result.effective_limit <= L;
-    return;
-  }
+  const buffer::BufferLibrary& lib = options_.buffer_library;
+  commit_buffers(graph_, state, L, lib,
+                 [&](std::span<const tile::TileId> forbidden) {
+                   if (forbidden.empty() && first_attempt != nullptr) {
+                     return *first_attempt;
+                   }
+                   return buffer::insert_buffers_planned_relaxed(
+                       state.tree, L, site_costs(graph_, forbidden, demand),
+                       lib);
+                 });
 }
 
 StageStats Rabid::rebuffer_timing_driven(std::size_t worst_nets,
-                                         const timing::BufferLibrary& lib,
+                                         const buffer::BufferLibrary& lib,
                                          bool use_inverters) {
   RABID_ASSERT_MSG(stage3_done_, "timing-driven rebuffering needs buffers");
   obs::ScopedTimer obs_timer("rebuffer_vG", "stage");
@@ -917,59 +866,30 @@ StageStats Rabid::rebuffer_timing_driven(std::size_t worst_nets,
     for (const route::BufferPlacement& b : state.buffers) {
       graph_.remove_buffer(state.tree.node(b.node).tile);
     }
-    state.buffers.clear();
-    state.buffer_types.clear();
 
-    std::vector<tile::TileId> forbidden;
-    for (int attempt = 0;; ++attempt) {
-      RABID_ASSERT_MSG(attempt < 64, "vG commit failed to converge");
-      if (attempt > 0) obs::count(obs::Counter::kBufferCommitRetries);
-      const buffer::TileAllowFn allow = [&](tile::TileId t) {
-        if (graph_.site_usage(t) >= graph_.site_supply(t)) return false;
-        return std::find(forbidden.begin(), forbidden.end(), t) ==
-               forbidden.end();
-      };
-      const timing::Technology tech = timing::scaled_for_width(
-          options_.tech, design_.net(static_cast<netlist::NetId>(i)).width);
-      buffer::TimingDrivenResult result =
-          use_inverters
-              ? buffer::van_ginneken_with_inverters(state.tree, graph_, lib,
-                                                    allow, tech)
-              : buffer::van_ginneken(state.tree, graph_, lib, allow, tech);
-
-      bool ok = true;
-      std::vector<std::pair<tile::TileId, std::int32_t>> per_tile;
-      for (const route::BufferPlacement& b : result.buffers) {
-        const tile::TileId t = state.tree.node(b.node).tile;
-        auto it = std::find_if(per_tile.begin(), per_tile.end(),
-                               [&](const auto& p) { return p.first == t; });
-        if (it == per_tile.end()) {
-          per_tile.emplace_back(t, 1);
-        } else {
-          ++it->second;
-        }
-      }
-      for (const auto& [t, count] : per_tile) {
-        if (count > graph_.site_supply(t) - graph_.site_usage(t)) {
-          forbidden.push_back(t);
-          ok = false;
-        }
-      }
-      if (!ok) continue;
-
-      for (const auto& [t, count] : per_tile) {
-        for (std::int32_t k = 0; k < count; ++k) graph_.add_buffer(t);
-      }
-      obs::count(obs::Counter::kBuffersCommitted,
-                 static_cast<std::uint64_t>(result.buffers.size()));
-      state.buffers = std::move(result.buffers);
-      state.buffer_types = std::move(result.types);
-      break;
-    }
+    const std::int32_t L =
+        design_.length_limit(static_cast<netlist::NetId>(i));
+    const timing::Technology tech = timing::scaled_for_width(
+        options_.tech, design_.net(static_cast<netlist::NetId>(i)).width);
+    commit_buffers(
+        graph_, state, L, lib, [&](std::span<const tile::TileId> forbidden) {
+          const buffer::TileAllowFn allow = [&](tile::TileId t) {
+            if (graph_.site_usage(t) >= graph_.site_supply(t)) return false;
+            return std::find(forbidden.begin(), forbidden.end(), t) ==
+                   forbidden.end();
+          };
+          buffer::TimingDrivenResult vg =
+              use_inverters ? buffer::van_ginneken_with_inverters(
+                                  state.tree, graph_, lib, allow, tech)
+                            : buffer::van_ginneken(state.tree, graph_, lib,
+                                                   allow, tech);
+          buffer::InsertionResult result;
+          result.buffers = std::move(vg.buffers);
+          result.types = std::move(vg.types);
+          return result;
+        });
     // Timing won; report the length rule honestly.
-    state.meets_length_rule =
-        meets_rule(state.tree, state.buffers,
-                   design_.length_limit(static_cast<netlist::NetId>(i)));
+    state.meets_length_rule = meets_rule(state.tree, state.buffers, L);
   }
   refresh_delays();
   record_memory_gauges();
@@ -1129,8 +1049,6 @@ StageStats Rabid::run_stage4() {
   RABID_ASSERT_MSG(stage3_done_, "stage 4 requires stage 3");
   obs::ScopedTimer obs_timer("stage4", "stage");
   const auto start = std::chrono::steady_clock::now();
-  const std::vector<double> no_demand(
-      static_cast<std::size_t>(graph_.tile_count()), 0.0);
 
   // Flat cost tables so the (tile x L) search pays one load per
   // relaxation.  Wire usage only moves at uncommit/commit, buffer-site
@@ -1173,13 +1091,12 @@ StageStats Rabid::run_stage4() {
     // Reroute one two-path at a time with joint wire+buffer costs.
     state.tree = rerouter.reroute(
         state.tree, L, wire_cache.values(), site_cost,
-        options_.stage4_wire_weight, options_.stage4_buffer_weight,
-        wire_cache.min_cost());
+        options_.stage4_wire_weight, wire_cache.min_cost());
     state.tree.commit(graph_, width);
     wire_cache.refresh_tree(state.tree);
 
     // Re-insert buffers net-wide, exactly as in Stage 3.
-    buffer_net(i, no_demand);
+    buffer_net(i, {});
     for (const route::BufferPlacement& b : state.buffers) {
       const tile::TileId t = state.tree.node(b.node).tile;
       site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,11 +91,10 @@ struct RabidOptions {
   std::int32_t stage2_shards = 0;
   Stage3Order stage3_order = Stage3Order::kDescendingDelay;
   std::int32_t reroute_iterations = 3;  ///< Stage-2 cap (Section III-B)
-  /// Stage-4 objective = wire_weight * eq.(1) + buffer_weight * eq.(2)
-  /// (footnote 7: the paper simply adds them, i.e. 1.0/1.0, but "one
-  /// could use any linear combination").
+  /// Stage-4 objective = wire_weight * eq.(1) + eq.(2) (footnote 7:
+  /// the paper simply adds them, i.e. weight 1.0, but "one could use
+  /// any linear combination"; the footnote-7 ablation varies this one).
   double stage4_wire_weight = 1.0;
-  double stage4_buffer_weight = 1.0;
   /// Runs the wirelength-neutral congestion post-pass (Section IV-C's
   /// Table-V step) at the end of stage 2, before any buffers exist.
   bool congestion_post_after_stage2 = false;
@@ -143,11 +143,11 @@ struct RabidOptions {
   /// registry to this level but never lowers it.
   obs::Level obs_level = obs::Level::kOff;
   timing::Technology tech = timing::kTech180nm;
-  /// Planning buffer library for stages 3/4 (buffer/library.hpp).  The
-  /// default single unit type reproduces the historical dense DP
-  /// bit-for-bit; any other library routes per-net buffering through
-  /// the dominance-pruned multi-type candidate engine, and NetState
-  /// gains per-buffer type tags (delays then use the sized evaluator).
+  /// Buffer library for stages 3/4 (buffer/library.hpp).  The default
+  /// single unit type reproduces the historical dense DP bit-for-bit;
+  /// any other library routes per-net buffering through the
+  /// dominance-pruned multi-type candidate engine, and NetState gains
+  /// per-buffer type tags (delays then use each tag's cell).
   buffer::BufferLibrary buffer_library{};
 };
 
@@ -175,11 +175,11 @@ struct StageStats {
 struct NetState {
   route::RouteTree tree;
   route::BufferList buffers;
-  /// Library cell per placement; empty means "all unit buffers" (the
-  /// default stage-3/4 path).  Filled by rebuffer_timing_driven(), and
-  /// by stages 3/4 themselves when RabidOptions::buffer_library holds
-  /// more than the unit type.
-  std::vector<timing::BufferType> buffer_types;
+  /// Library cell per placement, by value; empty means "all unit
+  /// buffers" (the default stage-3/4 path).  Filled by
+  /// rebuffer_timing_driven(), and by stages 3/4 themselves when
+  /// RabidOptions::buffer_library holds more than the unit type.
+  std::vector<buffer::BufferType> buffer_types;
   /// Length rule satisfied? (false == the net counts in "#fails")
   bool meets_length_rule = false;
   timing::DelayResult delay;
@@ -231,8 +231,8 @@ class Rabid {
   /// knowingly traded for delay (flags are re-evaluated honestly).
   StageStats rebuffer_timing_driven(
       std::size_t worst_nets,
-      const timing::BufferLibrary& lib =
-          timing::BufferLibrary::standard_180nm(),
+      const buffer::BufferLibrary& lib =
+          buffer::BufferLibrary::standard_180nm(),
       bool use_inverters = false);
 
   const std::vector<NetState>& nets() const { return nets_; }
@@ -305,11 +305,12 @@ class Rabid {
 
  private:
   /// Stage-3 core, shared with Stage 4's re-buffering: optimal buffers
-  /// for one net under tile costs; updates books and the net state.
-  /// `first_attempt`, when given, supplies a precomputed result for the
-  /// first DP attempt (the speculative parallel path); it must have been
-  /// computed against the exact q-costs the serial execution would see.
-  void buffer_net(std::size_t index, const std::vector<double>& demand,
+  /// for one net under tile costs at expected demand `demand` (empty:
+  /// none); updates books and the net state.  `first_attempt`, when
+  /// given, supplies a precomputed result for the first DP attempt (the
+  /// speculative parallel path); it must have been computed against the
+  /// exact q-costs the serial execution would see.
+  void buffer_net(std::size_t index, std::span<const double> demand,
                   const buffer::InsertionResult* first_attempt = nullptr);
 
   /// Stage-1 construction for one net (PD + Steiner + embedding).  Pure:

@@ -127,9 +127,9 @@ struct SolutionParseError {
 LoadedSolution read_solution_impl(std::istream& in,
                                   const netlist::Design& design,
                                   const tile::TileGraph& g,
-                                  const timing::BufferLibrary* library,
+                                  std::span<const buffer::BufferLibrary>
+                                      libraries,
                                   const timing::Technology& tech,
-                                  const buffer::BufferLibrary* planning,
                                   bool strict) {
   LoadedSolution sol;
   std::string line;
@@ -168,41 +168,26 @@ LoadedSolution read_solution_impl(std::istream& in,
       if (node == route::kNoNode) fail("sink tile missing from tree");
       current.tree.add_sink(node);
     }
-    if ((library != nullptr || planning != nullptr) &&
+    if (!libraries.empty() &&
         std::any_of(cell_names.begin(), cell_names.end(),
                     [](const std::string& c) { return !c.empty(); })) {
       for (const std::string& cell : cell_names) {
         if (cell.empty()) fail("mix of sized and unsized buffers");
-        bool found = false;
-        if (library != nullptr) {
-          for (const timing::BufferType& type : library->types()) {
-            if (type.name == cell) {
-              current.buffer_types.push_back(type);
-              found = true;
-              break;
-            }
+        const buffer::BufferType* type = nullptr;
+        for (const buffer::BufferLibrary& lib : libraries) {
+          if (const std::int32_t t = lib.index_of(cell); t >= 0) {
+            type = &lib.type(static_cast<std::size_t>(t));
+            break;
           }
         }
-        if (!found && planning != nullptr) {
-          // Multi-type stage-3/4 cells; the caller's planning library
-          // outlives the solution, so the bound name view stays valid.
-          const std::int32_t t = planning->index_of(cell);
-          if (t >= 0) {
-            current.buffer_types.push_back(
-                planning->electrical_of(static_cast<std::size_t>(t)));
-            found = true;
-          }
-        }
-        if (!found) fail("cell name not in the buffer library");
+        if (type == nullptr) fail("cell name not in the buffer library");
+        current.buffer_types.push_back(*type);
       }
     }
     // Delays exactly as Rabid::refresh_delays() commits them.
-    const timing::Technology scaled = timing::scaled_for_width(tech, net.width);
-    current.delay =
-        current.buffer_types.empty()
-            ? timing::evaluate_delay(current.tree, current.buffers, g, scaled)
-            : timing::evaluate_delay_sized(current.tree, current.buffers,
-                                           current.buffer_types, g, scaled);
+    current.delay = timing::evaluate_delay(
+        current.tree, current.buffers, current.buffer_types, g,
+        timing::scaled_for_width(tech, net.width));
     sol.nets.push_back(std::move(current));
     ++net_index;
   };
@@ -304,11 +289,10 @@ LoadedSolution read_solution_impl(std::istream& in,
 
 LoadedSolution read_solution(std::istream& in, const netlist::Design& design,
                              const tile::TileGraph& g,
-                             const timing::BufferLibrary* library,
-                             const timing::Technology& tech,
-                             const buffer::BufferLibrary* planning) {
+                             std::span<const buffer::BufferLibrary> libraries,
+                             const timing::Technology& tech) {
   try {
-    return read_solution_impl(in, design, g, library, tech, planning,
+    return read_solution_impl(in, design, g, libraries, tech,
                               /*strict=*/false);
   } catch (const SolutionParseError& e) {
     std::fprintf(stderr, "solution parse error at line %d: %s\n", e.line,
@@ -319,10 +303,10 @@ LoadedSolution read_solution(std::istream& in, const netlist::Design& design,
 
 Result<LoadedSolution> read_solution_checked(
     std::istream& in, const netlist::Design& design, const tile::TileGraph& g,
-    const timing::BufferLibrary* library, const timing::Technology& tech,
-    const buffer::BufferLibrary* planning) {
+    std::span<const buffer::BufferLibrary> libraries,
+    const timing::Technology& tech) {
   try {
-    return read_solution_impl(in, design, g, library, tech, planning,
+    return read_solution_impl(in, design, g, libraries, tech,
                               /*strict=*/true);
   } catch (const SolutionParseError& e) {
     return Status::invalid_input(e.message, "solution", e.line);

@@ -31,9 +31,9 @@
 #include <string>
 #include <vector>
 
+#include "buffer/library.hpp"
 #include "core/rabid.hpp"
 #include "core/status.hpp"
-#include "timing/buffer_library.hpp"
 
 namespace rabid::core {
 
@@ -64,7 +64,7 @@ struct LoadedSolution {
   std::string design;
   std::int32_t nx = 0, ny = 0;
   /// One state per design net, in design order: reconstructed tree,
-  /// buffers (and types, when cells were dumped and found in `library`),
+  /// buffers (and types, when cells were dumped and found in a library),
   /// the ok/fail flag, and delays re-evaluated exactly as
   /// Rabid::refresh_delays() would.
   std::vector<NetState> nets;
@@ -73,17 +73,14 @@ struct LoadedSolution {
 /// Reconstructs the complete solution.  Nets must appear in design
 /// order under their design names; sink attachment is re-derived from
 /// the design's pin locations.  Aborts with a line-numbered message on
-/// malformed input.  `library` resolves dumped cell names (pass nullptr
-/// to ignore sizing and evaluate with unit buffers); `planning`
-/// resolves names `library` doesn't know — the multi-type stage-3/4
-/// cells (it must outlive the returned solution: loaded type names view
-/// into its storage).
-LoadedSolution read_solution(std::istream& in, const netlist::Design& design,
-                             const tile::TileGraph& g,
-                             const timing::BufferLibrary* library = nullptr,
-                             const timing::Technology& tech =
-                                 timing::kTech180nm,
-                             const buffer::BufferLibrary* planning = nullptr);
+/// malformed input.  Dumped cell names resolve against `libraries`, the
+/// first library naming a cell wins, and each loaded tag is a copy of
+/// its cell; with no libraries, cell names are ignored and delays use
+/// unit buffers.
+LoadedSolution read_solution(
+    std::istream& in, const netlist::Design& design, const tile::TileGraph& g,
+    std::span<const buffer::BufferLibrary> libraries = {},
+    const timing::Technology& tech = timing::kTech180nm);
 
 /// Hardened variant of read_solution() for untrusted dumps (checkpoint
 /// resume, fuzzed files): malformed input comes back as a structured
@@ -93,8 +90,7 @@ LoadedSolution read_solution(std::istream& in, const netlist::Design& design,
 /// not silently load.
 Result<LoadedSolution> read_solution_checked(
     std::istream& in, const netlist::Design& design, const tile::TileGraph& g,
-    const timing::BufferLibrary* library = nullptr,
-    const timing::Technology& tech = timing::kTech180nm,
-    const buffer::BufferLibrary* planning = nullptr);
+    std::span<const buffer::BufferLibrary> libraries = {},
+    const timing::Technology& tech = timing::kTech180nm);
 
 }  // namespace rabid::core

@@ -120,10 +120,10 @@ TwoPathRoute TwoPathSearch::search(tile::TileId from, tile::TileId to,
                                    std::int32_t L,
                                    std::span<const double> wire_cost,
                                    std::span<const double> buffer_cost,
-                                   double wire_weight, double buffer_weight,
-                                   double astar_floor, bool reuse_field) {
+                                   double wire_weight, double astar_floor,
+                                   bool reuse_field) {
   RABID_ASSERT(L >= 1);
-  RABID_ASSERT(wire_weight >= 0.0 && buffer_weight >= 0.0);
+  RABID_ASSERT(wire_weight >= 0.0);
   const auto n_tiles = static_cast<std::size_t>(g_.tile_count());
   // Power-of-two row stride: state = (tile << shift) | j.  The mapping
   // is strictly increasing in lexicographic (tile, j) exactly like the
@@ -244,7 +244,7 @@ TwoPathRoute TwoPathSearch::search(tile::TileId from, tile::TileId to,
     // Buffer here: pay q(t), reset the run length.
     if (j > 0) {
       const double q = buffer_cost[static_cast<std::size_t>(t)];
-      if (std::isfinite(q)) relax(t, 0, top.d + buffer_weight * q, s);
+      if (std::isfinite(q)) relax(t, 0, top.d + q, s);
     }
     // Step to a neighbor if the length rule still allows it.
     if (j + 1 < L) {
@@ -305,18 +305,17 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
                             tile::TileId to, std::int32_t L,
                             std::span<const double> wire_cost,
                             std::span<const double> buffer_cost,
-                            double wire_weight, double buffer_weight,
-                            double astar_floor) {
+                            double wire_weight, double astar_floor) {
   TwoPathSearch search(g);
   return search.route(from, to, L, wire_cost, buffer_cost, wire_weight,
-                      buffer_weight, astar_floor);
+                      astar_floor);
 }
 
 TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
                             tile::TileId to, std::int32_t L,
                             const route::EdgeCostFn& wire_cost,
                             const buffer::TileCostFn& buffer_cost,
-                            double wire_weight, double buffer_weight) {
+                            double wire_weight) {
   std::vector<double> wires(static_cast<std::size_t>(g.edge_count()));
   for (tile::EdgeId e = 0; e < g.edge_count(); ++e) {
     wires[static_cast<std::size_t>(e)] = wire_cost(e);
@@ -326,7 +325,7 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
     sites[static_cast<std::size_t>(t)] = buffer_cost(t);
   }
   return route_two_path(g, from, to, L, wires, sites, wire_weight,
-                        buffer_weight, /*astar_floor=*/0.0);
+                        /*astar_floor=*/0.0);
 }
 
 TileTreeEditor::TileTreeEditor(const tile::TileGraph& g)
@@ -494,7 +493,6 @@ route::RouteTree TwoPathRerouter::reroute(const route::RouteTree& tree,
                                           std::span<const double> wire_cost,
                                           std::span<const double> buffer_cost,
                                           double wire_weight,
-                                          double buffer_weight,
                                           double astar_floor) {
   // Costs may have moved since the last call: no field survives it.
   // Inside this call they hold still (the net stays uncommitted).
@@ -525,7 +523,7 @@ route::RouteTree TwoPathRerouter::reroute(const route::RouteTree& tree,
     editor_.remove_path(key.first, interior, key.second);
     const TwoPathRoute reroute = search_.route_keeping_field(
         key.second, key.first, L, wire_cost, buffer_cost, wire_weight,
-        buffer_weight, astar_floor);
+        astar_floor);
     editor_.add_path(reroute.tiles);
     current = editor_.rebuild();
   }

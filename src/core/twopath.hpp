@@ -39,9 +39,9 @@ struct TwoPathRoute {
 /// Finds the min-cost reconnection between two tiles.
 /// `wire_cost`: per-edge cost (eq. 1, softened); `buffer_cost`: per-tile
 /// q(v) (may be +inf); `L`: length rule for the net.  The objective is
-/// wire_weight * wire + buffer_weight * buffer — footnote 7: the two
-/// costs "are of the same order of magnitude, so we simply add their
-/// costs. Alternatively, one could use any linear combination."
+/// wire_weight * wire + buffer — footnote 7: the two costs "are of the
+/// same order of magnitude, so we simply add their costs.
+/// Alternatively, one could use any linear combination."
 ///
 /// The span overload is the hot path: flat per-edge / per-tile cost
 /// arrays (one load per relaxation), plus optional A* targeting.
@@ -55,7 +55,6 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
                             std::span<const double> wire_cost,
                             std::span<const double> buffer_cost,
                             double wire_weight = 1.0,
-                            double buffer_weight = 1.0,
                             double astar_floor = 0.0);
 
 /// Callback convenience wrapper: materializes flat cost arrays once and
@@ -65,8 +64,7 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
                             tile::TileId to, std::int32_t L,
                             const route::EdgeCostFn& wire_cost,
                             const buffer::TileCostFn& buffer_cost,
-                            double wire_weight = 1.0,
-                            double buffer_weight = 1.0);
+                            double wire_weight = 1.0);
 
 /// Reusable (tile x L) search: all scratch — per-state distance/parent
 /// labels, the heap's backing store, the heuristic field — lives in
@@ -169,10 +167,9 @@ class TwoPathSearch {
   TwoPathRoute route(tile::TileId from, tile::TileId to, std::int32_t L,
                      std::span<const double> wire_cost,
                      std::span<const double> buffer_cost,
-                     double wire_weight = 1.0, double buffer_weight = 1.0,
-                     double astar_floor = 0.0) {
+                     double wire_weight = 1.0, double astar_floor = 0.0) {
     return search(from, to, L, wire_cost, buffer_cost, wire_weight,
-                  buffer_weight, astar_floor, /*reuse_field=*/false);
+                  astar_floor, /*reuse_field=*/false);
   }
 
   /// route() for a caller that holds the wire costs still between
@@ -184,10 +181,9 @@ class TwoPathSearch {
                                    std::int32_t L,
                                    std::span<const double> wire_cost,
                                    std::span<const double> buffer_cost,
-                                   double wire_weight, double buffer_weight,
-                                   double astar_floor) {
+                                   double wire_weight, double astar_floor) {
     return search(from, to, L, wire_cost, buffer_cost, wire_weight,
-                  buffer_weight, astar_floor, /*reuse_field=*/true);
+                  astar_floor, /*reuse_field=*/true);
   }
 
   /// Forgets the kept field: the next search builds a fresh one.
@@ -269,8 +265,8 @@ class TwoPathSearch {
   TwoPathRoute search(tile::TileId from, tile::TileId to, std::int32_t L,
                       std::span<const double> wire_cost,
                       std::span<const double> buffer_cost,
-                      double wire_weight, double buffer_weight,
-                      double astar_floor, bool reuse_field);
+                      double wire_weight, double astar_floor,
+                      bool reuse_field);
   void ensure_states(std::size_t n_states);
   /// Starts a fresh goal-rooted field aimed at `from`.
   void start_field(tile::TileId from, tile::TileId to, double astar_floor);
@@ -420,8 +416,7 @@ class TwoPathRerouter {
   route::RouteTree reroute(const route::RouteTree& tree, std::int32_t L,
                            std::span<const double> wire_cost,
                            std::span<const double> buffer_cost,
-                           double wire_weight, double buffer_weight,
-                           double astar_floor);
+                           double wire_weight, double astar_floor);
 
   /// Search plus editor scratch (obs memory.maze_scratch accounting).
   std::uint64_t memory_bytes() const {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/allocator.hpp"
+#include "core/buffer_commit.hpp"
 #include "core/twopath.hpp"
 #include "obs/counters.hpp"
 #include "timing/delay.hpp"
@@ -148,58 +149,16 @@ void IncrementalPlanner::rebuffer_net(std::size_t i) {
   core::NetState& st = nets_[i];
   const std::int32_t L =
       design_.length_limit(static_cast<netlist::NetId>(i));
-
-  // The stage-3 commit loop verbatim, at demand p(v) = 0: the batch
-  // flow's not-yet-processed-nets prediction term is meaningless in the
-  // middle of an ECO, where every other net is already committed.
-  std::vector<tile::TileId> forbidden;
-  for (int attempt = 0;; ++attempt) {
-    RABID_ASSERT_MSG(attempt < 64, "eco buffer commit failed to converge");
-    if (attempt > 0) obs::count(obs::Counter::kBufferCommitRetries);
-    const auto q = [&](tile::TileId t) {
-      if (std::find(forbidden.begin(), forbidden.end(), t) !=
-          forbidden.end()) {
-        return tile::kInfCost;
-      }
-      return graph_.buffer_cost(t, 0.0);
-    };
-    buffer::InsertionResult result = buffer::insert_buffers_planned_relaxed(
-        st.tree, L, q, options_.buffer_library);
-
-    bool ok = true;
-    std::vector<std::pair<tile::TileId, std::int32_t>> per_tile;
-    for (const route::BufferPlacement& b : result.buffers) {
-      const tile::TileId t = st.tree.node(b.node).tile;
-      auto it = std::find_if(per_tile.begin(), per_tile.end(),
-                             [&](const auto& e) { return e.first == t; });
-      if (it == per_tile.end()) {
-        per_tile.emplace_back(t, 1);
-      } else {
-        ++it->second;
-      }
-    }
-    for (const auto& [t, count] : per_tile) {
-      if (count > graph_.site_supply(t) - graph_.site_usage(t)) {
-        forbidden.push_back(t);
-        ok = false;
-      }
-    }
-    if (!ok) continue;
-
-    for (const auto& [t, count] : per_tile) {
-      for (std::int32_t k = 0; k < count; ++k) graph_.add_buffer(t);
-    }
-    obs::count(obs::Counter::kBuffersCommitted,
-               static_cast<std::uint64_t>(result.buffers.size()));
-    st.buffers = std::move(result.buffers);
-    st.buffer_types.clear();
-    for (const std::int32_t t : result.types) {
-      st.buffer_types.push_back(
-          options_.buffer_library.electrical_of(static_cast<std::size_t>(t)));
-    }
-    st.meets_length_rule = result.feasible && result.effective_limit <= L;
-    return;
-  }
+  const buffer::BufferLibrary& lib = options_.buffer_library;
+  // The stage-3 commit at demand p(v) = 0: the batch flow's
+  // not-yet-processed-nets prediction term is meaningless in the middle
+  // of an ECO, where every other net is already committed.
+  core::commit_buffers(graph_, st, L, lib,
+                       [&](std::span<const tile::TileId> forbidden) {
+                         return buffer::insert_buffers_planned_relaxed(
+                             st.tree, L, core::site_costs(graph_, forbidden),
+                             lib);
+                       });
 }
 
 void IncrementalPlanner::polish_net(std::size_t i,
@@ -224,7 +183,7 @@ void IncrementalPlanner::polish_net(std::size_t i,
   cache.refresh_tree(st.tree);
 
   // The stage-4 reroute, shared with Rabid::run_stage4.
-  st.tree = rerouter.reroute(st.tree, L, cache.values(), site_cost, 1.0, 1.0,
+  st.tree = rerouter.reroute(st.tree, L, cache.values(), site_cost, 1.0,
                              cache.min_cost());
   st.tree.commit(graph_, width);
   cache.refresh_tree(st.tree);
@@ -241,11 +200,8 @@ void IncrementalPlanner::refresh_delay(std::size_t i) {
   if (st.tree.empty()) return;
   const timing::Technology tech = timing::scaled_for_width(
       options_.tech, design_.net(static_cast<netlist::NetId>(i)).width);
-  st.delay =
-      st.buffer_types.empty()
-          ? timing::evaluate_delay(st.tree, st.buffers, graph_, tech)
-          : timing::evaluate_delay_sized(st.tree, st.buffers,
-                                         st.buffer_types, graph_, tech);
+  st.delay = timing::evaluate_delay(st.tree, st.buffers, st.buffer_types,
+                                    graph_, tech);
 }
 
 core::Status IncrementalPlanner::replan(const Perturbation& p,

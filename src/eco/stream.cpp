@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "buffer/insertion.hpp"
+#include "core/buffer_commit.hpp"
 #include "obs/counters.hpp"
 #include "timing/delay.hpp"
 #include "util/assert.hpp"
@@ -99,73 +100,31 @@ bool StreamPlanner::try_plan(netlist::NetId id) {
   tree.commit(graph_, net.width);
   cache_.refresh_tree(tree);
 
-  // Strict (non-relaxed) buffering: a streamed net parks rather than
-  // committing a length-rule violation.  Same forbidden-tile retry
-  // commit loop as the batch stage 3, at demand p(v) = 0.
+  // Strict (non-relaxed) buffering at demand p(v) = 0: a streamed net
+  // parks rather than committing a length-rule violation.
   const std::int32_t L = design_.length_limit(id);
-  std::vector<tile::TileId> forbidden;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    if (attempt > 0) obs::count(obs::Counter::kBufferCommitRetries);
-    const auto q = [&](tile::TileId t) {
-      if (std::find(forbidden.begin(), forbidden.end(), t) !=
-          forbidden.end()) {
-        return tile::kInfCost;
-      }
-      return graph_.buffer_cost(t, 0.0);
-    };
-    buffer::InsertionResult result = buffer::insert_buffers_planned(
-        tree, L, q, options_.buffer_library);
-    if (!result.feasible || result.effective_limit > L) break;
-
-    bool ok = true;
-    std::vector<std::pair<tile::TileId, std::int32_t>> per_tile;
-    for (const route::BufferPlacement& b : result.buffers) {
-      const tile::TileId t = tree.node(b.node).tile;
-      auto it = std::find_if(per_tile.begin(), per_tile.end(),
-                             [&](const auto& e) { return e.first == t; });
-      if (it == per_tile.end()) {
-        per_tile.emplace_back(t, 1);
-      } else {
-        ++it->second;
-      }
-    }
-    for (const auto& [t, count] : per_tile) {
-      if (count > graph_.site_supply(t) - graph_.site_usage(t)) {
-        forbidden.push_back(t);
-        ok = false;
-      }
-    }
-    if (!ok) continue;
-
-    for (const auto& [t, count] : per_tile) {
-      for (std::int32_t k = 0; k < count; ++k) graph_.add_buffer(t);
-    }
-    obs::count(obs::Counter::kBuffersCommitted,
-               static_cast<std::uint64_t>(result.buffers.size()));
-    core::NetState& st = nets_[static_cast<std::size_t>(id)];
-    st.tree = std::move(tree);
-    st.buffers = std::move(result.buffers);
-    st.buffer_types.clear();
-    for (const std::int32_t t : result.types) {
-      st.buffer_types.push_back(
-          options_.buffer_library.electrical_of(static_cast<std::size_t>(t)));
-    }
-    st.meets_length_rule = true;
-    const timing::Technology tech =
-        timing::scaled_for_width(options_.tech, net.width);
-    st.delay =
-        st.buffer_types.empty()
-            ? timing::evaluate_delay(st.tree, st.buffers, graph_, tech)
-            : timing::evaluate_delay_sized(st.tree, st.buffers,
-                                           st.buffer_types, graph_, tech);
-    return true;
+  const buffer::BufferLibrary& lib = options_.buffer_library;
+  core::NetState& st = nets_[static_cast<std::size_t>(id)];
+  st.tree = std::move(tree);
+  const bool buffered = core::commit_buffers(
+      graph_, st, L, lib,
+      [&](std::span<const tile::TileId> forbidden) {
+        return buffer::insert_buffers_planned(
+            st.tree, L, core::site_costs(graph_, forbidden), lib);
+      },
+      core::OnCommitFailure::kPark);
+  if (!buffered) {
+    // Buffering infeasible within the remaining sites: roll the wires
+    // back out of the books and park.
+    st.tree.uncommit(graph_, net.width);
+    cache_.refresh_tree(st.tree);
+    st = core::NetState{};
+    return false;
   }
-
-  // Buffering infeasible within the remaining sites: roll the wires
-  // back out of the books and park.
-  tree.uncommit(graph_, net.width);
-  cache_.refresh_tree(tree);
-  return false;
+  st.delay = timing::evaluate_delay(
+      st.tree, st.buffers, st.buffer_types, graph_,
+      timing::scaled_for_width(options_.tech, net.width));
+  return true;
 }
 
 core::Status StreamPlanner::remove_net(netlist::NetId id) {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "buffer/insertion.hpp"
+#include "core/buffer_commit.hpp"
 #include "obs/counters.hpp"
 #include "timing/delay.hpp"
 #include "util/assert.hpp"
@@ -43,31 +44,6 @@ bool same_tree(const route::RouteTree& a, const route::RouteTree& b) {
     }
   }
   return true;
-}
-
-bool same_buffers(const route::BufferList& a, const route::BufferList& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].node != b[i].node || a[i].child != b[i].child) return false;
-  }
-  return true;
-}
-
-/// Buffer count per distinct tile of one placement list.
-std::vector<std::pair<tile::TileId, std::int32_t>> buffers_per_tile(
-    const route::RouteTree& tree, const route::BufferList& buffers) {
-  std::vector<std::pair<tile::TileId, std::int32_t>> per_tile;
-  for (const route::BufferPlacement& b : buffers) {
-    const tile::TileId t = tree.node(b.node).tile;
-    auto it = std::find_if(per_tile.begin(), per_tile.end(),
-                           [&](const auto& p) { return p.first == t; });
-    if (it == per_tile.end()) {
-      per_tile.emplace_back(t, 1);
-    } else {
-      ++it->second;
-    }
-  }
-  return per_tile;
 }
 
 }  // namespace
@@ -162,18 +138,15 @@ void McfAllocator::run_phase(util::ThreadPool* pool) {
     const auto match =
         std::find_if(cands.begin(), cands.end(), [&](const Candidate& c) {
           return same_tree(c.tree, r.tree) &&
-                 same_buffers(c.buffers, r.insertion.buffers) &&
-                 c.types == r.insertion.types;
+                 c.insertion.buffers == r.insertion.buffers &&
+                 c.insertion.types == r.insertion.types;
         });
     if (match != cands.end()) {
       ++match->count;
     } else {
-      const std::int32_t L = design_.length_limit(id);
       Candidate c;
       c.tree = std::move(r.tree);
-      c.buffers = std::move(r.insertion.buffers);
-      c.types = std::move(r.insertion.types);
-      c.rule_ok = r.insertion.feasible && r.insertion.effective_limit <= L;
+      c.insertion = std::move(r.insertion);
       c.count = 1;
       cands.push_back(std::move(c));
       obs::count(obs::Counter::kMcfCandidatesKept);
@@ -208,28 +181,19 @@ bool McfAllocator::fits(const netlist::NetId id, const Candidate& cand) const {
         graph_.edge_between(node.tile, cand.tree.node(node.parent).tile);
     if (graph_.wire_usage(e) + width > graph_.wire_capacity(e)) return false;
   }
-  for (const auto& [t, need] : buffers_per_tile(cand.tree, cand.buffers)) {
-    if (graph_.site_usage(t) + need > graph_.site_supply(t)) return false;
-  }
-  return true;
+  return core::buffers_fit(graph_, cand.tree, cand.insertion.buffers);
 }
 
 void McfAllocator::commit(netlist::NetId id, const Candidate& cand) {
   core::NetState& state = nets_[static_cast<std::size_t>(id)];
   state.tree = cand.tree;
   state.tree.commit(graph_, design_.net(id).width);
-  for (const auto& [t, need] : buffers_per_tile(state.tree, cand.buffers)) {
-    for (std::int32_t k = 0; k < need; ++k) graph_.add_buffer(t);
-  }
-  obs::count(obs::Counter::kBuffersCommitted,
-             static_cast<std::uint64_t>(cand.buffers.size()));
-  state.buffers = cand.buffers;
-  state.buffer_types.clear();
-  for (const std::int32_t t : cand.types) {
-    state.buffer_types.push_back(
-        options_.buffer_library.electrical_of(static_cast<std::size_t>(t)));
-  }
-  state.meets_length_rule = cand.rule_ok;
+  // fits() held, so the first proposal books.
+  core::commit_buffers(graph_, state, design_.length_limit(id),
+                       options_.buffer_library,
+                       [&](std::span<const tile::TileId>) {
+                         return cand.insertion;
+                       });
 }
 
 void McfAllocator::route_fallback(netlist::NetId id,
@@ -243,45 +207,16 @@ void McfAllocator::route_fallback(netlist::NetId id,
   cache.refresh_tree(state.tree);
 
   // Buffer under live eq. (2) costs (infinite at full tiles, so
-  // b(v) <= B(v) holds by construction), with the stage-3 forbidden-tile
-  // retry against single-net oversubscription.
+  // b(v) <= B(v) holds by construction), with the stage-3 commit
+  // against single-net oversubscription.
   const std::int32_t L = design_.length_limit(id);
-  std::vector<tile::TileId> forbidden;
-  for (int attempt = 0;; ++attempt) {
-    RABID_ASSERT_MSG(attempt < 64, "mcf buffer commit failed to converge");
-    if (attempt > 0) obs::count(obs::Counter::kBufferCommitRetries);
-    const auto q = [&](tile::TileId t) {
-      if (std::find(forbidden.begin(), forbidden.end(), t) != forbidden.end())
-        return tile::kInfCost;
-      return graph_.buffer_cost(t, 0.0);
-    };
-    buffer::InsertionResult result = buffer::insert_buffers_planned_relaxed(
-        state.tree, L, q, options_.buffer_library);
-
-    bool ok = true;
-    const auto per_tile = buffers_per_tile(state.tree, result.buffers);
-    for (const auto& [t, need] : per_tile) {
-      if (need > graph_.site_supply(t) - graph_.site_usage(t)) {
-        forbidden.push_back(t);
-        ok = false;
-      }
-    }
-    if (!ok) continue;
-
-    for (const auto& [t, need] : per_tile) {
-      for (std::int32_t k = 0; k < need; ++k) graph_.add_buffer(t);
-    }
-    obs::count(obs::Counter::kBuffersCommitted,
-               static_cast<std::uint64_t>(result.buffers.size()));
-    state.buffers = std::move(result.buffers);
-    state.buffer_types.clear();
-    for (const std::int32_t t : result.types) {
-      state.buffer_types.push_back(
-          options_.buffer_library.electrical_of(static_cast<std::size_t>(t)));
-    }
-    state.meets_length_rule = result.feasible && result.effective_limit <= L;
-    return;
-  }
+  const buffer::BufferLibrary& lib = options_.buffer_library;
+  core::commit_buffers(graph_, state, L, lib,
+                       [&](std::span<const tile::TileId> forbidden) {
+                         return buffer::insert_buffers_planned_relaxed(
+                             state.tree, L, core::site_costs(graph_, forbidden),
+                             lib);
+                       });
 }
 
 void McfAllocator::refresh_delays(util::ThreadPool* pool) {
@@ -290,12 +225,8 @@ void McfAllocator::refresh_delays(util::ThreadPool* pool) {
     if (n.tree.empty()) return;
     const timing::Technology tech = timing::scaled_for_width(
         options_.tech, design_.net(static_cast<netlist::NetId>(i)).width);
-    if (n.buffer_types.empty()) {
-      n.delay = timing::evaluate_delay(n.tree, n.buffers, graph_, tech);
-    } else {
-      n.delay = timing::evaluate_delay_sized(n.tree, n.buffers,
-                                             n.buffer_types, graph_, tech);
-    }
+    n.delay =
+        timing::evaluate_delay(n.tree, n.buffers, n.buffer_types, graph_, tech);
   };
   if (pool != nullptr) {
     pool->parallel_for(0, nets_.size(), refresh_one);

@@ -96,10 +96,8 @@ class McfAllocator final : public core::Allocator {
   /// One integral per-net solution with its fractional weight.
   struct Candidate {
     route::RouteTree tree;
-    route::BufferList buffers;
-    std::vector<std::int32_t> types;  ///< library indices, empty = unit
-    bool rule_ok = false;             ///< DP met the net's true L_i
-    std::int32_t count = 0;           ///< phases that produced this
+    buffer::InsertionResult insertion;  ///< the DP's buffering of `tree`
+    std::int32_t count = 0;             ///< phases that produced this
   };
   /// One oracle invocation's raw output (pre-dedup).
   struct OracleResult {

@@ -6,12 +6,11 @@
 
 namespace rabid::timing {
 
-DelayResult evaluate_delay_sized(const route::RouteTree& tree,
-                                 const route::BufferList& buffers,
-                                 std::span<const BufferType> types,
-                                 const tile::TileGraph& g,
-                                 const Technology& tech) {
-  RABID_ASSERT_MSG(types.size() == buffers.size(),
+DelayResult evaluate_delay(const route::RouteTree& tree,
+                           const route::BufferList& buffers,
+                           std::span<const buffer::BufferType> types,
+                           const tile::TileGraph& g, const Technology& tech) {
+  RABID_ASSERT_MSG(types.empty() || types.size() == buffers.size(),
                    "one library cell per buffer placement");
   DelayResult result;
   if (tree.empty()) return result;
@@ -43,7 +42,11 @@ DelayResult evaluate_delay_sized(const route::RouteTree& tree,
   std::vector<RcTree::NodeId> main(n_nodes, RcTree::kNoNode);
 
   auto add_buffer = [&](RcTree::NodeId at, std::size_t index) {
-    const BufferType& t = types[index];
+    if (types.empty()) {
+      return rc.add_gate(at, tech.buffer_cap, tech.buffer_res,
+                         tech.buffer_intrinsic_ps);
+    }
+    const buffer::BufferType& t = types[index];
     return rc.add_gate(at, t.input_cap, t.output_res, t.intrinsic_ps);
   };
 
@@ -90,16 +93,6 @@ DelayResult evaluate_delay_sized(const route::RouteTree& tree,
     }
   }
   return result;
-}
-
-DelayResult evaluate_delay(const route::RouteTree& tree,
-                           const route::BufferList& buffers,
-                           const tile::TileGraph& g, const Technology& tech) {
-  // All placements realize the unit buffer of `tech`.
-  const BufferType unit{"BUF_X1", 1.0, tech.buffer_cap, tech.buffer_res,
-                        tech.buffer_intrinsic_ps, false};
-  const std::vector<BufferType> types(buffers.size(), unit);
-  return evaluate_delay_sized(tree, buffers, types, g, tech);
 }
 
 }  // namespace rabid::timing

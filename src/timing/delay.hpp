@@ -10,10 +10,10 @@
 #include <span>
 #include <vector>
 
+#include "buffer/library.hpp"
 #include "route/buffers.hpp"
 #include "route/route_tree.hpp"
 #include "tile/tile_graph.hpp"
-#include "timing/buffer_library.hpp"
 #include "timing/rc_tree.hpp"
 #include "timing/tech.hpp"
 
@@ -33,26 +33,19 @@ struct DelayResult {
 
 /// Evaluates source-to-sink Elmore delays for `tree` carrying `buffers`.
 /// `buffers` entries must reference valid tree nodes/children.
-/// Every buffer uses the unit repeater from `tech`.
+/// `types[i]` is the library cell realizing `buffers[i]`; an empty
+/// `types` means every buffer is the unit repeater of `tech`.
 DelayResult evaluate_delay(const route::RouteTree& tree,
                            const route::BufferList& buffers,
+                           std::span<const buffer::BufferType> types,
                            const tile::TileGraph& g,
                            const Technology& tech = kTech180nm);
-
-/// Size-aware variant: `types[i]` is the library cell realizing
-/// `buffers[i]` (see timing/buffer_library.hpp).  Requires
-/// types.size() == buffers.size().
-DelayResult evaluate_delay_sized(const route::RouteTree& tree,
-                                 const route::BufferList& buffers,
-                                 std::span<const BufferType> types,
-                                 const tile::TileGraph& g,
-                                 const Technology& tech = kTech180nm);
 
 /// Shorthand for an unbuffered route.
 inline DelayResult evaluate_delay(const route::RouteTree& tree,
                                   const tile::TileGraph& g,
                                   const Technology& tech = kTech180nm) {
-  return evaluate_delay(tree, {}, g, tech);
+  return evaluate_delay(tree, {}, {}, g, tech);
 }
 
 }  // namespace rabid::timing

@@ -112,8 +112,8 @@ route::RouteTree random_tree(const tile::TileGraph& g, util::Rng& rng,
   return t;
 }
 
-BufferTypeSpec spec(const char* name, double cost_scale, double drive_scale) {
-  BufferTypeSpec s;
+BufferType spec(const char* name, double cost_scale, double drive_scale) {
+  BufferType s;
   s.name = name;
   s.cost_scale = cost_scale;
   s.drive_scale = drive_scale;

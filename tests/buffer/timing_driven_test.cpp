@@ -10,9 +10,6 @@
 namespace rabid::buffer {
 namespace {
 
-using timing::BufferLibrary;
-using timing::BufferType;
-
 tile::TileGraph make_graph(std::int32_t nx = 16, std::int32_t ny = 4,
                            double tile_um = 1000.0) {
   return tile::TileGraph(
@@ -29,6 +26,16 @@ route::RouteTree chain(const tile::TileGraph& g, std::int32_t len) {
 
 const TileAllowFn kAllowAll = [](tile::TileId) { return true; };
 
+/// The cells a result's library indices name.
+std::vector<BufferType> cells_of(const BufferLibrary& lib,
+                                 const std::vector<std::int32_t>& types) {
+  std::vector<BufferType> cells;
+  for (const std::int32_t t : types) {
+    cells.push_back(lib.type(static_cast<std::size_t>(t)));
+  }
+  return cells;
+}
+
 /// Exhaustive optimum over all placement subsets x cell choices for
 /// small trees, using the same Elmore evaluator.
 double brute_force_delay(const route::RouteTree& tree,
@@ -43,9 +50,11 @@ double brute_force_delay(const route::RouteTree& tree,
       slots.push_back({v, route::kNoNode});
     }
   }
-  const auto cells = lib.buffers();
-  double best =
-      timing::evaluate_delay(tree, {}, g).max_ps;  // no buffers at all
+  std::vector<BufferType> cells;
+  for (const BufferType& c : lib.types()) {
+    if (!c.inverting) cells.push_back(c);
+  }
+  double best = timing::evaluate_delay(tree, g).max_ps;  // no buffers at all
   // Enumerate subsets; per selected slot enumerate cells (mixed-radix).
   const std::uint32_t count = 1U << slots.size();
   for (std::uint32_t mask = 1; mask < count; ++mask) {
@@ -59,7 +68,7 @@ double brute_force_delay(const route::RouteTree& tree,
       for (const std::size_t r : radix) types.push_back(cells[r]);
       best = std::min(
           best,
-          timing::evaluate_delay_sized(tree, chosen, types, g).max_ps);
+          timing::evaluate_delay(tree, chosen, types, g).max_ps);
       std::size_t d = 0;
       while (d < radix.size() && ++radix[d] == cells.size()) {
         radix[d++] = 0;
@@ -76,7 +85,7 @@ TEST(VanGinneken, MatchesEvaluatorOnItsOwnSolution) {
   const BufferLibrary lib = BufferLibrary::standard_180nm();
   const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
   const timing::DelayResult check =
-      timing::evaluate_delay_sized(t, r.buffers, r.types, g);
+      timing::evaluate_delay(t, r.buffers, cells_of(lib, r.types), g);
   EXPECT_NEAR(r.delay_ps, check.max_ps, 1e-6);
 }
 
@@ -100,7 +109,7 @@ TEST(VanGinneken, OptimalOnSmallTreeUnitLibrary) {
   route::NodeId right = t.add_child(cur, g.id_of({3, 0}));
   right = t.add_child(right, g.id_of({4, 0}));
   t.add_sink(right);
-  const BufferLibrary lib = BufferLibrary::unit_only();
+  const BufferLibrary lib;  // the unit cell alone
   const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
   const double brute = brute_force_delay(t, g, lib, kAllowAll);
   EXPECT_NEAR(r.delay_ps, brute, brute * 1e-9);
@@ -127,11 +136,13 @@ TEST(VanGinneken, NeverWorseThanUnbuffered) {
     t.add_sink(b);
     const BufferLibrary lib = BufferLibrary::standard_180nm();
     const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
-    EXPECT_LE(r.delay_ps, timing::evaluate_delay(t, {}, g).max_ps + 1e-9);
+    EXPECT_LE(r.delay_ps, timing::evaluate_delay(t, g).max_ps + 1e-9);
     // And the reported delay is self-consistent.
-    EXPECT_NEAR(r.delay_ps,
-                timing::evaluate_delay_sized(t, r.buffers, r.types, g).max_ps,
-                1e-6);
+    EXPECT_NEAR(
+        r.delay_ps,
+        timing::evaluate_delay(t, r.buffers, cells_of(lib, r.types), g)
+            .max_ps,
+        1e-6);
   }
 }
 
@@ -158,7 +169,7 @@ TEST(VanGinneken, NoBuffersWhenTheyDoNotHelp) {
   const BufferLibrary lib = BufferLibrary::standard_180nm();
   const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
   EXPECT_TRUE(r.buffers.empty());
-  EXPECT_NEAR(r.delay_ps, timing::evaluate_delay(t, {}, g).max_ps, 1e-9);
+  EXPECT_NEAR(r.delay_ps, timing::evaluate_delay(t, g).max_ps, 1e-9);
 }
 
 TEST(VanGinneken, LongWireGetsRepeaters) {
@@ -167,7 +178,7 @@ TEST(VanGinneken, LongWireGetsRepeaters) {
   const BufferLibrary lib = BufferLibrary::standard_180nm();
   const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
   EXPECT_GE(r.buffers.size(), 2U);
-  EXPECT_LT(r.delay_ps, timing::evaluate_delay(t, {}, g).max_ps / 2.0);
+  EXPECT_LT(r.delay_ps, timing::evaluate_delay(t, g).max_ps / 2.0);
 }
 
 TEST(VanGinneken, DecouplesHeavySideBranchForCriticalPath) {
@@ -184,8 +195,8 @@ TEST(VanGinneken, DecouplesHeavySideBranchForCriticalPath) {
   const BufferLibrary lib = BufferLibrary::standard_180nm();
   const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
   const timing::DelayResult d =
-      timing::evaluate_delay_sized(t, r.buffers, r.types, g);
-  const timing::DelayResult plain = timing::evaluate_delay(t, {}, g);
+      timing::evaluate_delay(t, r.buffers, cells_of(lib, r.types), g);
+  const timing::DelayResult plain = timing::evaluate_delay(t, g);
   EXPECT_LT(d.max_ps, plain.max_ps);
   EXPECT_FALSE(r.buffers.empty());
 }
@@ -199,9 +210,11 @@ TEST(VanGinnekenInverters, NeverWorseThanBufferOnly) {
   const TimingDrivenResult inv =
       van_ginneken_with_inverters(t, g, lib, kAllowAll);
   EXPECT_LE(inv.delay_ps, buf.delay_ps + 1e-9);
-  EXPECT_NEAR(inv.delay_ps,
-              timing::evaluate_delay_sized(t, inv.buffers, inv.types, g).max_ps,
-              1e-6);
+  EXPECT_NEAR(
+      inv.delay_ps,
+      timing::evaluate_delay(t, inv.buffers, cells_of(lib, inv.types), g)
+          .max_ps,
+      1e-6);
 }
 
 TEST(VanGinnekenInverters, EverySinkSeesEvenInversionCount) {
@@ -228,7 +241,9 @@ TEST(VanGinnekenInverters, EverySinkSeesEvenInversionCount) {
     for (route::NodeId x = sink; x != route::kNoNode;
          x = t.node(x).parent) {
       for (std::size_t i = 0; i < r.buffers.size(); ++i) {
-        if (!r.types[i].inverting) continue;
+        if (!lib.type(static_cast<std::size_t>(r.types[i])).inverting) {
+          continue;
+        }
         const route::BufferPlacement& b = r.buffers[i];
         // Driving repeater at x, or a decoupling repeater on the arc
         // parent(x)->x: both lie on this sink's signal path.
@@ -258,7 +273,7 @@ TEST(VanGinnekenInverters, OptimalOnSmallChainWithParity) {
     slots.push_back({p, v});
   }
   const auto cells = lib.types();
-  double best = timing::evaluate_delay(t, {}, g).max_ps;
+  double best = timing::evaluate_delay(t, g).max_ps;
   const std::uint32_t count = 1U << slots.size();
   for (std::uint32_t mask = 1; mask < count; ++mask) {
     route::BufferList chosen;
@@ -276,7 +291,7 @@ TEST(VanGinnekenInverters, OptimalOnSmallChainWithParity) {
       if (inverters % 2 == 0) {
         best = std::min(
             best,
-            timing::evaluate_delay_sized(t, chosen, types, g).max_ps);
+            timing::evaluate_delay(t, chosen, types, g).max_ps);
       }
       std::size_t d = 0;
       while (d < radix.size() && ++radix[d] == cells.size()) radix[d++] = 0;
@@ -298,8 +313,8 @@ TEST(VanGinnekenInverters, UsesInvertersWhenProfitable) {
   const TimingDrivenResult r =
       van_ginneken_with_inverters(t, g, lib, kAllowAll);
   int inverters = 0;
-  for (const BufferType& ty : r.types) {
-    if (ty.inverting) ++inverters;
+  for (const std::int32_t ty : r.types) {
+    if (lib.type(static_cast<std::size_t>(ty)).inverting) ++inverters;
   }
   EXPECT_GT(inverters, 0);
   EXPECT_EQ(inverters % 2, 0);

@@ -256,7 +256,7 @@ TEST(Audit, CatchesNamelessTypeTag) {
   Paper4Flow f("apte");
   std::vector<core::NetState> nets = f.rabid.nets();
   const std::size_t victim = f.tagged_net(nets);
-  nets[victim].buffer_types[0].name = std::string_view{};
+  nets[victim].buffer_types[0].name.clear();
   const core::AuditReport report =
       core::SolutionAuditor(f.design, f.graph, f.audit_options()).audit(nets);
   EXPECT_FALSE(report.clean());

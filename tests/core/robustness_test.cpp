@@ -13,7 +13,9 @@
 #include <sstream>
 #include <string>
 
+#include "circuits/generator.hpp"
 #include "circuits/random_circuit.hpp"
+#include "circuits/specs.hpp"
 #include "core/checkpoint.hpp"
 #include "core/rabid.hpp"
 #include "core/run_report.hpp"
@@ -180,32 +182,43 @@ TEST(Deadline, BudgetBeyondTheClockRangeNeverExpires) {
 // Checkpoint/resume: resuming any stage reproduces the straight run
 // bit for bit.
 
-TEST(Checkpoint, ResumeIsBitIdentical) {
-  const circuits::RandomCircuit circuit(5);
-  const netlist::Design design = circuit.design();
+/// Runs stages 1-4 straight, checkpointing after `stage`, resumes a
+/// fresh instance from that checkpoint, and expects the same solution.
+void expect_resume_bit_identical(const netlist::Design& design,
+                                 const tile::TileGraph& fresh_graph,
+                                 const RabidOptions& options, int stage) {
   const std::string dir =
       testing::TempDir() + "rabid-checkpoint-resume-test";
   std::filesystem::create_directories(dir);
 
-  tile::TileGraph ref_graph = circuit.graph(design);
-  Rabid reference(design, ref_graph, {});
+  tile::TileGraph ref_graph = fresh_graph;
+  Rabid reference(design, ref_graph, options);
   reference.run_stage1();
+  if (stage == 1) {
+    ASSERT_TRUE(write_checkpoint(dir, reference, 1));
+  }
   reference.run_stage2();
-  ASSERT_TRUE(write_checkpoint(dir, reference, 2));
+  if (stage == 2) {
+    ASSERT_TRUE(write_checkpoint(dir, reference, 2));
+  }
   reference.run_stage3();
+  if (stage == 3) {
+    ASSERT_TRUE(write_checkpoint(dir, reference, 3));
+  }
   reference.run_stage4();
 
   Result<CheckpointManifest> manifest = read_checkpoint_manifest(dir);
   ASSERT_TRUE(manifest.ok()) << manifest.status().to_string();
-  EXPECT_EQ(manifest.value().stage, 2);
+  EXPECT_EQ(manifest.value().stage, stage);
   EXPECT_EQ(manifest.value().design, design.name());
 
-  tile::TileGraph graph = circuit.graph(design);
-  Rabid resumed(design, graph, {});
+  tile::TileGraph graph = fresh_graph;
+  Rabid resumed(design, graph, options);
   int completed = 0;
   ASSERT_TRUE(resume_from_checkpoint(dir, resumed, &completed));
-  EXPECT_EQ(completed, 2);
-  resumed.run_stage3();
+  EXPECT_EQ(completed, stage);
+  if (completed < 2) resumed.run_stage2();
+  if (completed < 3) resumed.run_stage3();
   resumed.run_stage4();
 
   const fuzz::SolutionDiff diff = fuzz::diff_solutions(
@@ -213,9 +226,35 @@ TEST(Checkpoint, ResumeIsBitIdentical) {
   EXPECT_TRUE(diff.identical())
       << diff.total << " differences, first: "
       << (diff.entries.empty() ? "" : diff.entries.front());
+  std::ostringstream want;
+  std::ostringstream got;
+  write_solution(want, design, ref_graph, reference.nets());
+  write_solution(got, design, graph, resumed.nets());
+  EXPECT_TRUE(got.str() == want.str()) << "solution dumps differ";
   EXPECT_TRUE(resumed.audit().clean());
 
   std::filesystem::remove_all(dir);
+}
+
+TEST(Checkpoint, ResumeIsBitIdentical) {
+  {
+    SCOPED_TRACE("unit library, after stage 2");
+    const circuits::RandomCircuit circuit(5);
+    const netlist::Design design = circuit.design();
+    expect_resume_bit_identical(design, circuit.graph(design), {}, 2);
+  }
+  {
+    // The stage-3 dump carries multi-type cell names; the resumed run
+    // must read them back against its own library.
+    SCOPED_TRACE("paper4 library, after stage 3");
+    const circuits::CircuitSpec& spec = circuits::spec_by_name("apte");
+    const netlist::Design design = circuits::generate_design(spec);
+    RabidOptions options;
+    ASSERT_TRUE(
+        buffer::BufferLibrary::preset("paper4", &options.buffer_library));
+    expect_resume_bit_identical(
+        design, circuits::build_tile_graph(design, spec), options, 3);
+  }
 }
 
 TEST(Checkpoint, HostileManifestsAreStructuredErrors) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 
 #include "circuits/generator.hpp"
@@ -8,7 +9,6 @@
 #include "core/rabid.hpp"
 #include "core/solution_io.hpp"
 #include "fuzz/differential.hpp"
-#include "timing/buffer_library.hpp"
 
 namespace rabid {
 namespace {
@@ -27,11 +27,11 @@ struct RoundTrip {
 
 RoundTrip round_trip(const netlist::Design& design,
                      const tile::TileGraph& graph, const core::Rabid& rabid,
-                     const timing::BufferLibrary* library) {
+                     std::span<const buffer::BufferLibrary> libraries) {
   std::stringstream io;
   core::write_solution(io, design, graph, rabid.nets());
   RoundTrip rt;
-  rt.loaded = core::read_solution(io, design, graph, library,
+  rt.loaded = core::read_solution(io, design, graph, libraries,
                                   rabid.options().tech);
   rt.diff = fuzz::diff_solutions(design, graph, rabid.nets(), graph,
                                  rt.loaded.nets);
@@ -46,7 +46,7 @@ TEST(SolutionRoundTrip, FullFlowSurvivesSaveLoadAudit) {
   core::Rabid rabid(design, graph);
   rabid.run_all();
 
-  const RoundTrip rt = round_trip(design, graph, rabid, nullptr);
+  const RoundTrip rt = round_trip(design, graph, rabid, {});
   EXPECT_EQ(rt.loaded.design, design.name());
   EXPECT_EQ(rt.loaded.nets.size(), design.nets().size());
   EXPECT_TRUE(rt.diff.identical()) << rt.diff.entries.front();
@@ -67,11 +67,11 @@ TEST(SolutionRoundTrip, SizedBuffersSurviveViaTheLibrary) {
   tile::TileGraph graph = circuits::build_tile_graph(design, spec);
   core::Rabid rabid(design, graph);
   rabid.run_all();
-  const timing::BufferLibrary library =
-      timing::BufferLibrary::standard_180nm();
+  const buffer::BufferLibrary library =
+      buffer::BufferLibrary::standard_180nm();
   rabid.rebuffer_timing_driven(6, library);
 
-  const RoundTrip rt = round_trip(design, graph, rabid, &library);
+  const RoundTrip rt = round_trip(design, graph, rabid, {&library, 1});
   EXPECT_TRUE(rt.diff.identical())
       << (rt.diff.entries.empty() ? "" : rt.diff.entries.front());
   EXPECT_TRUE(rt.audit.clean()) << rt.audit.summary();

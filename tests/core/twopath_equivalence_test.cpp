@@ -40,7 +40,7 @@ class ReferenceSearch {
 
   TwoPathRoute route(tile::TileId from, tile::TileId to, std::int32_t L,
                      std::span<const double> wire,
-                     std::span<const double> site, double ww, double bw,
+                     std::span<const double> site, double ww,
                      double floor) {
     const auto n = static_cast<std::size_t>(g_.tile_count());
     const std::uint32_t shift =
@@ -133,7 +133,7 @@ class ReferenceSearch {
       }
       if (j > 0) {
         const double q = site[static_cast<std::size_t>(t)];
-        if (std::isfinite(q)) relax(state_of(t, 0), d + bw * q, s, t);
+        if (std::isfinite(q)) relax(state_of(t, 0), d + q, s, t);
       }
       if (j + 1 < L) {
         const tile::TileGraph::Adjacency* adj = g_.adjacency(t);
@@ -267,11 +267,11 @@ void replay_stage4(const std::string& name, const netlist::Design& design,
 
       const auto [from, to] = std::pair{key.second, key.first};
       const TwoPathRoute want =
-          reference.route(from, to, L, wire, site, 1.0, 1.0, floor);
+          reference.route(from, to, L, wire, site, 1.0, floor);
       const TwoPathRoute fresh =
-          route_two_path(graph, from, to, L, wire, site, 1.0, 1.0, floor);
+          route_two_path(graph, from, to, L, wire, site, 1.0, floor);
       const TwoPathRoute kept = shared.route_keeping_field(
-          from, to, L, wire, site, 1.0, 1.0, floor);
+          from, to, L, wire, site, 1.0, floor);
       ++tally->searches;
       if (to == last_goal) ++tally->same_goal;
       last_goal = to;
@@ -292,7 +292,7 @@ void replay_stage4(const std::string& name, const netlist::Design& design,
       ASSERT_TRUE(same_tree(shared_editor.rebuild(), current))
           << where << " (reused editor)";
     }
-    ASSERT_TRUE(same_tree(rerouter.reroute(st.tree, L, wire, site, 1.0, 1.0,
+    ASSERT_TRUE(same_tree(rerouter.reroute(st.tree, L, wire, site, 1.0,
                                            floor),
                           current))
         << name << " net " << i << " (rerouter)";
@@ -469,9 +469,9 @@ TEST(TwoPathEquivalence, SameGoalFromManySourcesKeepsOneField) {
                  : static_cast<tile::TileId>(
                        rng.uniform_int(0, g.tile_count() - 1));
       const TwoPathRoute want = reference.route(
-          from, to, L, cache.values(), site, 1.0, 1.0, cache.min_cost());
+          from, to, L, cache.values(), site, 1.0, cache.min_cost());
       const TwoPathRoute kept = shared.route_keeping_field(
-          from, to, L, cache.values(), site, 1.0, 1.0, cache.min_cost());
+          from, to, L, cache.values(), site, 1.0, cache.min_cost());
       ASSERT_EQ(kept.tiles, want.tiles)
           << "goal round " << goal_round << " source " << k;
       ASSERT_EQ(std::bit_cast<std::uint64_t>(kept.cost),
@@ -511,13 +511,13 @@ TEST(TwoPathEquivalence, RerouterNeverKeepsAFieldAcrossCalls) {
   // so only the rerouter's own rule keeps the field from being reused.
   const double floor = 0.25;
   TwoPathRerouter kept(g);
-  EXPECT_TRUE(same_tree(kept.reroute(tree, 6, before, site, 1.0, 1.0, floor),
+  EXPECT_TRUE(same_tree(kept.reroute(tree, 6, before, site, 1.0, floor),
                         tree));
   TwoPathRerouter fresh(g);
   const route::RouteTree want =
-      fresh.reroute(tree, 6, after, site, 1.0, 1.0, floor);
+      fresh.reroute(tree, 6, after, site, 1.0, floor);
   EXPECT_FALSE(same_tree(want, tree));  // the costs really moved the route
-  EXPECT_TRUE(same_tree(kept.reroute(tree, 6, after, site, 1.0, 1.0, floor),
+  EXPECT_TRUE(same_tree(kept.reroute(tree, 6, after, site, 1.0, floor),
                         want));
 }
 

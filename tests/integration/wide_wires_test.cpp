@@ -35,18 +35,18 @@ TEST(WideWires, FasterWhenWireResistanceDominates) {
 
   timing::Technology strong = timing::kTech180nm;
   strong.driver_res = 20.0;  // repeater-class driver
-  const double thin = timing::evaluate_delay(t, {}, g, strong).max_ps;
+  const double thin = timing::evaluate_delay(t, g, strong).max_ps;
   const double wide =
-      timing::evaluate_delay(t, {}, g, timing::scaled_for_width(strong, 2))
+      timing::evaluate_delay(t, g, timing::scaled_for_width(strong, 2))
           .max_ps;
   EXPECT_LT(wide, thin);
 
   // Weak-driver regime: the 1.65x capacitance costs more than the
   // halved resistance saves; wide is NOT automatically better.
-  const double thin_weak = timing::evaluate_delay(t, {}, g).max_ps;
+  const double thin_weak = timing::evaluate_delay(t, g).max_ps;
   const double wide_weak =
       timing::evaluate_delay(
-          t, {}, g, timing::scaled_for_width(timing::kTech180nm, 2))
+          t, g, timing::scaled_for_width(timing::kTech180nm, 2))
           .max_ps;
   EXPECT_GT(wide_weak, thin_weak * 0.95);
 }

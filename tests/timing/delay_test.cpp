@@ -53,7 +53,7 @@ TEST(Delay, MidpointBufferBeatsUnbuffered) {
   const double plain = evaluate_delay(t, g).max_ps;
   const route::NodeId mid = t.node_at(g.id_of({5, 0}));
   const double buffered =
-      evaluate_delay(t, {{mid, route::kNoNode}}, g).max_ps;
+      evaluate_delay(t, {{mid, route::kNoNode}}, {}, g).max_ps;
   EXPECT_LT(buffered, plain);
 }
 
@@ -72,7 +72,7 @@ TEST(Delay, DecouplingIsolatesSideBranchLoad) {
   const route::NodeId first_branch_node = t.node_at(g2.id_of({2, 1}));
   const DelayResult plain = evaluate_delay(t, g2);
   const DelayResult dec =
-      evaluate_delay(t, {{branch, first_branch_node}}, g2);
+      evaluate_delay(t, {{branch, first_branch_node}}, {}, g2);
   // Decoupling the branch removes its capacitance from A's path.
   ASSERT_EQ(plain.sink_delays_ps.size(), 2U);
   EXPECT_LT(dec.sink_delays_ps[0], plain.sink_delays_ps[0]);  // sink A
@@ -103,7 +103,7 @@ TEST(Delay, BufferAtSourceAddsStage) {
   const route::RouteTree t = chain(g, 2);
   // A driving buffer on the first route node (not the root).
   const route::NodeId n1 = t.node_at(g.id_of({1, 0}));
-  const DelayResult r = evaluate_delay(t, {{n1, route::kNoNode}}, g);
+  const DelayResult r = evaluate_delay(t, {{n1, route::kNoNode}}, {}, g);
   EXPECT_GT(r.max_ps, 0.0);
   // Short net: the extra buffer hurts (intrinsic + extra stage).
   EXPECT_GT(r.max_ps, evaluate_delay(t, g).max_ps);

@@ -510,7 +510,7 @@ int main(int argc, char** argv) {
     if (args.vg > 0 && !rabid.timed_out()) {
       print_stats_row(
           table, rabid.rebuffer_timing_driven(
-                     args.vg, timing::BufferLibrary::standard_180nm(),
+                     args.vg, buffer::BufferLibrary::standard_180nm(),
                      args.inverters));
     }
     table.print();
