@@ -10,17 +10,10 @@ core::Result<std::unique_ptr<core::Allocator>> make_allocator(
     core::Backend backend, const netlist::Design& design,
     tile::TileGraph& graph, AllocatorConfig config) {
   const std::string name(core::backend_name(backend));
-  if (backend != core::Backend::kRabid) {
-    if (config.rabid.deadline_ms != 0.0) {
-      return core::Status::invalid_input(
-          "backend '" + name + "' does not support deadlines",
-          "allocator config");
-    }
-    if (config.rabid.checkpoint_every_nets != 0) {
-      return core::Status::invalid_input(
-          "backend '" + name + "' does not support checkpoints",
-          "allocator config");
-    }
+  if (backend != core::Backend::kRabid && config.rabid.deadline_ms != 0.0) {
+    return core::Status::invalid_input(
+        "backend '" + name + "' does not support deadlines",
+        "allocator config");
   }
   switch (backend) {
     case core::Backend::kRabid:

@@ -9,13 +9,11 @@
 /// backend_compare — link this instead of each backend library.
 ///
 /// make_allocator validates the configuration against the backend's
-/// capability contract before constructing anything: deadlines and
-/// checkpoints are RABID-only (BBP/FR is a single blind pass, MCF's
-/// phase structure has no resume point), and BBP/FR additionally
-/// requires a two-pin design (callers decompose first — see
-/// netlist::decompose_to_two_pin).  Violations come back as
-/// kInvalidInput Statuses, not asserts: a serve job or CLI flag combo
-/// must map to an exit code, not an abort.
+/// capability contract before constructing anything: deadlines are
+/// RABID-only, and BBP/FR additionally requires a two-pin design
+/// (callers decompose first — see netlist::decompose_to_two_pin).
+/// Violations come back as kInvalidInput Statuses, not asserts: a serve
+/// job or CLI flag combo must map to an exit code, not an abort.
 
 #include <memory>
 

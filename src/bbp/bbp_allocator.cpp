@@ -17,8 +17,6 @@ BbpAllocator::BbpAllocator(const netlist::Design& design,
       bbp_options_(bbp) {
   RABID_ASSERT_MSG(options_.deadline_ms == 0.0,
                    "BBP/FR does not support deadlines");
-  RABID_ASSERT_MSG(options_.checkpoint_every_nets == 0,
-                   "BBP/FR does not support checkpointing");
   bbp_options_.tech = options_.tech;
   obs::Registry::instance().raise_level(options_.obs_level);
 }

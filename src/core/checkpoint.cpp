@@ -66,146 +66,6 @@ Result<std::string> read_file(const std::string& path) {
   return buf.str();
 }
 
-constexpr std::string_view kProgressSchema = "rabid.stage2.progress.v1";
-constexpr const char* kProgressFile = "stage2.progress";
-constexpr const char* kPartialSolution = "stage2_partial.sol";
-/// Hostile-input ceiling on any declared element count in a progress
-/// file (a 1M-net design needs 1M order entries; 2^27 leaves headroom
-/// without letting a forged header drive a multi-GB allocation).
-constexpr std::uint64_t kMaxProgressCount = std::uint64_t{1} << 27;
-
-/// Exact decimal form: 17 significant digits round-trip any finite
-/// IEEE-754 double, so resumed cost comparisons are bit-identical.
-void print_double(std::ostream& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out << buf;
-}
-
-std::string encode_stage2_progress(const Stage2Progress& p) {
-  std::ostringstream out;
-  out << kProgressSchema << "\n";
-  out << "iteration " << p.iteration << "\n";
-  out << "next_pos " << p.next_pos << "\n";
-  out << "min_cost ";
-  print_double(out, p.min_cost);
-  out << "\n";
-  out << "order " << p.order.size() << "\n";
-  for (std::size_t i = 0; i < p.order.size(); ++i) {
-    out << p.order[i] << (i % 16 == 15 ? '\n' : ' ');
-  }
-  if (!p.order.empty() && p.order.size() % 16 != 0) out << "\n";
-  out << "snapshot " << p.snapshot.size() << "\n";
-  for (std::size_t i = 0; i < p.snapshot.size(); ++i) {
-    print_double(out, p.snapshot[i]);
-    out << (i % 8 == 7 ? '\n' : ' ');
-  }
-  if (!p.snapshot.empty() && p.snapshot.size() % 8 != 0) out << "\n";
-  out << "dirty " << p.edge_dirty.size() << "\n";
-  for (const std::uint8_t d : p.edge_dirty) {
-    out << (d != 0 ? '1' : '0');
-  }
-  if (!p.edge_dirty.empty()) out << "\n";
-  return out.str();
-}
-
-/// Reads "<keyword> <count>" and validates both; the counts a hostile
-/// file declares are bounded before any allocation happens.
-Result<std::uint64_t> read_count(std::istream& in, const char* keyword,
-                                 const std::string& path) {
-  std::string word;
-  std::uint64_t count = 0;
-  if (!(in >> word) || word != keyword || !(in >> count)) {
-    return Status::invalid_input(
-        std::string("progress file missing '") + keyword + "' section",
-        path);
-  }
-  if (count > kMaxProgressCount) {
-    return Status::invalid_input(
-        std::string("progress '") + keyword + "' count is implausibly large",
-        path);
-  }
-  return count;
-}
-
-Result<Stage2Progress> decode_stage2_progress(const std::string& text,
-                                              const std::string& path) {
-  std::istringstream in(text);
-  std::string schema;
-  if (!(in >> schema) || schema != kProgressSchema) {
-    return Status::invalid_input("progress schema missing or unknown", path);
-  }
-  Stage2Progress p;
-  std::string word;
-  if (!(in >> word) || word != "iteration" || !(in >> p.iteration)) {
-    return Status::invalid_input("progress file missing iteration", path);
-  }
-  if (!(in >> word) || word != "next_pos" || !(in >> p.next_pos)) {
-    return Status::invalid_input("progress file missing next_pos", path);
-  }
-  if (!(in >> word) || word != "min_cost" || !(in >> p.min_cost)) {
-    return Status::invalid_input("progress file missing min_cost", path);
-  }
-  Result<std::uint64_t> n = read_count(in, "order", path);
-  if (!n.ok()) return n.status();
-  p.order.resize(static_cast<std::size_t>(n.value()));
-  for (std::uint32_t& v : p.order) {
-    if (!(in >> v)) {
-      return Status::invalid_input("progress order list truncated", path);
-    }
-  }
-  n = read_count(in, "snapshot", path);
-  if (!n.ok()) return n.status();
-  p.snapshot.resize(static_cast<std::size_t>(n.value()));
-  for (double& v : p.snapshot) {
-    if (!(in >> v)) {
-      return Status::invalid_input("progress snapshot list truncated", path);
-    }
-  }
-  n = read_count(in, "dirty", path);
-  if (!n.ok()) return n.status();
-  p.edge_dirty.resize(static_cast<std::size_t>(n.value()));
-  if (!p.edge_dirty.empty()) {
-    std::string bits;
-    if (!(in >> bits) || bits.size() != p.edge_dirty.size()) {
-      return Status::invalid_input("progress dirty mask truncated", path);
-    }
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-      if (bits[i] != '0' && bits[i] != '1') {
-        return Status::invalid_input("progress dirty mask is not 0/1", path);
-      }
-      p.edge_dirty[i] = bits[i] == '1' ? 1 : 0;
-    }
-  }
-  return p;
-}
-
-/// The shared manifest writer: `progress_file` empty for stage-boundary
-/// checkpoints, the sidecar name for mid-stage-2 ones.
-Status write_manifest(const std::string& dir, const Rabid& rabid,
-                      int completed_stage, const std::string& sol_name,
-                      const std::string& progress_file) {
-  std::ostringstream manifest;
-  manifest << "{\n  \"schema\": \"" << CheckpointManifest::kSchema
-           << "\",\n  \"design\": \"";
-  json_escape(manifest, rabid.design().name());
-  manifest << "\",\n  \"grid\": {\"nx\": " << rabid.graph().nx()
-           << ", \"ny\": " << rabid.graph().ny()
-           << "},\n  \"stage\": " << completed_stage
-           << ",\n  \"books_fingerprint\": \""
-           << books_fingerprint(rabid.graph())
-           << "\",\n  \"solution\": \"";
-  json_escape(manifest, sol_name);
-  manifest << "\"";
-  if (!progress_file.empty()) {
-    manifest << ",\n  \"stage2_progress\": \"";
-    json_escape(manifest, progress_file);
-    manifest << "\"";
-  }
-  manifest << "\n}\n";
-  return write_file_atomic(dir + "/manifest.json", manifest.str());
-}
-
 }  // namespace
 
 std::string books_fingerprint(const tile::TileGraph& g) {
@@ -249,32 +109,18 @@ Status write_checkpoint(const std::string& dir, const Rabid& rabid,
     return s;
   }
 
-  if (Status s = write_manifest(dir, rabid, completed_stage, sol_name,
-                                /*progress_file=*/"");
-      !s) {
-    return s;
-  }
-  obs::count(obs::Counter::kCheckpointWrites);
-  return Status::ok();
-}
-
-Status write_stage2_checkpoint(const std::string& dir, const Rabid& rabid,
-                               const Stage2Progress& progress) {
-  std::ostringstream sol;
-  write_solution(sol, rabid.design(), rabid.graph(), rabid.nets());
-  if (Status s = write_file_atomic(dir + "/" + kPartialSolution, sol.str());
-      !s) {
-    return s;
-  }
-  if (Status s = write_file_atomic(dir + "/" + kProgressFile,
-                                   encode_stage2_progress(progress));
-      !s) {
-    return s;
-  }
-  // The manifest flips last, so a crash between the writes leaves the
-  // previous checkpoint intact and consistent.
-  if (Status s = write_manifest(dir, rabid, /*completed_stage=*/1,
-                                kPartialSolution, kProgressFile);
+  std::ostringstream manifest;
+  manifest << "{\n  \"schema\": \"" << CheckpointManifest::kSchema
+           << "\",\n  \"design\": \"";
+  json_escape(manifest, rabid.design().name());
+  manifest << "\",\n  \"grid\": {\"nx\": " << rabid.graph().nx()
+           << ", \"ny\": " << rabid.graph().ny()
+           << "},\n  \"stage\": " << completed_stage
+           << ",\n  \"books_fingerprint\": \""
+           << books_fingerprint(rabid.graph()) << "\",\n  \"solution\": \"";
+  json_escape(manifest, sol_name);
+  manifest << "\"\n}\n";
+  if (Status s = write_file_atomic(dir + "/manifest.json", manifest.str());
       !s) {
     return s;
   }
@@ -301,6 +147,15 @@ Result<CheckpointManifest> read_checkpoint_manifest(const std::string& dir) {
   if (schema == nullptr || !schema->is_string() ||
       schema->string != CheckpointManifest::kSchema) {
     return Status::invalid_input("manifest schema missing or unknown", path);
+  }
+  // Mid-stage-2 resume points are retired: their dump holds mid-iteration
+  // trees that no straight run produces, so such a checkpoint must not be
+  // read as a completed stage 1.
+  if (doc->find("stage2_progress") != nullptr) {
+    return Status::invalid_input(
+        "manifest is a retired mid-stage-2 checkpoint (\"stage2_progress\"); "
+        "re-plan, or resume from a stage-boundary checkpoint",
+        path);
   }
 
   CheckpointManifest m;
@@ -351,20 +206,6 @@ Result<CheckpointManifest> read_checkpoint_manifest(const std::string& dir) {
   }
   m.solution_file = sol->string;
 
-  if (const obs::json::Value* prog = doc->find("stage2_progress");
-      prog != nullptr) {
-    if (!prog->is_string() || prog->string.empty() ||
-        prog->string.find('/') != std::string::npos ||
-        prog->string.find('\\') != std::string::npos) {
-      return Status::invalid_input(
-          "manifest stage2_progress must be a bare file name", path);
-    }
-    if (m.stage != 1) {
-      return Status::invalid_input(
-          "manifest pairs stage2_progress with a stage other than 1", path);
-    }
-    m.stage2_progress_file = prog->string;
-  }
   return m;
 }
 
@@ -385,11 +226,10 @@ Status resume_from_checkpoint(const std::string& dir, Rabid& rabid,
         "checkpoint grid differs from the tile graph",
         dir + "/manifest.json");
   }
-  // The fingerprint guards the snapshot's provenance: a mid-stage-2
-  // resume point replays the iteration-start cost array and A* floor,
-  // which are only meaningful against the exact W(e)/B(v) books they
-  // were computed from.  Perturbed books (an ECO between checkpoint and
-  // resume) must re-plan through the ECO path, not resume.
+  // The fingerprint guards the dump's provenance: its usage replayed
+  // onto books whose W(e) or B(v) changed is a different problem, not
+  // the one the completed stages solved.  Perturbed books (an ECO
+  // between checkpoint and resume) must re-plan, not resume.
   if (const std::string live = books_fingerprint(rabid.graph());
       m.books_fingerprint != live) {
     return Status::stale_checkpoint(
@@ -411,18 +251,6 @@ Status resume_from_checkpoint(const std::string& dir, Rabid& rabid,
   if (!sol.ok()) return sol.status();
 
   if (Status s = rabid.restore_solution(sol.value(), m.stage); !s) return s;
-  if (!m.stage2_progress_file.empty()) {
-    const std::string prog_path = dir + "/" + m.stage2_progress_file;
-    Result<std::string> text = read_file(prog_path);
-    if (!text.ok()) return text.status();
-    Result<Stage2Progress> progress =
-        decode_stage2_progress(text.value(), prog_path);
-    if (!progress.ok()) return progress.status();
-    if (Status s = rabid.restore_stage2_progress(std::move(progress.value()));
-        !s) {
-      return s;
-    }
-  }
   if (completed_stage != nullptr) *completed_stage = m.stage;
   return Status::ok();
 }

@@ -28,16 +28,15 @@ class TileGraph;
 namespace rabid::core {
 
 class Rabid;
-struct Stage2Progress;  // core/rabid.hpp
 
 /// FNV-1a-64 over the tile graph's *capacity* books — grid shape, every
 /// W(e), every B(v) — rendered as 16 lowercase hex digits.  This is the
-/// checkpoint's provenance stamp: a mid-stage-2 snapshot (cost array,
-/// dirty mask, A* floor) is only meaningful against the exact books it
-/// was computed from, so resume rejects a checkpoint whose fingerprint
-/// no longer matches the live graph (error[stale-checkpoint], exit 3)
-/// instead of producing a quietly divergent plan.  Usage is excluded on
-/// purpose: resume replays usage from the dump onto empty books.
+/// checkpoint's provenance stamp: a dump's usage replayed onto books
+/// whose W(e) or B(v) changed is a different problem, so resume rejects
+/// a checkpoint whose fingerprint no longer matches the live graph
+/// (error[stale-checkpoint], exit 3) instead of producing a quietly
+/// divergent plan.  Usage is excluded on purpose: resume replays usage
+/// from the dump onto empty books.
 std::string books_fingerprint(const tile::TileGraph& g);
 
 /// The parsed `manifest.json` of a checkpoint directory.
@@ -50,10 +49,6 @@ struct CheckpointManifest {
   std::int32_t ny = 0;
   int stage = 0;        ///< last completed stage (1..4)
   std::string solution_file;  ///< dump file name, relative to the dir
-  /// Mid-stage-2 progress sidecar (RabidOptions::checkpoint_every_nets),
-  /// relative to the dir; empty for stage-boundary checkpoints.  The
-  /// dump then holds the mid-stage-2 trees with `stage` still 1.
-  std::string stage2_progress_file;
   /// books_fingerprint() of the graph the checkpoint was written
   /// against (required; resume validates it before touching anything).
   std::string books_fingerprint;
@@ -66,23 +61,14 @@ struct CheckpointManifest {
 Status write_checkpoint(const std::string& dir, const Rabid& rabid,
                         int completed_stage);
 
-/// Dumps a mid-stage-2 checkpoint: the current solution (as the stage-1
-/// dump `stage2_partial.sol`) plus the resume point (`stage2.progress`,
-/// "rabid.stage2.progress.v1" — exact %.17g doubles, so costs round-trip
-/// bit for bit).  Called by Rabid itself on the
-/// RabidOptions::checkpoint_every_nets cadence.
-Status write_stage2_checkpoint(const std::string& dir, const Rabid& rabid,
-                               const Stage2Progress& progress);
-
-/// Reads and validates `<dir>/manifest.json`.
+/// Reads and validates `<dir>/manifest.json`.  A manifest carrying the
+/// retired mid-stage-2 `"stage2_progress"` key is rejected as
+/// kInvalidInput: its dump holds mid-iteration trees, not a stage result.
 Result<CheckpointManifest> read_checkpoint_manifest(const std::string& dir);
 
 /// Restores `rabid` (a fresh instance) from the latest checkpoint in
 /// `dir`.  On success `*completed_stage` (when non-null) receives the
 /// stage the checkpoint covers, so the caller can run the remainder.
-/// A mid-stage-2 checkpoint reports stage 1 and additionally installs
-/// the resume point (Rabid::restore_stage2_progress), so the caller's
-/// next run_stage2() continues where the interrupted run stopped.
 Status resume_from_checkpoint(const std::string& dir, Rabid& rabid,
                               int* completed_stage = nullptr);
 

@@ -37,6 +37,11 @@
 #include "timing/tech.hpp"
 #include "util/thread_pool.hpp"
 
+namespace rabid::route {
+class EdgeCostCache;  // route/maze.hpp
+class MazeRouter;     // route/maze.hpp
+}  // namespace rabid::route
+
 namespace rabid::core {
 
 struct AuditReport;      // core/audit.hpp
@@ -121,18 +126,6 @@ struct RabidOptions {
   /// the steady clock cannot represent (+inf, or about 292 years) means
   /// no deadline.
   double deadline_ms = 0.0;
-  /// Mid-stage-2 checkpoint cadence: when > 0 and checkpoint_dir is
-  /// set, Stage 2 writes a resumable checkpoint (solution dump plus a
-  /// Stage2Progress sidecar) after every this-many processed nets, so a
-  /// multi-hour 100k/1M-net rip-up can be killed and resumed without
-  /// redoing completed iterations.  The serial engine checkpoints at
-  /// any net boundary; the sharded engine at iteration boundaries (a
-  /// mid-parallel-pass capture would be racy), in both cases resuming
-  /// bit-identically to the uninterrupted run given identical options.
-  /// Write failures are reported on stderr but never abort the flow.
-  std::int64_t checkpoint_every_nets = 0;
-  /// Directory for checkpoint_every_nets writes (must already exist).
-  std::string checkpoint_dir;
   /// Self-auditing: recompute every solution invariant from scratch at
   /// the chosen points and accumulate violations in last_audit().
   AuditLevel audit_level = AuditLevel::kOff;
@@ -183,29 +176,6 @@ struct NetState {
   /// Length rule satisfied? (false == the net counts in "#fails")
   bool meets_length_rule = false;
   timing::DelayResult delay;
-};
-
-/// Mid-stage-2 resume point (RabidOptions::checkpoint_every_nets).
-///
-/// Bit-identical resume needs exactly the per-iteration state the loop
-/// cannot rederive from the books mid-flight: the net order (fixed from
-/// *stage-1* delays — delays recomputed from mid-stage trees would
-/// reorder), the iteration-start cost snapshot driving the dirty-net
-/// filter, the dirty mask itself, and the A* step floor at the instant
-/// of capture (point refreshes only ever lower it, so a fresh
-/// refresh_all() cannot reproduce it).  Everything else — cache values,
-/// delays, length-rule flags — is a pure function of the restored books.
-struct Stage2Progress {
-  std::int32_t iteration = 0;  ///< iteration being (re)entered
-  /// Next index into `order`.  0 = the iteration has not started
-  /// (snapshot then holds the *previous* iteration's start costs, and
-  /// edge_dirty/min_cost are unused); > 0 = mid-iteration (serial
-  /// engine only; the sharded engine checkpoints at boundaries).
-  std::int64_t next_pos = 0;
-  std::vector<std::uint32_t> order;     ///< net ids, stage-1 delay order
-  std::vector<double> snapshot;         ///< iteration-start eq.(1) costs
-  std::vector<std::uint8_t> edge_dirty; ///< current iteration's mask
-  double min_cost = 0.0;                ///< A* floor at capture
 };
 
 class Rabid {
@@ -285,17 +255,6 @@ class Rabid {
   Status restore_solution(const LoadedSolution& solution,
                           int completed_stage);
 
-  /// Installs a mid-stage-2 resume point (after restore_solution with
-  /// completed_stage == 1): the next run_stage2() fast-forwards to it
-  /// and completes bit-identically to the uninterrupted run, provided
-  /// the options match the checkpointing run's.  Validated against the
-  /// design and graph; a hostile sidecar yields an error, not a crash.
-  Status restore_stage2_progress(Stage2Progress progress);
-  /// The installed resume point, if any (consumed by run_stage2()).
-  const Stage2Progress* stage2_progress() const {
-    return stage2_progress_.get();
-  }
-
   /// Recomputes every net's delay from its current tree + buffers.
   void refresh_delays();
 
@@ -316,6 +275,22 @@ class Rabid {
   /// Stage-1 construction for one net (PD + Steiner + embedding).  Pure:
   /// reads only the design and the graph's geometry, never its books.
   route::RouteTree build_net_tree(std::size_t index) const;
+
+  /// The two stage-2 loops (stage2.cpp) over the smallest-delay-first
+  /// `order`: the serial Nair loop (stage2_shards == 0) and the
+  /// region-sharded engine.  Both reroute through `cache`; `router` is
+  /// the serial router (the sharded engine's boundary replay).
+  void stage2_serial(const std::vector<std::size_t>& order,
+                     route::MazeRouter& router, route::EdgeCostCache& cache);
+  void stage2_sharded(const std::vector<std::size_t>& order,
+                      route::MazeRouter& router, route::EdgeCostCache& cache);
+
+  /// Stage-2 rip-up and reroute of one net on `router` under the cached
+  /// eq. (1) costs.  `shard_floor`, when non-null, owns the A* step
+  /// floor instead of the cache's global bound (a parallel shard's
+  /// private floor; see EdgeCostCache::refresh_tree_sharded).
+  void reroute_net(std::size_t index, route::MazeRouter& router,
+                   route::EdgeCostCache& cache, double* shard_floor);
 
   /// Stage-3 buffer assignment over `order` with per-net DPs speculated
   /// across the pool and commits serialized in `order` (bit-identical to
@@ -359,9 +334,6 @@ class Rabid {
   std::vector<NetState> nets_;
   /// Live only when options_.threads resolves to >= 2 workers.
   std::unique_ptr<util::ThreadPool> pool_;
-  /// Installed by restore_stage2_progress(); consumed (reset) by the
-  /// next run_stage2().
-  std::unique_ptr<Stage2Progress> stage2_progress_;
   /// shared_ptr so the header needs only the forward declaration.
   std::shared_ptr<AuditReport> last_audit_;
   std::vector<StageStats> stage_history_;

@@ -57,8 +57,6 @@ McfAllocator::McfAllocator(const netlist::Design& design,
       mcf_(mcf) {
   RABID_ASSERT_MSG(options_.deadline_ms == 0.0,
                    "MCF does not support deadlines");
-  RABID_ASSERT_MSG(options_.checkpoint_every_nets == 0,
-                   "MCF does not support checkpointing");
   RABID_ASSERT_MSG(mcf_.phases > 0, "MCF needs at least one phase");
   wire_price_.resize(static_cast<std::size_t>(graph_.edge_count()));
   for (tile::EdgeId e = 0; e < graph_.edge_count(); ++e) {

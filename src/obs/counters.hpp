@@ -67,12 +67,12 @@ enum class Counter : std::uint16_t {
   // router, two-path search): pushes that forced the backing vector to
   // reallocate.  Nonzero after warm-up means a reserve() is missing.
   kHeapRegrows,
-  // core/rabid.cpp — stage-2 dirty-net filter.
+  // core/stage2.cpp — stage-2 dirty-net filter.
   kStage2Iterations,  ///< rip-up/reroute iterations actually run
   kStage2NetsRipped,  ///< nets ripped up and rerouted
   kStage2NetsKept,    ///< nets the dirty filter left untouched
   kStage2DirtyEdges,  ///< edges marked dirty at iteration starts
-  // core/rabid.cpp — region-sharded stage 2 (stage2_shards > 0).
+  // core/stage2.cpp — region-sharded stage 2 (stage2_shards > 0).
   kStage2LocalNets,     ///< nets routed confined inside one region
   kStage2BoundaryNets,  ///< nets routed in the serial boundary pass
   // buffer/insertion.cpp — the stage-3 DP.

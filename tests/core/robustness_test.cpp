@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -255,6 +256,16 @@ TEST(Checkpoint, ResumeIsBitIdentical) {
     expect_resume_bit_identical(
         design, circuits::build_tile_graph(design, spec), options, 3);
   }
+  {
+    SCOPED_TRACE("xerox, 4 stage-2 shards on 2 threads, after stage 2");
+    const circuits::CircuitSpec& spec = circuits::spec_by_name("xerox");
+    const netlist::Design design = circuits::generate_design(spec);
+    RabidOptions options;
+    options.stage2_shards = 4;
+    options.threads = 2;
+    expect_resume_bit_identical(
+        design, circuits::build_tile_graph(design, spec), options, 2);
+  }
 }
 
 TEST(Checkpoint, HostileManifestsAreStructuredErrors) {
@@ -268,6 +279,96 @@ TEST(Checkpoint, HostileManifestsAreStructuredErrors) {
   EXPECT_FALSE(write_checkpoint("/nonexistent/rabid-ckpt", rabid, 1));
   EXPECT_FALSE(write_checkpoint(testing::TempDir(), rabid, 0));
   EXPECT_FALSE(write_checkpoint(testing::TempDir(), rabid, 5));
+
+  // A retired mid-stage-2 checkpoint: a valid stage-1 dump plus a
+  // well-formed progress sidecar, named by the manifest's
+  // "stage2_progress" key.  Read as a completed stage 1 it would re-run
+  // stage 2 from trees no straight run produces, so it is rejected.
+  const std::string dir = testing::TempDir() + "rabid-legacy-manifest-test";
+  std::filesystem::create_directories(dir);
+  tile::TileGraph written = circuit.graph(design);
+  Rabid writer(design, written, {});
+  writer.run_stage1();
+  ASSERT_TRUE(write_checkpoint(dir, writer, 1));
+  {
+    std::ofstream progress(dir + "/stage2.progress");
+    progress << "rabid.stage2.progress.v1\niteration 0\nnext_pos 0\n"
+             << "min_cost 0\norder " << design.nets().size() << "\n";
+    for (std::size_t i = 0; i < design.nets().size(); ++i) {
+      progress << i << "\n";
+    }
+    progress << "snapshot 0\ndirty 0\n";
+  }
+  const auto write_manifest = [&](bool legacy) {
+    std::ofstream out(dir + "/manifest.json");
+    out << "{\"schema\": \"rabid.checkpoint.v1\", \"design\": \""
+        << design.name() << "\", \"grid\": {\"nx\": " << written.nx()
+        << ", \"ny\": " << written.ny() << "}, \"stage\": 1, "
+        << "\"books_fingerprint\": \"" << books_fingerprint(written)
+        << "\", \"solution\": \"stage1.sol\"";
+    if (legacy) out << ", \"stage2_progress\": \"stage2.progress\"";
+    out << "}\n";
+  };
+  write_manifest(/*legacy=*/true);
+  const Result<CheckpointManifest> legacy = read_checkpoint_manifest(dir);
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_EQ(legacy.status().code(), StatusCode::kInvalidInput);
+  EXPECT_NE(legacy.status().to_string().find("stage2_progress"),
+            std::string::npos)
+      << legacy.status().to_string();
+  tile::TileGraph resumed_graph = circuit.graph(design);
+  Rabid resumed(design, resumed_graph, {});
+  const Status restored = resume_from_checkpoint(dir, resumed);
+  EXPECT_EQ(restored.code(), StatusCode::kInvalidInput);
+  EXPECT_EQ(restored.exit_code(), 3);
+  EXPECT_EQ(resumed_graph.stats().buffers_used, 0);
+  EXPECT_TRUE(resumed.nets().front().tree.empty());
+
+  // The same dump behind a stage-boundary manifest resumes cleanly.
+  write_manifest(/*legacy=*/false);
+  tile::TileGraph clean_graph = circuit.graph(design);
+  Rabid clean(design, clean_graph, {});
+  EXPECT_TRUE(resume_from_checkpoint(dir, clean));
+  std::filesystem::remove_all(dir);
+}
+
+/// The stale-checkpoint guard: a dump's usage replayed onto books whose
+/// W(e) or B(v) changed (an ECO between checkpoint and resume) is a
+/// different problem, so resuming is rejected with
+/// error[stale-checkpoint] instead of producing a quietly divergent plan.
+TEST(Checkpoint, PerturbedBooksRejectStaleCheckpoint) {
+  const circuits::CircuitSpec& spec = circuits::spec_by_name("xerox");
+  const netlist::Design design = circuits::generate_design(spec);
+  const std::string dir = testing::TempDir() + "rabid-stale-checkpoint-test";
+  std::filesystem::create_directories(dir);
+  tile::TileGraph written = circuits::build_tile_graph(design, spec);
+  Rabid writer(design, written, {});
+  writer.run_stage1();
+  writer.run_stage2();
+  ASSERT_TRUE(write_checkpoint(dir, writer, 2));
+  const Result<CheckpointManifest> manifest = read_checkpoint_manifest(dir);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().to_string();
+  EXPECT_EQ(manifest.value().books_fingerprint, books_fingerprint(written));
+
+  // Perturb one edge's capacity in the graph we resume onto — exactly
+  // what an ECO does between checkpoint and resume.
+  tile::TileGraph perturbed = circuits::build_tile_graph(design, spec);
+  perturbed.set_wire_capacity(0, perturbed.wire_capacity(0) + 1);
+  EXPECT_NE(books_fingerprint(perturbed), manifest.value().books_fingerprint);
+  Rabid resumed(design, perturbed, {});
+  const Status restored = resume_from_checkpoint(dir, resumed);
+  ASSERT_FALSE(restored.ok_status());
+  EXPECT_EQ(restored.code(), StatusCode::kStaleCheckpoint);
+  EXPECT_NE(restored.to_string().find("error[stale-checkpoint]"),
+            std::string::npos)
+      << restored.to_string();
+  EXPECT_EQ(restored.exit_code(), 3);
+
+  // Unperturbed books still resume cleanly.
+  tile::TileGraph fresh = circuits::build_tile_graph(design, spec);
+  Rabid clean(design, fresh, {});
+  EXPECT_TRUE(resume_from_checkpoint(dir, clean).ok_status());
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------

@@ -50,13 +50,8 @@
 //                      process exits 4
 //   --checkpoint-dir D write a checkpoint into D after every stage
 //                      (atomic; resumable with --resume)
-//   --checkpoint-every-nets N
-//                      additionally checkpoint mid-stage-2 after every
-//                      N processed nets (needs --checkpoint-dir); a
-//                      resumed run completes bit-identically
 //   --resume           restore the checkpoint in --checkpoint-dir and
-//                      run only the remaining stages (including the
-//                      rest of a mid-stage-2 iteration)
+//                      run only the remaining stages
 //   --eco              after the flow, apply a seeded random ECO (a
 //                      fraction of the nets get their pins moved to
 //                      random tiles) and re-plan only its dirty closure
@@ -114,7 +109,6 @@ struct Args {
   bool post = false;
   std::int32_t stage2_shards = 0;
   int stages = 4;
-  std::int64_t checkpoint_every_nets = 0;
   std::size_t vg = 0;
   bool inverters = false;
   bool audit = false;
@@ -144,7 +138,6 @@ struct Args {
                "usage: rabid_cli --circuit NAME [--threads N] [--grid NxM]\n"
                "       [--sites N] [--no-blocked] [--post] [--vg K]\n"
                "       [--stage2-shards K] [--stages N]\n"
-               "       [--checkpoint-every-nets N]\n"
                "       [--inverters] [--audit] [--audit-json F]\n"
                "       [--obs off|counters|trace] [--report F] [--trace F]\n"
                "       [--two-pin] [--backend rabid|bbp|mcf] [--dump-design F]\n"
@@ -216,10 +209,6 @@ Args parse(int argc, char** argv) {
           value(), 0, kMax<std::int32_t>, "--stage2-shards expects >= 0");
     } else if (flag == "--stages") {
       a.stages = parse_number<int>(value(), 1, 4, "--stages expects 1..4");
-    } else if (flag == "--checkpoint-every-nets") {
-      a.checkpoint_every_nets = parse_number<std::int64_t>(
-          value(), 0, kMax<std::int64_t>,
-          "--checkpoint-every-nets expects >= 0");
     } else if (flag == "--vg") {
       a.vg = parse_number<std::size_t>(value(), 0, kMax<std::size_t>,
                                        "--vg expects a non-negative count");
@@ -294,14 +283,12 @@ Args parse(int argc, char** argv) {
   if (!a.trace_json.empty()) a.obs_level = rabid::obs::Level::kTrace;
   if (a.resume && a.checkpoint_dir.empty())
     usage("--resume needs --checkpoint-dir");
-  if (a.checkpoint_every_nets > 0 && a.checkpoint_dir.empty())
-    usage("--checkpoint-every-nets needs --checkpoint-dir");
   if (a.vg > 0 && a.stages < 3)
     usage("--vg needs at least --stages 3");
   // Stage plumbing, deadlines, checkpoints and the post-pass belong to
   // the four-stage flow; other backends reject them as a usage error
-  // here (and the factory rejects deadline/checkpoint configs again at
-  // the library layer, as exit-code-3 input errors).
+  // here (and the factory rejects a deadline config again at the
+  // library layer, as an exit-code-3 input error).
   if (a.backend != rabid::core::Backend::kRabid &&
       (a.resume || !a.checkpoint_dir.empty() || a.deadline_ms > 0 ||
        a.post || a.stage2_shards > 0 || a.stages != 4 || a.vg > 0 ||
@@ -456,10 +443,6 @@ int main(int argc, char** argv) {
     options.stage2_shards = args.stage2_shards;
     if (args.audit) options.audit_level = core::AuditLevel::kPerStage;
     options.deadline_ms = args.deadline_ms;
-    if (args.checkpoint_every_nets > 0) {
-      options.checkpoint_every_nets = args.checkpoint_every_nets;
-      options.checkpoint_dir = args.checkpoint_dir;
-    }
     if (!args.buffer_library.empty()) {
       buffer::BufferLibrary::preset(args.buffer_library,
                                     &options.buffer_library);
