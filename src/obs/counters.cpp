@@ -17,6 +17,7 @@ constexpr std::array<std::string_view,
         "maze.heap_pushes",
         "maze.heap_pops",
         "maze.stale_pops",
+        "maze.bound_pops",
         "maze.pruned_touches",
         "edge_cache.full_refreshes",
         "edge_cache.invalidations",

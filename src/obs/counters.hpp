@@ -58,6 +58,7 @@ enum class Counter : std::uint16_t {
   kMazeHeapPushes,    ///< wavefront heap insertions
   kMazeHeapPops,      ///< wavefront heap extractions
   kMazeStalePops,     ///< pops discarded because a cheaper label landed
+  kMazeBoundPops,     ///< pops not expanded: bound exceeds a target label
   kMazePrunedTouches, ///< neighbor relaxations rejected (not better)
   // route/maze.cpp — EdgeCostCache.
   kEdgeCacheFullRefreshes,  ///< refresh_all() calls

@@ -58,15 +58,11 @@ void EdgeCostCache::on_capacity_change(tile::EdgeId e) {
   if (c < min_cost_) min_cost_ = c;
 }
 
-void EdgeCostCache::refresh_tree(const RouteTree& tree) {
-  for (const RouteNode& n : tree.nodes()) {
-    if (n.parent == kNoNode) continue;
-    refresh_edge(g_.edge_between(n.tile, tree.node(n.parent).tile));
-  }
-}
-
 void EdgeCostCache::refresh_tree_sharded(const RouteTree& tree,
                                          double& floor) {
+  // Every node but the root contributes its parent edge; a never-routed
+  // net's empty tree contributes none.
+  if (tree.empty()) return;
   obs::count(obs::Counter::kEdgeCacheInvalidations, tree.node_count() - 1);
   for (const RouteNode& n : tree.nodes()) {
     if (n.parent == kNoNode) continue;
@@ -121,8 +117,7 @@ std::uint64_t MazeRouter::memory_bytes() const {
   return static_cast<std::uint64_t>(labels_.capacity()) * sizeof(Label) +
          static_cast<std::uint64_t>(heap_.capacity()) * sizeof(HeapEntry) +
          static_cast<std::uint64_t>(in_region_.capacity()) +
-         static_cast<std::uint64_t>(remaining_.capacity()) *
-             sizeof(tile::TileId) +
+         static_cast<std::uint64_t>(targets_.capacity()) * sizeof(Target) +
          static_cast<std::uint64_t>(path_cost_.capacity()) * sizeof(double) +
          static_cast<std::uint64_t>(path_.capacity()) * sizeof(tile::TileId);
 }
@@ -142,6 +137,14 @@ struct FnCost {
   double operator()(tile::EdgeId e) const { return fn(e); }
 };
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Relative slack on the bounded-wavefront cutoff.  A tile is skipped
+/// only when its bound exceeds U by more than the rounding a sum of a
+/// few thousand path costs can carry, so no tie that decides a route
+/// is ever judged on a last-bit difference.
+constexpr double kBoundSlack = 1e-9;
+
 }  // namespace
 
 template <typename CostT>
@@ -152,15 +155,31 @@ RouteTree MazeRouter::grow_impl(tile::TileId source_tile,
   RouteTree tree(source_tile);
 
   // Unconnected sink tiles (deduplicated); multiplicity handled at the end.
-  remaining_.assign(sink_tiles.begin(), sink_tiles.end());
-  std::sort(remaining_.begin(), remaining_.end());
-  remaining_.erase(std::unique(remaining_.begin(), remaining_.end()),
-                   remaining_.end());
-  std::erase(remaining_, source_tile);
+  targets_.clear();
+  for (const tile::TileId t : sink_tiles) {
+    if (t != source_tile) targets_.push_back({t, g_.coord_of(t), kInf});
+  }
+  std::sort(targets_.begin(), targets_.end(),
+            [](const Target& a, const Target& b) { return a.tile < b.tile; });
+  targets_.erase(std::unique(targets_.begin(), targets_.end(),
+                             [](const Target& a, const Target& b) {
+                               return a.tile == b.tile;
+                             }),
+                 targets_.end());
 
   ++target_epoch_;
-  for (const tile::TileId t : remaining_)
-    labels_[static_cast<std::size_t>(t)].target_stamp = target_epoch_;
+  for (Target& tg : targets_) {
+    labels_[static_cast<std::size_t>(tg.tile)].target_stamp = target_epoch_;
+    // Every path into the target ends on one of these edges.  Under
+    // confinement only edges with both endpoints inside are read: the
+    // others may belong to a concurrent shard.
+    const tile::TileGraph::Adjacency* adj = g_.adjacency(tg.tile);
+    for (int k = 0; k < g_.adj_count(tg.tile); ++k) {
+      if (confined_ && in_region_[static_cast<std::size_t>(adj[k].tile)] == 0)
+        continue;
+      tg.entry = std::min(tg.entry, cost(adj[k].edge));
+    }
+  }
 
   // Congestion-cost of the tree path from the source to each node, the
   // "path length" that alpha weighs in the PD objective.
@@ -172,16 +191,13 @@ RouteTree MazeRouter::grow_impl(tile::TileId source_tile,
   std::uint64_t pops = 0;
   std::uint64_t stale_pops = 0;
   std::uint64_t pruned = 0;
+  std::uint64_t bound_pops = 0;
 
   const bool use_h = astar_floor > 0.0;
-  while (!remaining_.empty()) {
+  const double step = use_h ? astar_floor : 0.0;
+  while (!targets_.empty()) {
     begin_pass();
     heap_.clear();
-    if (use_h) {
-      target_coords_.clear();
-      for (const tile::TileId t : remaining_)
-        target_coords_.push_back(g_.coord_of(t));
-    }
     // Admissible remaining-cost bound, memoized per tile per pass.
     const auto h_of = [&](tile::TileId t) -> double {
       if (!use_h) return 0.0;
@@ -189,13 +205,28 @@ RouteTree MazeRouter::grow_impl(tile::TileId source_tile,
       if (l.h_stamp == epoch_) return l.h;
       const geom::TileCoord c = g_.coord_of(t);
       std::int32_t best = std::numeric_limits<std::int32_t>::max();
-      for (const geom::TileCoord& tc : target_coords_)
-        best = std::min(best, geom::manhattan(c, tc));
+      for (const Target& tg : targets_)
+        best = std::min(best, geom::manhattan(c, tg.coord));
       const double v = astar_floor * static_cast<double>(best);
       l.h = v;
       l.h_stamp = epoch_;
       return v;
     };
+    // Wall-aware bound h+ from a non-target tile: the last step enters a
+    // target over one of its edges, every earlier step costs >= step.
+    const auto bound_of = [&](tile::TileId t) -> double {
+      const geom::TileCoord c = g_.coord_of(t);
+      double best = kInf;
+      for (const Target& tg : targets_) {
+        best = std::min(
+            best, step * static_cast<double>(geom::manhattan(c, tg.coord) - 1) +
+                      tg.entry);
+      }
+      return best;
+    };
+    // U (1 + slack), U the smallest label any target holds; infinite
+    // until a relaxation first lands on a target.
+    double cutoff = kInf;
 
     // Seed the wavefront with every tree tile at alpha-weighted path cost.
     for (std::size_t i = 0; i < tree.node_count(); ++i) {
@@ -217,6 +248,10 @@ RouteTree MazeRouter::grow_impl(tile::TileId source_tile,
         reached = top.tile;
         break;
       }
+      if (cutoff != kInf && top.dist + bound_of(top.tile) > cutoff) {
+        ++bound_pops;
+        continue;
+      }
       const tile::TileGraph::Adjacency* adj = g_.adjacency(top.tile);
       const int n = g_.adj_count(top.tile);
       for (int k = 0; k < n; ++k) {
@@ -233,6 +268,9 @@ RouteTree MazeRouter::grow_impl(tile::TileId source_tile,
           nl.dist = nd;
           nl.prev = top.tile;
           nl.stamp = epoch_;
+          if (nl.target_stamp == target_epoch_) {
+            cutoff = std::min(cutoff, nd * (1.0 + kBoundSlack));
+          }
           heap_push({nd + h_of(nbr), nd, nbr});
           ++pushes;
         } else {
@@ -270,9 +308,9 @@ RouteTree MazeRouter::grow_impl(tile::TileId source_tile,
     }
 
     // Newly covered targets (the reached one, plus any the path crossed).
-    std::erase_if(remaining_, [&](tile::TileId t) {
-      if (tree.contains(t)) {
-        labels_[static_cast<std::size_t>(t)].target_stamp = 0;
+    std::erase_if(targets_, [&](const Target& tg) {
+      if (tree.contains(tg.tile)) {
+        labels_[static_cast<std::size_t>(tg.tile)].target_stamp = 0;
         return true;
       }
       return false;
@@ -291,6 +329,7 @@ RouteTree MazeRouter::grow_impl(tile::TileId source_tile,
     obs::count(obs::Counter::kMazeHeapPushes, pushes);
     obs::count(obs::Counter::kMazeHeapPops, pops);
     obs::count(obs::Counter::kMazeStalePops, stale_pops);
+    obs::count(obs::Counter::kMazeBoundPops, bound_pops);
     obs::count(obs::Counter::kMazePrunedTouches, pruned);
     obs::count(obs::Counter::kHeapRegrows, heap_.take_regrows());
     obs::observe(obs::HistogramId::kMazePopsPerRoute, pops);

@@ -31,6 +31,16 @@
 ///     call plus the eq. 1 division per relaxation).  EdgeCostCache
 ///     owns such an array and keeps it consistent under rip-up/commit.
 ///
+///   * **Bounded wavefront.**  Each pass keeps U, the smallest label any
+///     remaining target has been given, and skips expanding a popped
+///     tile v when d(v) + h+(v) > U, where h+(v) = min over targets of
+///     astar_floor * (Manhattan - 1) + (cheapest usable edge into the
+///     target).  h+ is a consistent lower bound, so a skipped tile can
+///     neither lie on the returned path nor win a tie for a parent on
+///     it: heap keys, tie-breaks and trees are exactly those of the
+///     unbounded search.  It stops the flood of the whole reachable
+///     region when every way into a sink crosses a full edge.
+///
 /// Eq. (1) is infinite on a full edge; to guarantee the router always
 /// completes (the paper's Table III shows overflow IS possible when
 /// resources are scarce), full edges get a large finite penalty instead,
@@ -90,10 +100,12 @@ class EdgeCostCache {
   void on_capacity_change(tile::EdgeId e);
   /// Recomputes the cost of every tile-graph edge `tree` crosses — the
   /// exact set whose usage a commit() or uncommit() of `tree` changed.
-  void refresh_tree(const RouteTree& tree);
+  void refresh_tree(const RouteTree& tree) {
+    refresh_tree_sharded(tree, min_cost_);
+  }
 
-  /// Sharded variant of refresh_tree: updates the shared flat array but
-  /// lowers the caller-owned `floor` instead of the global min_cost().
+  /// refresh_tree on a caller-owned floor: updates the shared flat array
+  /// but lowers `floor` instead of the global min_cost().
   /// Concurrent shards touching disjoint edge sets stay race-free —
   /// each owns its floor, and the array writes hit distinct elements.
   void refresh_tree_sharded(const RouteTree& tree, double& floor);
@@ -217,11 +229,20 @@ class MazeRouter {
   };
   static_assert(sizeof(Label) == 32);
 
+  /// One unconnected sink tile of the current grow(): its coordinate
+  /// (for both bounds) and the cheapest edge into it that the search may
+  /// read, fixed for the whole call because costs and confinement are.
+  struct Target {
+    tile::TileId tile;
+    geom::TileCoord coord;
+    double entry;
+  };
+
   const tile::TileGraph& g_;
   std::vector<Label> labels_;
   std::uint32_t epoch_ = 0;
   std::uint32_t target_epoch_ = 0;
-  std::vector<geom::TileCoord> target_coords_;
+  std::vector<Target> targets_;
 
   /// Confinement mask: in_region_[t] != 0 iff tile t is inside the
   /// confined span.  A one-byte load per relaxation; confine() clears
@@ -234,7 +255,6 @@ class MazeRouter {
 
   // Reusable wavefront storage: heap backing plus grow()'s worklists.
   util::DaryHeap<HeapEntry> heap_;
-  std::vector<tile::TileId> remaining_;
   std::vector<double> path_cost_;
   std::vector<tile::TileId> path_;
 

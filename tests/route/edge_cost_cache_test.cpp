@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
+#include "obs/counters.hpp"
 #include "route/maze.hpp"
 
 namespace rabid::route {
@@ -133,6 +135,40 @@ TEST(EdgeCostCache, RefreshTreeUpdatesExactlyTheCommittedEdges) {
   const tile::EdgeId other =
       g.edge_between(g.id_of({5, 5}), g.id_of({6, 5}));
   EXPECT_DOUBLE_EQ(cache[other], soft_wire_cost(g, other));
+}
+
+/// refresh_tree() is refresh_tree_sharded() on the global floor: both
+/// count one invalidation per tree arc, so an empty tree (a net that
+/// was never routed) counts none and leaves the floor alone.
+TEST(EdgeCostCache, RefreshTreeCountsOneInvalidationPerArc) {
+  tile::TileGraph g = make_graph(3);
+  EdgeCostCache cache(g,
+                      [&](tile::EdgeId e) { return soft_wire_cost(g, e); });
+  RouteTree tree(g.id_of({0, 0}));
+  tree.add_child(tree.add_child(tree.root(), g.id_of({1, 0})),
+                 g.id_of({1, 1}));
+
+  obs::Registry& registry = obs::Registry::instance();
+  registry.set_level(obs::Level::kCounters);
+  registry.reset();
+  const double min_before = cache.min_cost();
+  double floor = std::numeric_limits<double>::infinity();
+  cache.refresh_tree(RouteTree());
+  cache.refresh_tree_sharded(RouteTree(), floor);
+  const std::uint64_t empty =
+      registry.snapshot()[obs::Counter::kEdgeCacheInvalidations];
+  cache.refresh_tree(tree);
+  cache.refresh_tree_sharded(tree, floor);
+  const std::uint64_t total =
+      registry.snapshot()[obs::Counter::kEdgeCacheInvalidations];
+  registry.set_level(obs::Level::kOff);
+  registry.reset();
+
+  EXPECT_EQ(empty, 0u);
+  EXPECT_EQ(total, 4u);  // two arcs, refreshed twice
+  EXPECT_DOUBLE_EQ(cache.min_cost(), min_before);
+  EXPECT_DOUBLE_EQ(floor, soft_wire_cost(g, g.edge_between(g.id_of({0, 0}),
+                                                           g.id_of({1, 0}))));
 }
 
 }  // namespace
