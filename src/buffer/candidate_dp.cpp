@@ -293,24 +293,6 @@ InsertionResult insert_buffers_lib(const route::RouteTree& tree,
   return result;
 }
 
-InsertionResult insert_buffers_lib_relaxed(const route::RouteTree& tree,
-                                           std::int32_t L,
-                                           const TileCostFn& q,
-                                           const BufferLibrary& lib) {
-  InsertionResult result = insert_buffers_lib(tree, L, q, lib);
-  std::int32_t limit = L;
-  const auto wirelength = static_cast<std::int32_t>(tree.wirelength_tiles());
-  while (!result.feasible) {
-    RABID_ASSERT_MSG(limit <= 2 * std::max(wirelength, std::int32_t{1}),
-                     "relaxation failed to converge");
-    limit *= 2;
-    obs::count(obs::Counter::kDpLimitRelaxations);
-    result = insert_buffers_lib(tree, limit, q, lib);
-    result.effective_limit = limit;
-  }
-  return result;
-}
-
 std::vector<Cand> dp_root_frontier_lib(const route::RouteTree& tree,
                                        std::int32_t L, const TileCostFn& q,
                                        const BufferLibrary& lib) {
@@ -330,8 +312,18 @@ InsertionResult insert_buffers_planned_relaxed(const route::RouteTree& tree,
                                                std::int32_t L,
                                                const TileCostFn& q,
                                                const BufferLibrary& lib) {
-  if (lib.is_unit()) return insert_buffers_relaxed(tree, L, q);
-  return insert_buffers_lib_relaxed(tree, L, q, lib);
+  InsertionResult result = insert_buffers_planned(tree, L, q, lib);
+  std::int32_t limit = L;
+  const auto wirelength = static_cast<std::int32_t>(tree.wirelength_tiles());
+  while (!result.feasible) {
+    RABID_ASSERT_MSG(limit <= 2 * std::max(wirelength, std::int32_t{1}),
+                     "relaxation failed to converge");
+    limit *= 2;
+    obs::count(obs::Counter::kDpLimitRelaxations);
+    result = insert_buffers_planned(tree, limit, q, lib);
+    result.effective_limit = limit;
+  }
+  return result;
 }
 
 }  // namespace rabid::buffer

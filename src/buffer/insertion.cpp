@@ -307,21 +307,4 @@ InsertionResult insert_buffers(const route::RouteTree& tree, std::int32_t L,
   return result;
 }
 
-InsertionResult insert_buffers_relaxed(const route::RouteTree& tree,
-                                       std::int32_t L, const TileCostFn& q) {
-  InsertionResult result = insert_buffers(tree, L, q);
-  std::int32_t limit = L;
-  const auto wirelength =
-      static_cast<std::int32_t>(tree.wirelength_tiles());
-  while (!result.feasible) {
-    RABID_ASSERT_MSG(limit <= 2 * std::max(wirelength, std::int32_t{1}),
-                     "relaxation failed to converge");
-    limit *= 2;
-    obs::count(obs::Counter::kDpLimitRelaxations);
-    result = insert_buffers(tree, limit, q);
-    result.effective_limit = limit;
-  }
-  return result;
-}
-
 }  // namespace rabid::buffer

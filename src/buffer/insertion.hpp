@@ -72,13 +72,6 @@ struct InsertionResult {
 InsertionResult insert_buffers(const route::RouteTree& tree, std::int32_t L,
                                const TileCostFn& q);
 
-/// Like insert_buffers, but on infeasibility retries with 2L, 4L, ...
-/// until a solution exists (L >= total wirelength always succeeds with
-/// zero buffers), providing the best-effort buffering the experiment
-/// tables count as a length-constraint failure.
-InsertionResult insert_buffers_relaxed(const route::RouteTree& tree,
-                                       std::int32_t L, const TileCostFn& q);
-
 /// Multi-type buffer insertion: chooses one of `lib`'s b types per
 /// buffer, minimizing total scaled site cost (type t at tile v costs
 /// cost_scale_t * q(v); a type-t gate may drive up to drive_limit(t, L)
@@ -89,12 +82,6 @@ InsertionResult insert_buffers_relaxed(const route::RouteTree& tree,
 InsertionResult insert_buffers_lib(const route::RouteTree& tree,
                                    std::int32_t L, const TileCostFn& q,
                                    const BufferLibrary& lib);
-
-/// insert_buffers_relaxed, multi-type.
-InsertionResult insert_buffers_lib_relaxed(const route::RouteTree& tree,
-                                           std::int32_t L,
-                                           const TileCostFn& q,
-                                           const BufferLibrary& lib);
 
 /// The candidate engine's pruned root frontier (all (load, cost) states
 /// with load <= max(L, lib.max_drive_limit(L))).  Exposed for the oracle
@@ -110,6 +97,11 @@ std::vector<Cand> dp_root_frontier_lib(const route::RouteTree& tree,
 InsertionResult insert_buffers_planned(const route::RouteTree& tree,
                                        std::int32_t L, const TileCostFn& q,
                                        const BufferLibrary& lib);
+/// Like insert_buffers_planned, but on infeasibility retries with 2L,
+/// 4L, ... until a solution exists (L >= total wirelength always
+/// succeeds with zero buffers), providing the best-effort buffering the
+/// experiment tables count as a length-constraint failure;
+/// `effective_limit` reports the limit that succeeded.
 InsertionResult insert_buffers_planned_relaxed(const route::RouteTree& tree,
                                                std::int32_t L,
                                                const TileCostFn& q,

@@ -9,6 +9,7 @@
 #include "buffer/timing_driven.hpp"
 #include "core/allocator.hpp"
 #include "core/buffer_commit.hpp"
+#include "core/replan.hpp"
 #include "core/solution_io.hpp"
 #include "core/twopath.hpp"
 #include "obs/memory.hpp"
@@ -169,22 +170,7 @@ void Rabid::record_memory_gauges() const {
 
 void Rabid::refresh_delays() {
   obs::ScopedTimer obs_timer("refresh_delays", "flow");
-  const auto refresh_one = [this](std::size_t i) {
-    NetState& n = nets_[i];
-    if (n.tree.empty()) return;
-    // Wide-wire classes scale the RC model per net (footnote 4).
-    const timing::Technology tech = timing::scaled_for_width(
-        options_.tech, design_.net(static_cast<netlist::NetId>(i)).width);
-    n.delay =
-        timing::evaluate_delay(n.tree, n.buffers, n.buffer_types, graph_, tech);
-  };
-  // Each net touches only its own state; reads of the graph and design
-  // are shared and const, so any schedule gives identical delays.
-  if (pool_ != nullptr) {
-    pool_->parallel_for(0, nets_.size(), refresh_one);
-  } else {
-    for (std::size_t i = 0; i < nets_.size(); ++i) refresh_one(i);
-  }
+  core::refresh_delays(graph_, design_, nets_, options_.tech, pool_.get());
 }
 
 std::vector<std::size_t> Rabid::nets_by_delay(bool ascending) const {
@@ -321,23 +307,6 @@ StageStats Rabid::run_stage1() {
   return stats;
 }
 
-void Rabid::buffer_net(std::size_t index, std::span<const double> demand,
-                       const buffer::InsertionResult* first_attempt) {
-  NetState& state = nets_[index];
-  const std::int32_t L =
-      design_.length_limit(static_cast<netlist::NetId>(index));
-  const buffer::BufferLibrary& lib = options_.buffer_library;
-  commit_buffers(graph_, state, L, lib,
-                 [&](std::span<const tile::TileId> forbidden) {
-                   if (forbidden.empty() && first_attempt != nullptr) {
-                     return *first_attempt;
-                   }
-                   return buffer::insert_buffers_planned_relaxed(
-                       state.tree, L, site_costs(graph_, forbidden, demand),
-                       lib);
-                 });
-}
-
 StageStats Rabid::rebuffer_timing_driven(std::size_t worst_nets,
                                          const buffer::BufferLibrary& lib,
                                          bool use_inverters) {
@@ -356,11 +325,7 @@ StageStats Rabid::rebuffer_timing_driven(std::size_t worst_nets,
     if (state.tree.empty()) continue;
     // Return this net's sites to the pool; its old solution stays
     // reachable, so the optimum can only improve.
-    obs::count(obs::Counter::kBuffersRemoved,
-               static_cast<std::uint64_t>(state.buffers.size()));
-    for (const route::BufferPlacement& b : state.buffers) {
-      graph_.remove_buffer(state.tree.node(b.node).tile);
-    }
+    rip_buffers(graph_, state);
 
     const std::int32_t L =
         design_.length_limit(static_cast<netlist::NetId>(i));
@@ -440,12 +405,13 @@ StageStats Rabid::run_stage3() {
       const std::size_t i = order[k];
       if (nets_[i].tree.empty()) continue;
       // The current net no longer counts as "future demand".
-      const double p =
-          1.0 / design_.length_limit(static_cast<netlist::NetId>(i));
+      const std::int32_t L =
+          design_.length_limit(static_cast<netlist::NetId>(i));
+      const double p = 1.0 / L;
       for (const route::RouteNode& n : nets_[i].tree.nodes()) {
         demand[static_cast<std::size_t>(n.tile)] -= p;
       }
-      buffer_net(i, demand);
+      buffer_net(graph_, nets_[i], L, options_.buffer_library, demand);
     }
   }
   refresh_delays();
@@ -523,8 +489,9 @@ void Rabid::assign_buffers_parallel(const std::vector<std::size_t>& order,
     for (std::size_t k = 0; k < count; ++k) {
       const std::size_t i = order[b0 + k];
       if (nets_[i].tree.empty()) continue;
-      const double p =
-          1.0 / design_.length_limit(static_cast<netlist::NetId>(i));
+      const std::int32_t L =
+          design_.length_limit(static_cast<netlist::NetId>(i));
+      const double p = 1.0 / L;
       bool fresh = true;
       for (const route::RouteNode& n : nets_[i].tree.nodes()) {
         demand[static_cast<std::size_t>(n.tile)] -= p;
@@ -532,7 +499,8 @@ void Rabid::assign_buffers_parallel(const std::vector<std::size_t>& order,
       }
       obs::count(fresh ? obs::Counter::kStage3SpecHits
                        : obs::Counter::kStage3SpecMisses);
-      buffer_net(i, demand, fresh ? &speculated[k] : nullptr);
+      buffer_net(graph_, nets_[i], L, options_.buffer_library, demand,
+                 fresh ? &speculated[k] : nullptr);
       for (const route::BufferPlacement& b : nets_[i].buffers) {
         dirty[static_cast<std::size_t>(nets_[i].tree.node(b.node).tile)] = 1;
       }
@@ -546,16 +514,12 @@ StageStats Rabid::run_stage4() {
   const auto start = std::chrono::steady_clock::now();
 
   // Flat cost tables so the (tile x L) search pays one load per
-  // relaxation.  Wire usage only moves at uncommit/commit, buffer-site
-  // usage only at remove_buffer/buffer_net — each point below refreshes
-  // exactly the entries it touched.
+  // relaxation; polish_net keeps both current on exactly the entries its
+  // rips and commits touch.
   route::EdgeCostCache wire_cache(graph_, [this](tile::EdgeId e) {
     return route::soft_wire_cost(graph_, e);
   });
-  std::vector<double> site_cost(static_cast<std::size_t>(graph_.tile_count()));
-  for (tile::TileId t = 0; t < graph_.tile_count(); ++t) {
-    site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
-  }
+  std::vector<double> site_cost = site_cost_table(graph_);
   // One rerouter for the whole stage: its stamped (tile x L) scratch and
   // tree editor warm up once and every later net touches only its own.
   TwoPathRerouter rerouter(graph_);
@@ -564,38 +528,11 @@ StageStats Rabid::run_stage4() {
     // Per-net cancellation point: a skipped net keeps its complete
     // (stage-3) solution, so the state stays fully legal.
     if (deadline_hit()) break;
-    NetState& state = nets_[i];
-    if (state.tree.empty()) continue;
-    const std::int32_t L =
-        design_.length_limit(static_cast<netlist::NetId>(i));
-
-    // Rip out the net's buffers and wires from the books.
-    obs::count(obs::Counter::kBuffersRemoved,
-               static_cast<std::uint64_t>(state.buffers.size()));
-    for (const route::BufferPlacement& b : state.buffers) {
-      const tile::TileId t = state.tree.node(b.node).tile;
-      graph_.remove_buffer(t);
-      site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
-    }
-    state.buffers.clear();
-    const std::int32_t width =
-        design_.net(static_cast<netlist::NetId>(i)).width;
-    state.tree.uncommit(graph_, width);
-    wire_cache.refresh_tree(state.tree);
-
-    // Reroute one two-path at a time with joint wire+buffer costs.
-    state.tree = rerouter.reroute(
-        state.tree, L, wire_cache.values(), site_cost,
-        options_.stage4_wire_weight, wire_cache.min_cost());
-    state.tree.commit(graph_, width);
-    wire_cache.refresh_tree(state.tree);
-
-    // Re-insert buffers net-wide, exactly as in Stage 3.
-    buffer_net(i, {});
-    for (const route::BufferPlacement& b : state.buffers) {
-      const tile::TileId t = state.tree.node(b.node).tile;
-      site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
-    }
+    if (nets_[i].tree.empty()) continue;
+    const auto id = static_cast<netlist::NetId>(i);
+    polish_net(graph_, nets_[i], design_.length_limit(id),
+               design_.net(id).width, options_.buffer_library, wire_cache,
+               site_cost, rerouter, options_.stage4_wire_weight);
   }
   refresh_delays();
   if (obs::counting()) {

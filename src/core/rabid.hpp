@@ -263,15 +263,6 @@ class Rabid {
   void check_books() const;
 
  private:
-  /// Stage-3 core, shared with Stage 4's re-buffering: optimal buffers
-  /// for one net under tile costs at expected demand `demand` (empty:
-  /// none); updates books and the net state.  `first_attempt`, when
-  /// given, supplies a precomputed result for the first DP attempt (the
-  /// speculative parallel path); it must have been computed against the
-  /// exact q-costs the serial execution would see.
-  void buffer_net(std::size_t index, std::span<const double> demand,
-                  const buffer::InsertionResult* first_attempt = nullptr);
-
   /// Stage-1 construction for one net (PD + Steiner + embedding).  Pure:
   /// reads only the design and the graph's geometry, never its books.
   route::RouteTree build_net_tree(std::size_t index) const;
@@ -286,11 +277,12 @@ class Rabid {
                       route::MazeRouter& router, route::EdgeCostCache& cache);
 
   /// Stage-2 rip-up and reroute of one net on `router` under the cached
-  /// eq. (1) costs.  `shard_floor`, when non-null, owns the A* step
-  /// floor instead of the cache's global bound (a parallel shard's
-  /// private floor; see EdgeCostCache::refresh_tree_sharded).
-  void reroute_net(std::size_t index, route::MazeRouter& router,
-                   route::EdgeCostCache& cache, double* shard_floor);
+  /// eq. (1) costs (core/replan.hpp's rip_wires + maze_route).
+  /// `shard_floor`, when non-null, owns the A* step floor instead of the
+  /// cache's global bound (a parallel shard's private floor; see
+  /// EdgeCostCache::refresh_tree_sharded).
+  void stage2_reroute(std::size_t index, route::MazeRouter& router,
+                      route::EdgeCostCache& cache, double* shard_floor);
 
   /// Stage-3 buffer assignment over `order` with per-net DPs speculated
   /// across the pool and commits serialized in `order` (bit-identical to

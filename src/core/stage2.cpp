@@ -12,6 +12,7 @@
 
 #include "core/congestion_post.hpp"
 #include "core/rabid.hpp"
+#include "core/replan.hpp"
 #include "obs/trace.hpp"
 #include "route/maze.hpp"
 #include "tile/region.hpp"
@@ -46,32 +47,6 @@ std::uint64_t begin_iteration(const tile::TileGraph& graph,
   }
   snapshot.assign(cache.values().begin(), cache.values().end());
   return dirty_edges;
-}
-
-/// A net keeps its route unless the congestion picture under it
-/// changed: every overflowed edge is dirty, so any net still causing
-/// overflow is always ripped up.
-bool net_dirty(const tile::TileGraph& graph, const route::RouteTree& tree,
-               const std::vector<std::uint8_t>& edge_dirty) {
-  for (const route::RouteNode& n : tree.nodes()) {
-    if (n.parent == route::kNoNode) continue;
-    const tile::EdgeId e = graph.edge_between(n.tile, tree.node(n.parent).tile);
-    if (edge_dirty[static_cast<std::size_t>(e)] != 0) return true;
-  }
-  return false;
-}
-
-/// Does the tree ride an edge that is overflowed right now (books, not
-/// snapshot)?  Drives the sharded engine's iteration-0 selectivity and
-/// its boundary escalation.
-bool net_overflowed(const tile::TileGraph& graph,
-                    const route::RouteTree& tree) {
-  for (const route::RouteNode& n : tree.nodes()) {
-    if (n.parent == route::kNoNode) continue;
-    const tile::EdgeId e = graph.edge_between(n.tile, tree.node(n.parent).tile);
-    if (graph.wire_usage(e) > graph.wire_capacity(e)) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -128,28 +103,18 @@ StageStats Rabid::run_stage2() {
   return stats;
 }
 
-void Rabid::reroute_net(std::size_t index, route::MazeRouter& router,
-                        route::EdgeCostCache& cache, double* shard_floor) {
+void Rabid::stage2_reroute(std::size_t index, route::MazeRouter& router,
+                           route::EdgeCostCache& cache, double* shard_floor) {
   NetState& state = nets_[index];
   // A net stage 1 never routed (deadline) stays unrouted and flagged.
   if (state.tree.empty()) return;
-  const netlist::Net& net = design_.net(static_cast<netlist::NetId>(index));
-  const auto refresh = [&] {
-    if (shard_floor != nullptr) {
-      cache.refresh_tree_sharded(state.tree, *shard_floor);
-    } else {
-      cache.refresh_tree(state.tree);
-    }
-  };
-  state.tree.uncommit(graph_, net.width);
-  refresh();
-  const double floor =
-      shard_floor != nullptr ? *shard_floor : cache.min_cost();
-  state.tree = router.route_net(net, options_.pd_alpha, cache.values(), floor);
-  state.tree.commit(graph_, net.width);
-  refresh();
-  state.meets_length_rule = meets_length_rule(
-      state.tree, {}, design_.length_limit(static_cast<netlist::NetId>(index)));
+  const auto id = static_cast<netlist::NetId>(index);
+  const netlist::Net& net = design_.net(id);
+  rip_wires(graph_, state, net.width, cache, shard_floor);
+  maze_route(graph_, state, net, options_.pd_alpha, router, cache,
+             shard_floor);
+  state.meets_length_rule =
+      meets_length_rule(state.tree, {}, design_.length_limit(id));
 }
 
 void Rabid::stage2_serial(const std::vector<std::size_t>& order,
@@ -157,6 +122,9 @@ void Rabid::stage2_serial(const std::vector<std::size_t>& order,
                           route::EdgeCostCache& cache) {
   std::vector<double> snapshot;
   std::vector<std::uint8_t> edge_dirty;
+  const auto dirty_edge = [&](tile::EdgeId e) {
+    return edge_dirty[static_cast<std::size_t>(e)] != 0;
+  };
   for (std::int32_t iter = 0; iter < options_.reroute_iterations; ++iter) {
     if (deadline_hit()) break;  // per-pass cancellation point
     obs::ScopedTimer iter_timer("stage2 iteration", "stage");
@@ -164,12 +132,15 @@ void Rabid::stage2_serial(const std::vector<std::size_t>& order,
     const bool filter = options_.stage2_dirty_filter && iter > 0;
     const std::uint64_t dirty_edges =
         begin_iteration(graph_, cache, filter, snapshot, edge_dirty);
+    // A net keeps its route unless the congestion picture under it
+    // changed: every overflowed edge is dirty, so any net still causing
+    // overflow is always ripped up.
     std::uint64_t kept = 0;
     for (const std::size_t i : order) {
-      if (filter && !net_dirty(graph_, nets_[i].tree, edge_dirty)) {
+      if (filter && !any_arc(graph_, nets_[i].tree, dirty_edge)) {
         ++kept;
       } else {
-        reroute_net(i, router, cache, nullptr);
+        stage2_reroute(i, router, cache, nullptr);
       }
     }
     if (obs::counting()) {
@@ -239,6 +210,14 @@ void Rabid::stage2_sharded(const std::vector<std::size_t>& order,
 
   std::vector<double> snapshot;
   std::vector<std::uint8_t> edge_dirty;
+  const auto dirty_edge = [&](tile::EdgeId e) {
+    return edge_dirty[static_cast<std::size_t>(e)] != 0;
+  };
+  // Overflowed right now (books, not snapshot): drives iteration-0
+  // selectivity and the boundary escalation.
+  const auto overflowed = [&](tile::EdgeId e) {
+    return graph_.wire_usage(e) > graph_.wire_capacity(e);
+  };
   std::vector<std::vector<std::size_t>> local(R);
   // Boundary-crossing nets, replayed serially: (net, escalated).  An
   // escalated net — still overflow-touching at iteration >= 1 — routes
@@ -267,9 +246,9 @@ void Rabid::stage2_sharded(const std::vector<std::size_t>& order,
     for (const std::size_t i : order) {
       const route::RouteTree& tree = nets_[i].tree;
       if (tree.empty()) continue;
-      const bool over = selective && net_overflowed(graph_, tree);
+      const bool over = selective && any_arc(graph_, tree, overflowed);
       if ((selective && iter == 0 && !over) ||
-          (filter && !net_dirty(graph_, tree, edge_dirty))) {
+          (filter && !any_arc(graph_, tree, dirty_edge))) {
         ++kept;
         continue;
       }
@@ -306,7 +285,7 @@ void Rabid::stage2_sharded(const std::vector<std::size_t>& order,
         s.x1 = std::min(s.x1, rs.x1);
         s.y1 = std::min(s.y1, rs.y1);
         mr->confine(s);
-        reroute_net(i, *mr, cache, &floors[r]);
+        stage2_reroute(i, *mr, cache, &floors[r]);
       }
       release_router(std::move(mr));
     };
@@ -331,7 +310,7 @@ void Rabid::stage2_sharded(const std::vector<std::size_t>& order,
       } else {
         router.unconfine();
       }
-      reroute_net(i, router, cache, nullptr);
+      stage2_reroute(i, router, cache, nullptr);
     }
     router.unconfine();
     if (obs::counting()) {

@@ -11,16 +11,21 @@
 #include <vector>
 
 #include "core/allocator.hpp"
-#include "core/buffer_commit.hpp"
+#include "core/replan.hpp"
 #include "core/twopath.hpp"
+#include "netlist/validate.hpp"
 #include "obs/counters.hpp"
-#include "timing/delay.hpp"
+#include "route/maze.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace rabid::eco {
 
 namespace {
+
+/// Rip-up/reroute iterations of the closure loop: the stage-2 cap
+/// (RabidOptions::reroute_iterations).
+constexpr std::int32_t kClosureIterations = 3;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -46,33 +51,11 @@ IncrementalPlanner::IncrementalPlanner(netlist::Design design,
                    "adopted solution must hold one state per design net");
 }
 
-core::Status IncrementalPlanner::validate_net(const netlist::Net& net,
-                                              const char* what) const {
-  if (net.sinks.empty()) {
-    return bad(std::string(what) + " net '" + net.name + "' has no sinks");
-  }
-  if (net.width < 1) {
-    return bad(std::string(what) + " net '" + net.name +
-               "' has a non-positive wire width");
-  }
-  if (net.length_limit < 0) {
-    return bad(std::string(what) + " net '" + net.name +
-               "' has a negative length limit");
-  }
-  if (!design_.outline().contains(net.source.location)) {
-    return bad(std::string(what) + " net '" + net.name +
-               "' drives from outside the chip outline");
-  }
-  for (const netlist::Pin& pin : net.sinks) {
-    if (!design_.outline().contains(pin.location)) {
-      return bad(std::string(what) + " net '" + net.name +
-                 "' has a sink outside the chip outline");
-    }
-  }
-  return core::Status::ok();
-}
-
 core::Status IncrementalPlanner::validate(const Perturbation& p) const {
+  const auto admit = [this](const netlist::Net& net, const char* what) {
+    return netlist::validate_incoming_net(design_.outline(), net, what,
+                                          "perturbation");
+  };
   for (const WireEdit& we : p.wire_edits) {
     if (we.edge < 0 || we.edge >= graph_.edge_count()) {
       return bad("wire edit names edge " + std::to_string(we.edge) +
@@ -107,7 +90,7 @@ core::Status IncrementalPlanner::validate(const Perturbation& p) const {
       return bad("net " + std::to_string(m.id) +
                  " is moved or removed more than once");
     }
-    if (core::Status s = validate_net(m.replacement, "moved"); !s) return s;
+    if (core::Status s = admit(m.replacement, "moved"); !s) return s;
   }
   for (const netlist::NetId id : p.removed_nets) {
     if (id < 0 || id >= net_count) {
@@ -120,88 +103,9 @@ core::Status IncrementalPlanner::validate(const Perturbation& p) const {
     }
   }
   for (const netlist::Net& n : p.added_nets) {
-    if (core::Status s = validate_net(n, "added"); !s) return s;
+    if (core::Status s = admit(n, "added"); !s) return s;
   }
   return core::Status::ok();
-}
-
-void IncrementalPlanner::rip_net(std::size_t i, route::EdgeCostCache& cache) {
-  core::NetState& st = nets_[i];
-  if (st.tree.empty()) return;
-  if (!st.buffers.empty()) {
-    obs::count(obs::Counter::kBuffersRemoved,
-               static_cast<std::uint64_t>(st.buffers.size()));
-    for (const route::BufferPlacement& b : st.buffers) {
-      graph_.remove_buffer(st.tree.node(b.node).tile);
-    }
-    st.buffers.clear();
-    st.buffer_types.clear();
-  }
-  st.tree.uncommit(graph_,
-                   design_.net(static_cast<netlist::NetId>(i)).width);
-  cache.refresh_tree(st.tree);
-  st.tree = route::RouteTree();
-  st.meets_length_rule = false;
-  st.delay = timing::DelayResult{};
-}
-
-void IncrementalPlanner::rebuffer_net(std::size_t i) {
-  core::NetState& st = nets_[i];
-  const std::int32_t L =
-      design_.length_limit(static_cast<netlist::NetId>(i));
-  const buffer::BufferLibrary& lib = options_.buffer_library;
-  // The stage-3 commit at demand p(v) = 0: the batch flow's
-  // not-yet-processed-nets prediction term is meaningless in the middle
-  // of an ECO, where every other net is already committed.
-  core::commit_buffers(graph_, st, L, lib,
-                       [&](std::span<const tile::TileId> forbidden) {
-                         return buffer::insert_buffers_planned_relaxed(
-                             st.tree, L, core::site_costs(graph_, forbidden),
-                             lib);
-                       });
-}
-
-void IncrementalPlanner::polish_net(std::size_t i,
-                                    route::EdgeCostCache& cache,
-                                    std::vector<double>& site_cost,
-                                    core::TwoPathRerouter& rerouter) {
-  core::NetState& st = nets_[i];
-  const auto id = static_cast<netlist::NetId>(i);
-  const std::int32_t L = design_.length_limit(id);
-  const std::int32_t width = design_.net(id).width;
-
-  obs::count(obs::Counter::kBuffersRemoved,
-             static_cast<std::uint64_t>(st.buffers.size()));
-  for (const route::BufferPlacement& b : st.buffers) {
-    const tile::TileId t = st.tree.node(b.node).tile;
-    graph_.remove_buffer(t);
-    site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
-  }
-  st.buffers.clear();
-  st.buffer_types.clear();
-  st.tree.uncommit(graph_, width);
-  cache.refresh_tree(st.tree);
-
-  // The stage-4 reroute, shared with Rabid::run_stage4.
-  st.tree = rerouter.reroute(st.tree, L, cache.values(), site_cost, 1.0,
-                             cache.min_cost());
-  st.tree.commit(graph_, width);
-  cache.refresh_tree(st.tree);
-
-  rebuffer_net(i);
-  for (const route::BufferPlacement& b : st.buffers) {
-    const tile::TileId t = st.tree.node(b.node).tile;
-    site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
-  }
-}
-
-void IncrementalPlanner::refresh_delay(std::size_t i) {
-  core::NetState& st = nets_[i];
-  if (st.tree.empty()) return;
-  const timing::Technology tech = timing::scaled_for_width(
-      options_.tech, design_.net(static_cast<netlist::NetId>(i)).width);
-  st.delay = timing::evaluate_delay(st.tree, st.buffers, st.buffer_types,
-                                    graph_, tech);
 }
 
 core::Status IncrementalPlanner::replan(const Perturbation& p,
@@ -213,6 +117,12 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
   route::EdgeCostCache cache(graph_, [this](tile::EdgeId e) {
     return route::soft_wire_cost(graph_, e);
   });
+  const auto net_of = [this](std::size_t i) -> const netlist::Net& {
+    return design_.net(static_cast<netlist::NetId>(i));
+  };
+  const auto length_limit = [this](std::size_t i) {
+    return design_.length_limit(static_cast<netlist::NetId>(i));
+  };
 
   // --- capacity edits -------------------------------------------------
   // Wire edits go through on_capacity_change: a raised capacity can
@@ -254,39 +164,28 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
   for (const netlist::NetId id : p.removed_nets) {
     dirty[static_cast<std::size_t>(id)] = 1;
   }
+  const auto edited = [&](tile::EdgeId e) {
+    return edge_dirty[static_cast<std::size_t>(e)] != 0;
+  };
   for (std::size_t i = 0; i < nets_.size(); ++i) {
     if (dirty[i]) continue;
     const core::NetState& st = nets_[i];
-    if (st.tree.empty()) {
-      // Never planned (e.g. a deadline-cancelled batch run): plan now.
+    const auto on_cut_site = [&](const route::BufferPlacement& b) {
+      const tile::TileId t = st.tree.node(b.node).tile;
+      return tile_over[static_cast<std::size_t>(t)] != 0;
+    };
+    // A net never planned (e.g. a deadline-cancelled batch run) is
+    // planned now.
+    if (st.tree.empty() || core::any_arc(graph_, st.tree, edited) ||
+        (any_tile_over && std::ranges::any_of(st.buffers, on_cut_site))) {
       dirty[i] = 1;
-      continue;
     }
-    bool hit = false;
-    for (const route::RouteNode& node : st.tree.nodes()) {
-      if (node.parent == route::kNoNode) continue;
-      const tile::EdgeId e =
-          graph_.edge_between(node.tile, st.tree.node(node.parent).tile);
-      if (edge_dirty[static_cast<std::size_t>(e)]) {
-        hit = true;
-        break;
-      }
-    }
-    if (!hit && any_tile_over) {
-      for (const route::BufferPlacement& b : st.buffers) {
-        if (tile_over[static_cast<std::size_t>(st.tree.node(b.node).tile)]) {
-          hit = true;
-          break;
-        }
-      }
-    }
-    if (hit) dirty[i] = 1;
   }
 
   // --- rip the seed set (before the design edits: uncommit must use
   // the *old* width, and a moved net's buffers must leave the books) ---
   for (std::size_t i = 0; i < nets_.size(); ++i) {
-    if (dirty[i]) rip_net(i, cache);
+    if (dirty[i]) core::rip_net(graph_, nets_[i], net_of(i).width, cache);
   }
 
   // --- design edits ---------------------------------------------------
@@ -318,7 +217,7 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
   route::MazeRouter router(graph_);
   std::vector<std::uint8_t> ever = dirty;
   std::int64_t iterations = 0;
-  for (std::int32_t iter = 0; iter < options_.reroute_iterations; ++iter) {
+  for (std::int32_t iter = 0; iter < kClosureIterations; ++iter) {
     cache.refresh_all();
     if (iter > 0) {
       std::vector<std::int32_t> excess(
@@ -333,6 +232,9 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
         }
       }
       if (!any) break;
+      const auto overloaded = [&](tile::EdgeId e) {
+        return excess[static_cast<std::size_t>(e)] > 0;
+      };
       // Two passes: the nets this ECO already re-planned first (the
       // newcomers whose routes caused the overload), untouched batch
       // nets only for whatever excess remains.
@@ -343,21 +245,10 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
           if (dirty[i] || ((pass == 0) != (ever[i] != 0))) continue;
           const core::NetState& st = nets_[i];
           if (st.tree.empty()) continue;
-          bool rides = false;
-          for (const route::RouteNode& node : st.tree.nodes()) {
-            if (node.parent == route::kNoNode) continue;
-            const tile::EdgeId e = graph_.edge_between(
-                node.tile, st.tree.node(node.parent).tile);
-            if (excess[static_cast<std::size_t>(e)] > 0) {
-              rides = true;
-              break;
-            }
-          }
-          if (!rides) continue;
+          if (!core::any_arc(graph_, st.tree, overloaded)) continue;
           dirty[i] = 1;
           any_net = true;
-          const std::int32_t width =
-              design_.net(static_cast<netlist::NetId>(i)).width;
+          const std::int32_t width = net_of(i).width;
           for (const route::RouteNode& node : st.tree.nodes()) {
             if (node.parent == route::kNoNode) continue;
             const tile::EdgeId e = graph_.edge_between(
@@ -371,37 +262,33 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
     ++iterations;
     for (std::size_t i = 0; i < nets_.size(); ++i) {
       if (!dirty[i]) continue;
-      core::NetState& st = nets_[i];
-      if (!st.tree.empty()) rip_net(i, cache);
-      const netlist::Net& net = design_.net(static_cast<netlist::NetId>(i));
-      st.tree = router.route_net(net, options_.pd_alpha, cache.values(),
-                                 cache.min_cost());
-      st.tree.commit(graph_, net.width);
-      cache.refresh_tree(st.tree);
+      core::rip_net(graph_, nets_[i], net_of(i).width, cache);
+      core::maze_route(graph_, nets_[i], net_of(i), options_.pd_alpha, router,
+                       cache);
       ever[i] = 1;
     }
   }
 
-  // --- stage-3 re-buffering + optional stage-4 polish of the closure --
+  // --- stage-3 re-buffering, then the stage-4 polish of the closure ---
+  const buffer::BufferLibrary& lib = options_.buffer_library;
   for (std::size_t i = 0; i < nets_.size(); ++i) {
-    if (ever[i] && !nets_[i].tree.empty()) rebuffer_net(i);
-  }
-  if (options_.two_path_pass) {
-    cache.refresh_all();
-    std::vector<double> site_cost(
-        static_cast<std::size_t>(graph_.tile_count()));
-    for (tile::TileId t = 0; t < graph_.tile_count(); ++t) {
-      site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
+    if (ever[i] && !nets_[i].tree.empty()) {
+      core::buffer_net(graph_, nets_[i], length_limit(i), lib);
     }
-    core::TwoPathRerouter rerouter(graph_);
-    for (std::size_t i = 0; i < nets_.size(); ++i) {
-      if (ever[i] && !nets_[i].tree.empty()) {
-        polish_net(i, cache, site_cost, rerouter);
-      }
+  }
+  cache.refresh_all();
+  std::vector<double> site_cost = core::site_cost_table(graph_);
+  core::TwoPathRerouter rerouter(graph_);
+  for (std::size_t i = 0; i < nets_.size(); ++i) {
+    if (ever[i] && !nets_[i].tree.empty()) {
+      core::polish_net(graph_, nets_[i], length_limit(i), net_of(i).width,
+                       lib, cache, site_cost, rerouter, /*wire_weight=*/1.0);
     }
   }
   for (std::size_t i = 0; i < nets_.size(); ++i) {
-    if (ever[i]) refresh_delay(i);
+    if (ever[i]) {
+      core::refresh_delay(graph_, nets_[i], net_of(i).width, options_.tech);
+    }
   }
 
   const auto dirty_count = static_cast<std::int64_t>(
@@ -478,7 +365,6 @@ EquivalenceReport compare_with_scratch(const IncrementalPlanner& planner) {
 
   core::RabidOptions ropt;
   ropt.pd_alpha = planner.options().pd_alpha;
-  ropt.reroute_iterations = planner.options().reroute_iterations;
   ropt.threads = 1;
   ropt.tech = planner.options().tech;
   ropt.buffer_library = planner.options().buffer_library;

@@ -22,7 +22,8 @@
 ///      overflowed), and nets holding buffers in a tile whose site
 ///      supply dropped below its usage.
 ///   3. The seed set is ripped (wires and buffers leave the books) and
-///      re-planned with the standard stage-2 rip-up/reroute loop; later
+///      re-planned with the stage-2 rip-up/reroute steps
+///      (core/replan.hpp), for at most three iterations; later
 ///      iterations grow the closure only through *overflowed* edges,
 ///      and only by the overflow excess — enough riders to clear each
 ///      overload, nets this ECO already re-planned first.  Soft cost
@@ -30,8 +31,8 @@
 ///      nudge would re-plan the whole chip; locality is the point).
 ///   4. Every re-planned net is re-buffered with the stage-3 DP
 ///      (demand p(v) = 0 — the batch prediction term is meaningless
-///      mid-ECO) and optionally polished with the stage-4 two-path
-///      pass, then its delays and length-rule flag are refreshed.
+///      mid-ECO) and polished with the stage-4 step core::polish_net,
+///      then its delays and length-rule flag are refreshed.
 ///
 /// Untouched nets keep their trees, buffers, and delays bit-for-bit;
 /// the books stay exactly consistent at every step (audit() proves it).
@@ -48,13 +49,8 @@
 #include "core/rabid.hpp"
 #include "core/status.hpp"
 #include "netlist/design.hpp"
-#include "route/maze.hpp"
 #include "tile/tile_graph.hpp"
 #include "timing/tech.hpp"
-
-namespace rabid::core {
-class TwoPathRerouter;  // core/twopath.hpp
-}  // namespace rabid::core
 
 namespace rabid::eco {
 
@@ -96,10 +92,6 @@ struct Perturbation {
 
 struct EcoOptions {
   double pd_alpha = 0.4;  ///< RabidOptions::pd_alpha
-  /// Rip-up/reroute iterations of the closure loop (stage-2 cap).
-  std::int32_t reroute_iterations = 3;
-  /// Run the stage-4-style two-path + re-buffer polish over the closure.
-  bool two_path_pass = true;
   /// Declared equivalence bound: relative wirelength / buffer-count gap
   /// tolerated versus a from-scratch plan of the perturbed design
   /// (EquivalenceReport::within).
@@ -150,19 +142,6 @@ class IncrementalPlanner {
 
  private:
   core::Status validate(const Perturbation& p) const;
-  core::Status validate_net(const netlist::Net& net,
-                            const char* what) const;
-  /// Removes net i's wires and buffers from the books (point cost
-  /// refreshes included) and clears its solution state.
-  void rip_net(std::size_t i, route::EdgeCostCache& cache);
-  /// Stage-3 buffering for net i at p(v) = 0, with the same
-  /// forbidden-tile retry commit loop the batch flow uses.
-  void rebuffer_net(std::size_t i);
-  /// Stage-4 two-path polish for net i (buffers must be committed).
-  void polish_net(std::size_t i, route::EdgeCostCache& cache,
-                  std::vector<double>& site_cost,
-                  core::TwoPathRerouter& rerouter);
-  void refresh_delay(std::size_t i);
 
   netlist::Design design_;
   tile::TileGraph& graph_;

@@ -5,9 +5,9 @@
 
 #include "buffer/insertion.hpp"
 #include "core/buffer_commit.hpp"
+#include "core/replan.hpp"
+#include "netlist/validate.hpp"
 #include "obs/counters.hpp"
-#include "timing/delay.hpp"
-#include "util/assert.hpp"
 
 namespace rabid::eco {
 
@@ -36,47 +36,32 @@ StreamPlanner::StreamPlanner(std::string name, geom::Rect outline,
 }
 
 core::Result<netlist::NetId> StreamPlanner::add_net(netlist::Net net) {
-  if (net.sinks.empty()) {
-    return core::Status::invalid_input(
-        "streamed net '" + net.name + "' has no sinks", "stream");
-  }
-  if (net.width < 1) {
-    return core::Status::invalid_input(
-        "streamed net '" + net.name + "' has a non-positive wire width",
-        "stream");
-  }
-  if (!design_.outline().contains(net.source.location)) {
-    return core::Status::invalid_input(
-        "streamed net '" + net.name + "' drives from outside the chip",
-        "stream");
-  }
-  for (const netlist::Pin& pin : net.sinks) {
-    if (!design_.outline().contains(pin.location)) {
-      return core::Status::invalid_input(
-          "streamed net '" + net.name + "' has a sink outside the chip",
-          "stream");
-    }
-  }
-
+  const core::Status valid = netlist::validate_incoming_net(
+      design_.outline(), net, "streamed", "stream");
+  if (!valid) return valid;
   const netlist::NetId id = design_.add_net(std::move(net));
   nets_.emplace_back();
   phase_.push_back(Phase::kParked);
   ++stats_.admitted;
   obs::count(obs::Counter::kStreamNetsAdmitted);
   emit(id, StreamEvent::kAdmitted);
+  plan_or_park(id);
+  return id;
+}
 
+bool StreamPlanner::plan_or_park(netlist::NetId id) {
   if (try_plan(id)) {
     phase_[static_cast<std::size_t>(id)] = Phase::kPlanned;
     ++stats_.planned;
     obs::count(obs::Counter::kStreamNetsPlanned);
     emit(id, StreamEvent::kPlanned);
-  } else {
-    queue_.push_back(id);
-    ++stats_.parked;
-    obs::count(obs::Counter::kStreamNetsParked);
-    emit(id, StreamEvent::kParked);
+    return true;
   }
-  return id;
+  queue_.push_back(id);
+  ++stats_.parked;
+  obs::count(obs::Counter::kStreamNetsParked);
+  emit(id, StreamEvent::kParked);
+  return false;
 }
 
 bool StreamPlanner::try_plan(netlist::NetId id) {
@@ -88,24 +73,19 @@ bool StreamPlanner::try_plan(netlist::NetId id) {
   // Hard wire admission: the soft eq. (1) costs steer the router away
   // from full edges, but only choose an overflowing arc when no free
   // path exists — in a stream that means "does not fit", not "fix it
-  // next iteration".
-  for (const route::RouteNode& node : tree.nodes()) {
-    if (node.parent == route::kNoNode) continue;
-    const tile::EdgeId e =
-        graph_.edge_between(node.tile, tree.node(node.parent).tile);
-    if (graph_.wire_usage(e) + net.width > graph_.wire_capacity(e)) {
-      return false;
-    }
-  }
-  tree.commit(graph_, net.width);
-  cache_.refresh_tree(tree);
+  // next iteration".  Checked before anything is booked.
+  const auto full = [&](tile::EdgeId e) {
+    return graph_.wire_usage(e) + net.width > graph_.wire_capacity(e);
+  };
+  if (core::any_arc(graph_, tree, full)) return false;
+  core::NetState& st = nets_[static_cast<std::size_t>(id)];
+  st.tree = std::move(tree);
+  core::commit_wires(graph_, st, net.width, cache_);
 
   // Strict (non-relaxed) buffering at demand p(v) = 0: a streamed net
   // parks rather than committing a length-rule violation.
   const std::int32_t L = design_.length_limit(id);
   const buffer::BufferLibrary& lib = options_.buffer_library;
-  core::NetState& st = nets_[static_cast<std::size_t>(id)];
-  st.tree = std::move(tree);
   const bool buffered = core::commit_buffers(
       graph_, st, L, lib,
       [&](std::span<const tile::TileId> forbidden) {
@@ -116,14 +96,10 @@ bool StreamPlanner::try_plan(netlist::NetId id) {
   if (!buffered) {
     // Buffering infeasible within the remaining sites: roll the wires
     // back out of the books and park.
-    st.tree.uncommit(graph_, net.width);
-    cache_.refresh_tree(st.tree);
-    st = core::NetState{};
+    core::rip_net(graph_, st, net.width, cache_);
     return false;
   }
-  st.delay = timing::evaluate_delay(
-      st.tree, st.buffers, st.buffer_types, graph_,
-      timing::scaled_for_width(options_.tech, net.width));
+  core::refresh_delay(graph_, st, net.width, options_.tech);
   return true;
 }
 
@@ -145,17 +121,8 @@ core::Status StreamPlanner::remove_net(netlist::NetId id) {
     return core::Status::ok();
   }
 
-  core::NetState& st = nets_[static_cast<std::size_t>(id)];
-  if (!st.buffers.empty()) {
-    obs::count(obs::Counter::kBuffersRemoved,
-               static_cast<std::uint64_t>(st.buffers.size()));
-    for (const route::BufferPlacement& b : st.buffers) {
-      graph_.remove_buffer(st.tree.node(b.node).tile);
-    }
-  }
-  st.tree.uncommit(graph_, design_.net(id).width);
-  cache_.refresh_tree(st.tree);
-  st = core::NetState{};
+  core::rip_net(graph_, nets_[static_cast<std::size_t>(id)],
+                design_.net(id).width, cache_);
   phase = Phase::kRemoved;
   emit(id, StreamEvent::kRemoved);
   // The rip freed wires and sites: parked nets get another chance.
@@ -188,18 +155,7 @@ std::size_t StreamPlanner::retry_parked() {
     ++stats_.retried;
     obs::count(obs::Counter::kStreamNetsRetried);
     emit(id, StreamEvent::kRetried);
-    if (try_plan(id)) {
-      phase_[static_cast<std::size_t>(id)] = Phase::kPlanned;
-      ++planned;
-      ++stats_.planned;
-      obs::count(obs::Counter::kStreamNetsPlanned);
-      emit(id, StreamEvent::kPlanned);
-    } else {
-      queue_.push_back(id);
-      ++stats_.parked;
-      obs::count(obs::Counter::kStreamNetsParked);
-      emit(id, StreamEvent::kParked);
-    }
+    if (plan_or_park(id)) ++planned;
   }
   return planned;
 }

@@ -85,7 +85,9 @@ class StreamPlanner {
   /// Admits one net and tries to plan it immediately; a net that does
   /// not fit is parked (the id is still returned — parked is a
   /// legitimate state, not an error).  Errors are reserved for
-  /// structurally invalid nets (no sinks, pins off-chip).
+  /// structurally invalid nets (netlist::validate_incoming_net: no
+  /// sinks, a non-positive width, a negative length limit, pins
+  /// off-chip).
   core::Result<netlist::NetId> add_net(netlist::Net net);
 
   /// Rips a planned net (or drops a parked one), then drains the retry
@@ -123,6 +125,10 @@ class StreamPlanner {
  private:
   enum class Phase : std::uint8_t { kPlanned, kParked, kRemoved };
 
+  /// try_plan, then marks `id` planned or appends it to the retry queue
+  /// (stats, counters and the event included).  Returns try_plan's
+  /// verdict.
+  bool plan_or_park(netlist::NetId id);
   /// Routes, checks hard feasibility, buffers, and commits net `id`.
   /// On any failure the books are rolled back and false is returned.
   bool try_plan(netlist::NetId id);

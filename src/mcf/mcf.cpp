@@ -7,8 +7,8 @@
 
 #include "buffer/insertion.hpp"
 #include "core/buffer_commit.hpp"
+#include "core/replan.hpp"
 #include "obs/counters.hpp"
-#include "timing/delay.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -173,64 +173,11 @@ void McfAllocator::run_phase(util::ThreadPool* pool) {
 
 bool McfAllocator::fits(const netlist::NetId id, const Candidate& cand) const {
   const std::int32_t width = design_.net(id).width;
-  for (const route::RouteNode& node : cand.tree.nodes()) {
-    if (node.parent == route::kNoNode) continue;
-    const tile::EdgeId e =
-        graph_.edge_between(node.tile, cand.tree.node(node.parent).tile);
-    if (graph_.wire_usage(e) + width > graph_.wire_capacity(e)) return false;
-  }
-  return core::buffers_fit(graph_, cand.tree, cand.insertion.buffers);
-}
-
-void McfAllocator::commit(netlist::NetId id, const Candidate& cand) {
-  core::NetState& state = nets_[static_cast<std::size_t>(id)];
-  state.tree = cand.tree;
-  state.tree.commit(graph_, design_.net(id).width);
-  // fits() held, so the first proposal books.
-  core::commit_buffers(graph_, state, design_.length_limit(id),
-                       options_.buffer_library,
-                       [&](std::span<const tile::TileId>) {
-                         return cand.insertion;
-                       });
-}
-
-void McfAllocator::route_fallback(netlist::NetId id,
-                                  route::MazeRouter& router,
-                                  route::EdgeCostCache& cache) {
-  core::NetState& state = nets_[static_cast<std::size_t>(id)];
-  const netlist::Net& net = design_.net(id);
-  state.tree = router.route_net(net, options_.pd_alpha, cache.values(),
-                                cache.min_cost());
-  state.tree.commit(graph_, net.width);
-  cache.refresh_tree(state.tree);
-
-  // Buffer under live eq. (2) costs (infinite at full tiles, so
-  // b(v) <= B(v) holds by construction), with the stage-3 commit
-  // against single-net oversubscription.
-  const std::int32_t L = design_.length_limit(id);
-  const buffer::BufferLibrary& lib = options_.buffer_library;
-  core::commit_buffers(graph_, state, L, lib,
-                       [&](std::span<const tile::TileId> forbidden) {
-                         return buffer::insert_buffers_planned_relaxed(
-                             state.tree, L, core::site_costs(graph_, forbidden),
-                             lib);
-                       });
-}
-
-void McfAllocator::refresh_delays(util::ThreadPool* pool) {
-  const auto refresh_one = [this](std::size_t i) {
-    core::NetState& n = nets_[i];
-    if (n.tree.empty()) return;
-    const timing::Technology tech = timing::scaled_for_width(
-        options_.tech, design_.net(static_cast<netlist::NetId>(i)).width);
-    n.delay =
-        timing::evaluate_delay(n.tree, n.buffers, n.buffer_types, graph_, tech);
+  const auto full = [&](tile::EdgeId e) {
+    return graph_.wire_usage(e) + width > graph_.wire_capacity(e);
   };
-  if (pool != nullptr) {
-    pool->parallel_for(0, nets_.size(), refresh_one);
-  } else {
-    for (std::size_t i = 0; i < nets_.size(); ++i) refresh_one(i);
-  }
+  return !core::any_arc(graph_, cand.tree, full) &&
+         core::buffers_fit(graph_, cand.tree, cand.insertion.buffers);
 }
 
 std::vector<core::StageStats> McfAllocator::plan() {
@@ -271,6 +218,16 @@ std::vector<core::StageStats> McfAllocator::plan() {
   route::EdgeCostCache cache(
       graph_, [this](tile::EdgeId e) { return route::soft_wire_cost(graph_, e); });
   cache.refresh_all();
+  // Fresh congestion-aware route for a net no candidate fits (or one
+  // under repair), buffered under live eq. (2) costs: infinite at full
+  // tiles, so b(v) <= B(v) holds by construction.
+  const auto route_fallback = [&](netlist::NetId id) {
+    core::NetState& state = nets_[static_cast<std::size_t>(id)];
+    core::maze_route(graph_, state, design_.net(id), options_.pd_alpha,
+                     router, cache);
+    core::buffer_net(graph_, state, design_.length_limit(id),
+                     options_.buffer_library);
+  };
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<netlist::NetId>(i);
     const std::vector<Candidate>& cands = candidates_[i];
@@ -284,20 +241,25 @@ std::vector<core::StageStats> McfAllocator::plan() {
     if (chosen != order.end()) order.erase(chosen);
     order.insert(order.begin(), choice[i]);
 
-    bool committed = false;
-    for (const std::size_t c : order) {
-      if (!fits(id, cands[c])) continue;
-      commit(id, cands[c]);
-      cache.refresh_tree(nets_[i].tree);
-      committed = true;
-      break;
-    }
-    if (!committed) {
+    const auto fitting = [&](std::size_t c) { return fits(id, cands[c]); };
+    const auto fit = std::ranges::find_if(order, fitting);
+    if (fit == order.end()) {
       obs::count(obs::Counter::kMcfRoundingFallbacks);
-      route_fallback(id, router, cache);
+      route_fallback(id);
+      continue;
     }
+    // fits() held, so the candidate's buffering books on the first try.
+    const Candidate& cand = cands[*fit];
+    core::NetState& state = nets_[i];
+    state.tree = cand.tree;
+    core::commit_wires(graph_, state, design_.net(id).width, cache);
+    core::commit_buffers(graph_, state, design_.length_limit(id),
+                         options_.buffer_library,
+                         [&](std::span<const tile::TileId>) {
+                           return cand.insertion;
+                         });
   }
-  refresh_delays(pool.get());
+  core::refresh_delays(graph_, design_, nets_, options_.tech, pool.get());
   history_.push_back(core::solution_snapshot(
       graph_, nets_, "mcf-round", seconds_since(start), threads()));
 
@@ -315,35 +277,18 @@ std::vector<core::StageStats> McfAllocator::plan() {
       }
     }
     if (!any) break;
+    const auto crossed = [&](tile::EdgeId e) {
+      return over[static_cast<std::size_t>(e)] != 0;
+    };
     for (std::size_t i = 0; i < n; ++i) {
+      if (!core::any_arc(graph_, nets_[i].tree, crossed)) continue;
       const auto id = static_cast<netlist::NetId>(i);
-      core::NetState& state = nets_[i];
-      if (state.tree.empty()) continue;
-      bool crosses = false;
-      for (const route::RouteNode& node : state.tree.nodes()) {
-        if (node.parent == route::kNoNode) continue;
-        const tile::EdgeId e = graph_.edge_between(
-            node.tile, state.tree.node(node.parent).tile);
-        if (over[static_cast<std::size_t>(e)] != 0) {
-          crosses = true;
-          break;
-        }
-      }
-      if (!crosses) continue;
       obs::count(obs::Counter::kMcfRepairReroutes);
-      state.tree.uncommit(graph_, design_.net(id).width);
-      obs::count(obs::Counter::kBuffersRemoved,
-                 static_cast<std::uint64_t>(state.buffers.size()));
-      for (const route::BufferPlacement& b : state.buffers) {
-        graph_.remove_buffer(state.tree.node(b.node).tile);
-      }
-      cache.refresh_tree(state.tree);
-      state.buffers.clear();
-      state.buffer_types.clear();
-      route_fallback(id, router, cache);
+      core::rip_net(graph_, nets_[i], design_.net(id).width, cache);
+      route_fallback(id);
     }
   }
-  refresh_delays(pool.get());
+  core::refresh_delays(graph_, design_, nets_, options_.tech, pool.get());
   history_.push_back(core::solution_snapshot(
       graph_, nets_, "mcf-repair", seconds_since(repair_start), threads()));
 

@@ -110,14 +110,6 @@ class McfAllocator final : public core::Allocator {
   void run_phase(util::ThreadPool* pool);
   /// True when `cand` fits the live books with hard capacity.
   bool fits(const netlist::NetId id, const Candidate& cand) const;
-  /// Books `cand` for net `id` and installs it as the net's state.
-  void commit(netlist::NetId id, const Candidate& cand);
-  /// Fresh congestion-aware route + buffering for a net no candidate
-  /// fits (or during repair); commits and installs the result.
-  void route_fallback(netlist::NetId id, route::MazeRouter& router,
-                      route::EdgeCostCache& cache);
-  /// Parallel width-scaled Elmore refresh of every net's delay.
-  void refresh_delays(util::ThreadPool* pool);
 
   const netlist::Design& design_;
   tile::TileGraph& graph_;

@@ -131,4 +131,31 @@ Status validate_design(const Design& design) {
   return Status::ok();
 }
 
+Status validate_incoming_net(const geom::Rect& outline, const Net& net,
+                             const std::string& what,
+                             const std::string& field) {
+  const std::string name = what + " net '" + net.name + "'";
+  if (net.sinks.empty()) {
+    return Status::invalid_input(name + " has no sinks", field);
+  }
+  if (net.width < 1) {
+    return Status::invalid_input(name + " has a non-positive wire width",
+                                 field);
+  }
+  if (net.length_limit < 0) {
+    return Status::invalid_input(name + " has a negative length limit", field);
+  }
+  if (!outline.contains(net.source.location)) {
+    return Status::invalid_input(
+        name + " drives from outside the chip outline", field);
+  }
+  for (const Pin& pin : net.sinks) {
+    if (!outline.contains(pin.location)) {
+      return Status::invalid_input(
+          name + " has a sink outside the chip outline", field);
+    }
+  }
+  return Status::ok();
+}
+
 }  // namespace rabid::netlist

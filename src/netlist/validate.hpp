@@ -13,6 +13,8 @@
 /// crossed a parse or came from an untrusted caller.  Every condition
 /// check_invariants() asserts is also reported here.
 
+#include <string>
+
 #include "core/status.hpp"
 #include "netlist/design.hpp"
 
@@ -20,5 +22,14 @@ namespace rabid::netlist {
 
 /// Full semantic validation; the first violation found is returned.
 core::Status validate_design(const Design& design);
+
+/// Admission check for one net joining a planned design (an ECO's moved
+/// or added net, a streamed net): at least one sink, a positive wire
+/// width, a non-negative length limit, and every pin inside `outline`.
+/// The message names the net as "<what> net '<name>'"; `field` is the
+/// Status context.
+core::Status validate_incoming_net(const geom::Rect& outline, const Net& net,
+                                   const std::string& what,
+                                   const std::string& field);
 
 }  // namespace rabid::netlist

@@ -80,7 +80,7 @@ enum class Counter : std::uint16_t {
   kDpNets,             ///< insert_buffers() calls
   kDpCellsComputed,    ///< C_v/K_w cost-array cells filled
   kDpCellsInfeasible,  ///< cells left at +inf (no candidate survives)
-  kDpLimitRelaxations, ///< insert_buffers_relaxed limit doublings
+  kDpLimitRelaxations, ///< insert_buffers_planned_relaxed limit doublings
   kDpKernels,          ///< span-kernel invocations (advance/join/min)
   kDpStatesPruned,     ///< dominated (cost, load) candidates dropped
   // core/rabid.cpp — stage-3 speculative parallel batches.

@@ -95,8 +95,8 @@ TEST(Insertion, InfeasibleChainReportsNoSolution) {
 TEST(Insertion, RelaxedDoublesUntilFeasible) {
   const tile::TileGraph g = make_graph();
   const route::RouteTree t = chain(g, 6);  // span 6
-  const InsertionResult r =
-      insert_buffers_relaxed(t, 3, [](tile::TileId) { return kInf; });
+  const InsertionResult r = insert_buffers_planned_relaxed(
+      t, 3, [](tile::TileId) { return kInf; }, BufferLibrary{});
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.effective_limit, 6);  // 3 -> 6 suffices (driver drives 6)
   EXPECT_TRUE(r.buffers.empty());
@@ -105,8 +105,8 @@ TEST(Insertion, RelaxedDoublesUntilFeasible) {
 TEST(Insertion, RelaxedKeepsOriginalLimitWhenFeasible) {
   const tile::TileGraph g = make_graph();
   const route::RouteTree t = chain(g, 6);
-  const InsertionResult r =
-      insert_buffers_relaxed(t, 3, [](tile::TileId) { return 1.0; });
+  const InsertionResult r = insert_buffers_planned_relaxed(
+      t, 3, [](tile::TileId) { return 1.0; }, BufferLibrary{});
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.effective_limit, 3);
   EXPECT_FALSE(r.buffers.empty());

@@ -241,7 +241,7 @@ TEST(DpOracleFixed, RelaxedDoublesTheLimitUntilFeasible) {
   for (std::int32_t x = 1; x <= 6; ++x) cur = t.add_child(cur, g.id_of({x, 0}));
   t.add_sink(cur);
   const TileCostFn q = [](tile::TileId) { return kInf; };  // no sites at all
-  const InsertionResult dp = insert_buffers_lib_relaxed(t, 1, q, exact2());
+  const InsertionResult dp = insert_buffers_planned_relaxed(t, 1, q, exact2());
   ASSERT_TRUE(dp.feasible);
   EXPECT_EQ(dp.cost, 0.0);  // no buffers once L covers the wirelength
   EXPECT_TRUE(dp.buffers.empty());

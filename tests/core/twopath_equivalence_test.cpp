@@ -409,8 +409,9 @@ TEST(TwoPathEquivalenceLarge, DeferredKeysKeepEveryRouteAfterStage3) {
 }
 
 TEST(TwoPathEquivalenceLarge, DeferredKeysKeepEveryEcoPolishRoute) {
-  // Batch plan, then a seeded pin-move ECO re-planned without its polish
-  // pass; the replay runs that pass's searches over the re-planned nets.
+  // Batch plan, then a seeded pin-move ECO (its polish pass included);
+  // the replay runs the stage-4 searches again over the polished trees
+  // of the re-planned nets.
   const circuits::RandomCircuit rc(11, large_grid());
   const netlist::Design design = rc.design();
   tile::TileGraph graph = rc.graph(design);
@@ -420,7 +421,6 @@ TEST(TwoPathEquivalenceLarge, DeferredKeysKeepEveryEcoPolishRoute) {
   eco::EcoOptions eco;
   eco.tech = options.tech;
   eco.buffer_library = options.buffer_library;
-  eco.two_path_pass = false;
   eco::IncrementalPlanner planner(design, graph, rabid.nets(), eco);
   ASSERT_TRUE(
       planner.replan(eco::random_move_perturbation(planner, 0.25, 1))

@@ -223,5 +223,23 @@ TEST(StreamPlanner, RejectsStructurallyInvalidNets) {
   EXPECT_EQ(planner.design().nets().size(), 0u);
 }
 
+/// The stream admits what the ECO planner and validate_design admit: a
+/// negative length limit is an input error, not a request for the
+/// default limit.
+TEST(StreamPlanner, RejectsNegativeLengthLimit) {
+  tile::TileGraph g = corridor(2, 0);
+  StreamPlanner planner("stream", geom::Rect({0.0, 0.0}, {400.0, 100.0}), 8,
+                        g);
+  netlist::Net negative = span_net(g, "negative", 0, 3);
+  negative.length_limit = -1;
+  const core::Result<netlist::NetId> r = planner.add_net(negative);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), core::StatusCode::kInvalidInput);
+  EXPECT_EQ(r.status().context(), "stream");
+  EXPECT_EQ(planner.stats().admitted, 0);
+  EXPECT_EQ(planner.design().nets().size(), 0u);
+  EXPECT_TRUE(planner.add_net(span_net(g, "ok", 0, 3)).ok());
+}
+
 }  // namespace
 }  // namespace rabid::eco

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "circuits/generator.hpp"
+#include "circuits/random_circuit.hpp"
 #include "circuits/specs.hpp"
 #include "core/audit.hpp"
 #include "core/rabid.hpp"
@@ -17,6 +18,7 @@
 #include "eco/incremental.hpp"
 #include "eco/stream.hpp"
 #include "mcf/mcf.hpp"
+#include "obs/counters.hpp"
 
 namespace rabid {
 namespace {
@@ -80,6 +82,17 @@ constexpr std::uint64_t kApteMcfPaper4 = 0xa6b2553cf76129b6ULL;
 constexpr std::uint64_t kApteStreamPaper4 = 0xb1f7e4c98fc99ef0ULL;
 /// kAmi49Eco with the paper4 library on both the batch plan and the ECO.
 constexpr std::uint64_t kAmi49EcoPaper4 = 0x8e15255030466278ULL;
+
+/// Paths that share the per-net re-plan steps (core/replan.hpp) and had
+/// no digest of their own: xerox with region-sharded stage 2 (K = 4) on
+/// two threads; apte with the stage-4 wire weight at 0.5; apte streamed
+/// with the unit library; an MCF plan whose legalization needs repair
+/// reroutes; and three chained ECO steps on ami49.
+constexpr std::uint64_t kXeroxShards4 = 0xbf016ada08a820dcULL;
+constexpr std::uint64_t kApteWireWeightHalf = 0xc5b31332ebadbbf3ULL;
+constexpr std::uint64_t kApteStreamUnit = 0xaca68ae350fae1e1ULL;
+constexpr std::uint64_t kMcfRepair = 0x2ae42603a7ceed68ULL;
+constexpr std::uint64_t kAmi49ChainedEco = 0xd709e299111ae280ULL;
 
 std::string digest(const netlist::Design& design, const tile::TileGraph& graph,
                    std::span<const core::NetState> nets) {
@@ -175,20 +188,125 @@ TEST(RouteDigest, ApteMcfPaper4MatchesGolden) {
   EXPECT_EQ(digest(design, graph, alloc.nets()), hex(kApteMcfPaper4));
 }
 
-TEST(RouteDigest, ApteStreamPaper4MatchesGolden) {
+/// apte's nets streamed one at a time, in design order, then drained.
+std::string apte_stream_digest(const buffer::BufferLibrary& library) {
   const circuits::CircuitSpec& spec = circuits::spec_by_name("apte");
   const netlist::Design design = circuits::generate_design(spec);
   tile::TileGraph graph = circuits::build_tile_graph(design, spec);
   eco::StreamOptions options;
-  options.buffer_library = paper4_options().buffer_library;
+  options.buffer_library = library;
   eco::StreamPlanner planner(design.name(), design.outline(),
                              design.default_length_limit(), graph, options);
   for (const netlist::Net& net : design.nets()) {
-    ASSERT_TRUE(planner.add_net(net).ok());
+    EXPECT_TRUE(planner.add_net(net).ok());
   }
   planner.finish();
-  EXPECT_EQ(digest(planner.design(), planner.graph(), planner.nets()),
+  return digest(planner.design(), planner.graph(), planner.nets());
+}
+
+TEST(RouteDigest, ApteStreamPaper4MatchesGolden) {
+  EXPECT_EQ(apte_stream_digest(paper4_options().buffer_library),
             hex(kApteStreamPaper4));
+}
+
+TEST(RouteDigest, ApteStreamUnitMatchesGolden) {
+  EXPECT_EQ(apte_stream_digest(buffer::BufferLibrary{}), hex(kApteStreamUnit));
+}
+
+/// Full flow of `circuit` under `options`.
+std::string flow_digest(std::string_view circuit,
+                        const core::RabidOptions& options) {
+  const circuits::CircuitSpec& spec = circuits::spec_by_name(circuit);
+  const netlist::Design design = circuits::generate_design(spec);
+  tile::TileGraph graph = circuits::build_tile_graph(design, spec);
+  core::Rabid rabid(design, graph, options);
+  rabid.run_all();
+  return digest(design, graph, rabid.nets());
+}
+
+TEST(RouteDigest, XeroxShards4MatchesGolden) {
+  core::RabidOptions options;
+  options.stage2_shards = 4;
+  options.threads = 2;
+  EXPECT_EQ(flow_digest("xerox", options), hex(kXeroxShards4));
+}
+
+TEST(RouteDigest, ApteWireWeightHalfMatchesGolden) {
+  core::RabidOptions options;
+  options.stage4_wire_weight = 0.5;
+  EXPECT_EQ(flow_digest("apte", options), hex(kApteWireWeightHalf));
+}
+
+/// RandomCircuit 101 at 0.6 target congestion: rounding leaves overflow
+/// that the MCF repair loop rips up and reroutes.
+TEST(RouteDigest, McfRepairMatchesGolden) {
+  circuits::RandomCircuitOptions rc_options;
+  rc_options.target_avg_congestion = 0.6;
+  const circuits::RandomCircuit rc(101, rc_options);
+  const netlist::Design design = rc.design();
+  tile::TileGraph graph = rc.graph(design);
+  const obs::Level saved = obs::Registry::instance().level();
+  obs::Registry::instance().set_level(obs::Level::kCounters);
+  const std::uint64_t before =
+      obs::Registry::instance().snapshot()[obs::Counter::kMcfRepairReroutes];
+  mcf::McfAllocator alloc(design, graph);
+  alloc.plan();
+  const std::uint64_t repairs =
+      obs::Registry::instance().snapshot()[obs::Counter::kMcfRepairReroutes] -
+      before;
+  obs::Registry::instance().set_level(saved);
+  EXPECT_GT(repairs, 0U);
+  EXPECT_EQ(digest(design, graph, alloc.nets()), hex(kMcfRepair));
+}
+
+/// ami49 planned, then three chained ECO steps, each re-planned:
+///   1. every wire edge at net 0's source tile drops to half its usage
+///      (overflow no reroute can clear, so the closure loop escalates
+///      through all its iterations); net 3 leaves;
+///   2. the tile holding the most buffers loses every site; a copy of
+///      net 10 joins;
+///   3. a seeded 2% pin move, and a copy of net 30 joins.
+TEST(RouteDigest, Ami49ChainedEcoMatchesGolden) {
+  const circuits::CircuitSpec& spec = circuits::spec_by_name("ami49");
+  const netlist::Design design = circuits::generate_design(spec);
+  tile::TileGraph graph = circuits::build_tile_graph(design, spec);
+  core::Rabid rabid(design, graph);
+  rabid.run_all();
+  eco::IncrementalPlanner planner(design, graph, rabid.nets());
+  const auto copy_of = [&](netlist::NetId id, std::string name) {
+    netlist::Net net = planner.design().net(id);
+    net.name = std::move(name);
+    return net;
+  };
+
+  eco::Perturbation cut;
+  const tile::TileId hub =
+      graph.tile_at(planner.design().net(0).source.location);
+  tile::TileId around[4];
+  for (int k = 0, n = graph.neighbors(hub, around); k < n; ++k) {
+    const tile::EdgeId e = graph.edge_between(hub, around[k]);
+    cut.wire_edits.push_back({e, graph.wire_usage(e) / 2});
+  }
+  cut.removed_nets.push_back(3);
+  ASSERT_TRUE(planner.replan(cut).ok_status());
+
+  eco::Perturbation sites;
+  tile::TileId fullest = 0;
+  for (tile::TileId t = 1; t < graph.tile_count(); ++t) {
+    if (graph.site_usage(t) > graph.site_usage(fullest)) fullest = t;
+  }
+  ASSERT_GT(graph.site_usage(fullest), 0);
+  sites.site_edits.push_back({fullest, 0});
+  sites.added_nets.push_back(copy_of(10, "eco_added_10"));
+  ASSERT_TRUE(planner.replan(sites).ok_status());
+
+  eco::Perturbation move =
+      eco::random_move_perturbation(planner, 0.02, /*seed=*/3);
+  move.added_nets.push_back(copy_of(30, "eco_added_30"));
+  ASSERT_TRUE(planner.replan(move).ok_status());
+
+  EXPECT_EQ(digest(planner.design(), planner.graph(), planner.nets()),
+            hex(kAmi49ChainedEco));
 }
 
 /// Type tags are values: a copy of a multi-type solution stays valid
