@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "bbp/bbp_allocator.hpp"
+#include "core/rabid.hpp"
 
 namespace rabid::alloc {
 
@@ -17,8 +18,8 @@ core::Result<std::unique_ptr<core::Allocator>> make_allocator(
   }
   switch (backend) {
     case core::Backend::kRabid:
-      return std::unique_ptr<core::Allocator>(std::make_unique<
-          core::RabidAllocator>(design, graph, std::move(config.rabid)));
+      return std::unique_ptr<core::Allocator>(std::make_unique<core::Rabid>(
+          design, graph, std::move(config.rabid)));
     case core::Backend::kBbp:
       for (const netlist::Net& net : design.nets()) {
         if (net.sinks.size() > 1) {

@@ -18,6 +18,8 @@
 #include <memory>
 
 #include "core/allocator.hpp"
+#include "core/audit.hpp"
+#include "core/run_report.hpp"
 #include "core/status.hpp"
 #include "mcf/mcf.hpp"
 

@@ -23,14 +23,14 @@
 ///     stays a hard error.
 ///
 /// Honored RabidOptions: tech, audit_level (kOff or final audit — the
-/// flow is single-pass), obs_level.  Deadlines and checkpoints are
-/// unsupported (see supports_*); alloc/factory.hpp rejects
-/// configurations that ask for them.
-
-#include <memory>
+/// flow is single-pass), obs_level.  The flow is serial (threads() is
+/// 1).  Deadlines and checkpoints are unsupported; alloc/factory.hpp
+/// rejects a deadline.
 
 #include "bbp/bbp.hpp"
 #include "core/allocator.hpp"
+#include "core/audit.hpp"
+#include "core/run_report.hpp"
 
 namespace rabid::bbp {
 
@@ -43,16 +43,7 @@ class BbpAllocator final : public core::Allocator {
 
   core::Backend backend() const override { return core::Backend::kBbp; }
   std::vector<core::StageStats> plan() override;
-  std::span<const core::NetState> nets() const override { return nets_; }
-  const netlist::Design& design() const override { return design_; }
-  const tile::TileGraph& graph() const override { return graph_; }
-  const std::vector<core::StageStats>& stage_history() const override {
-    return history_;
-  }
   core::AuditOptions audit_options() const override;
-  const core::AuditReport* last_audit() const override {
-    return last_audit_.get();
-  }
 
   /// The baseline's own Table V row (MTAP, constraint misses) — detail
   /// the StageStats schema has no columns for.
@@ -61,15 +52,9 @@ class BbpAllocator final : public core::Allocator {
   std::span<const std::int32_t> buffers_per_tile() const { return per_tile_; }
 
  private:
-  const netlist::Design& design_;
-  tile::TileGraph& graph_;
-  core::RabidOptions options_;
   BbpOptions bbp_options_;
-  std::vector<core::NetState> nets_;
-  std::vector<core::StageStats> history_;
   std::vector<std::int32_t> per_tile_;
   BbpResult result_;
-  std::unique_ptr<core::AuditReport> last_audit_;
 };
 
 }  // namespace rabid::bbp

@@ -1,12 +1,12 @@
 #include "core/audit.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "buffer/brute_force.hpp"
+#include "obs/json.hpp"
 
 namespace rabid::core {
 
@@ -21,31 +21,6 @@ struct Recount {
 
 std::string net_label(const netlist::Design& design, netlist::NetId id) {
   return "net " + design.net(id).name;
-}
-
-void json_escape(std::ostream& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << ' ';
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-void json_number(std::ostream& out, double v) {
-  if (std::isfinite(v)) {
-    out << v;
-  } else {
-    out << '"' << (v > 0 ? "inf" : (v < 0 ? "-inf" : "nan")) << '"';
-  }
 }
 
 }  // namespace
@@ -128,16 +103,16 @@ void AuditReport::write_json(std::ostream& out) const {
     out << (i == 0 ? "\n" : ",\n") << "    {\"check\": \""
         << audit_check_name(v.check) << "\", \"severity\": \""
         << (v.severity == AuditSeverity::kError ? "error" : "warning")
-        << "\", \"stage\": \"";
-    json_escape(out, v.stage);
-    out << "\", \"net\": " << v.net << ", \"tile\": " << v.tile
+        << "\", \"stage\": ";
+    obs::json::append_escaped(out, v.stage);
+    out << ", \"net\": " << v.net << ", \"tile\": " << v.tile
         << ", \"edge\": " << v.edge << ", \"expected\": ";
-    json_number(out, v.expected);
+    obs::json::append_number(out, v.expected);
     out << ", \"actual\": ";
-    json_number(out, v.actual);
-    out << ", \"detail\": \"";
-    json_escape(out, v.detail);
-    out << "\"}";
+    obs::json::append_number(out, v.actual);
+    out << ", \"detail\": ";
+    obs::json::append_escaped(out, v.detail);
+    out << "}";
   }
   out << (violations.empty() ? "]" : "\n  ]") << "\n}\n";
 }
@@ -540,31 +515,6 @@ AuditReport audit_solution(const Rabid& rabid, AuditOptions options) {
   options.buffer_library = rabid.options().buffer_library;
   return SolutionAuditor(rabid.design(), rabid.graph(), options)
       .audit(rabid.nets());
-}
-
-AuditReport Rabid::audit() const { return audit_solution(*this); }
-
-void Rabid::maybe_audit(const char* stage, bool final_stage) {
-  if (options_.audit_level == AuditLevel::kOff) return;
-  if (options_.audit_level == AuditLevel::kFinal && !final_stage) return;
-  AuditOptions opt;
-  opt.tech = options_.tech;
-  opt.buffer_library = options_.buffer_library;
-  // Stages 1-2 run before (or while) wire feasibility is being earned;
-  // overload there is heuristic progress, not book corruption.
-  if (!final_stage && (stage[0] == '1' || stage[0] == '2')) {
-    opt.wire_overflow_severity = AuditSeverity::kWarning;
-  }
-  // A deadline-cancelled run is honest about what it skipped: unrouted
-  // nets and unresolved congestion are expected partial-solution state,
-  // not corruption — integrity checks stay at full severity.
-  if (timed_out()) {
-    opt.allow_unrouted = true;
-    opt.wire_overflow_severity = AuditSeverity::kWarning;
-  }
-  AuditReport fresh = SolutionAuditor(design_, graph_, opt).audit(nets_);
-  if (last_audit_ == nullptr) last_audit_ = std::make_shared<AuditReport>();
-  last_audit_->merge(std::move(fresh), stage);
 }
 
 }  // namespace rabid::core

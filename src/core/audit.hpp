@@ -71,7 +71,8 @@ struct AuditViolation {
   double expected = 0.0;
   double actual = 0.0;
   std::string detail;
-  /// Stage label ("1".."4", "vG", "final") when accumulated by Rabid.
+  /// Stage label ("1".."4", "vG", "final") when accumulated by an
+  /// Allocator.
   std::string stage;
 };
 

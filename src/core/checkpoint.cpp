@@ -14,24 +14,6 @@ namespace rabid::core {
 
 namespace {
 
-void json_escape(std::ostream& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u00" << (c < 0x10 ? "0" : "") << std::hex
-              << static_cast<int>(c) << std::dec;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 /// Writes `contents` to `path` via a `.tmp` sibling + rename, so a
 /// reader never sees a torn file and a crash leaves any previous
 /// version intact.
@@ -111,15 +93,15 @@ Status write_checkpoint(const std::string& dir, const Rabid& rabid,
 
   std::ostringstream manifest;
   manifest << "{\n  \"schema\": \"" << CheckpointManifest::kSchema
-           << "\",\n  \"design\": \"";
-  json_escape(manifest, rabid.design().name());
-  manifest << "\",\n  \"grid\": {\"nx\": " << rabid.graph().nx()
+           << "\",\n  \"design\": ";
+  obs::json::append_escaped(manifest, rabid.design().name());
+  manifest << ",\n  \"grid\": {\"nx\": " << rabid.graph().nx()
            << ", \"ny\": " << rabid.graph().ny()
            << "},\n  \"stage\": " << completed_stage
            << ",\n  \"books_fingerprint\": \""
-           << books_fingerprint(rabid.graph()) << "\",\n  \"solution\": \"";
-  json_escape(manifest, sol_name);
-  manifest << "\"\n}\n";
+           << books_fingerprint(rabid.graph()) << "\",\n  \"solution\": ";
+  obs::json::append_escaped(manifest, sol_name);
+  manifest << "\n}\n";
   if (Status s = write_file_atomic(dir + "/manifest.json", manifest.str());
       !s) {
     return s;

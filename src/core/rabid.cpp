@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "buffer/timing_driven.hpp"
-#include "core/allocator.hpp"
 #include "core/buffer_commit.hpp"
 #include "core/replan.hpp"
 #include "core/solution_io.hpp"
@@ -64,13 +63,7 @@ bool meets_length_rule(const route::RouteTree& tree,
 
 Rabid::Rabid(const netlist::Design& design, tile::TileGraph& graph,
              RabidOptions options)
-    : design_(design), graph_(graph), options_(options) {
-  RABID_ASSERT_MSG(graph.stats().buffers_used == 0 && graph.wire_feasible(),
-                   "tile graph usage books must start empty");
-  // Observability is process-global; raise-only, so a default-options
-  // instance (obs off) never silences a concurrently observed flow.
-  obs::Registry::instance().raise_level(options_.obs_level);
-  nets_.resize(design.nets().size());
+    : Allocator(design, graph, std::move(options)) {
   const std::size_t workers = util::resolve_thread_count(options_.threads);
   if (workers >= 2) pool_ = std::make_unique<util::ThreadPool>(workers);
   if (options_.deadline_ms > 0.0) {
@@ -186,75 +179,8 @@ std::vector<std::size_t> Rabid::nets_by_delay(bool ascending) const {
 }
 
 StageStats Rabid::snapshot(std::string stage_name, double cpu_s) const {
-  return solution_snapshot(
-      graph_, nets_, std::move(stage_name), cpu_s,
-      pool_ == nullptr ? 1 : static_cast<std::int32_t>(pool_->size()));
-}
-
-StageStats solution_snapshot(const tile::TileGraph& graph,
-                             std::span<const NetState> nets,
-                             std::string stage, double cpu_s,
-                             std::int32_t threads) {
-  StageStats s;
-  s.stage = std::move(stage);
-  s.threads = threads;
-  const tile::CongestionStats cs = graph.stats();
-  s.max_wire_congestion = cs.max_wire_congestion;
-  s.avg_wire_congestion = cs.avg_wire_congestion;
-  s.overflow = cs.overflow;
-  s.max_buffer_density = cs.max_buffer_density;
-  s.avg_buffer_density = cs.avg_buffer_density;
-  s.buffers = cs.buffers_used;
-  s.cpu_s = cpu_s;
-  double wl_um = 0.0;
-  for (const NetState& n : nets) {
-    if (n.tree.empty()) continue;
-    wl_um += n.tree.wirelength_um(graph);
-    if (!n.meets_length_rule) ++s.failed_nets;
-    s.max_delay_ps = std::max(s.max_delay_ps, n.delay.max_ps);
-  }
-  s.wirelength_mm = wl_um / 1000.0;
-  double delay_sum = 0.0;
-  std::size_t sink_count = 0;
-  for (const NetState& n : nets) {
-    delay_sum += n.delay.sum_ps;
-    sink_count += n.delay.sink_delays_ps.size();
-  }
-  s.avg_delay_ps =
-      sink_count == 0 ? 0.0 : delay_sum / static_cast<double>(sink_count);
-  return s;
-}
-
-void Rabid::check_books() const {
-  tile::TileGraph shadow(graph_.chip(), graph_.nx(), graph_.ny());
-  for (std::size_t i = 0; i < nets_.size(); ++i) {
-    const NetState& n = nets_[i];
-    if (n.tree.empty()) continue;
-    const std::int32_t width =
-        design_.net(static_cast<netlist::NetId>(i)).width;
-    for (const route::RouteNode& node : n.tree.nodes()) {
-      if (node.parent != route::kNoNode) {
-        const tile::EdgeId e = shadow.edge_between(
-            node.tile, n.tree.node(node.parent).tile);
-        for (std::int32_t k = 0; k < width; ++k) shadow.add_wire(e);
-      }
-    }
-  }
-  for (tile::EdgeId e = 0; e < graph_.edge_count(); ++e) {
-    RABID_ASSERT_MSG(shadow.wire_usage(e) == graph_.wire_usage(e),
-                     "wire books out of sync");
-  }
-  std::vector<std::int32_t> bufs(static_cast<std::size_t>(graph_.tile_count()),
-                                 0);
-  for (const NetState& n : nets_) {
-    for (const route::BufferPlacement& b : n.buffers) {
-      ++bufs[static_cast<std::size_t>(n.tree.node(b.node).tile)];
-    }
-  }
-  for (tile::TileId t = 0; t < graph_.tile_count(); ++t) {
-    RABID_ASSERT_MSG(bufs[static_cast<std::size_t>(t)] == graph_.site_usage(t),
-                     "buffer books out of sync");
-  }
+  return solution_snapshot(graph_, nets_, std::move(stage_name), cpu_s,
+                           threads());
 }
 
 route::RouteTree Rabid::build_net_tree(std::size_t index) const {
@@ -303,7 +229,7 @@ StageStats Rabid::run_stage1() {
   record_memory_gauges();
   StageStats stats = snapshot("1", seconds_since(start));
   stage_history_.push_back(stats);
-  maybe_audit("1", /*final_stage=*/false);
+  maybe_audit("1", /*final_stage=*/false, /*overflow_pending=*/true);
   return stats;
 }
 

@@ -1,7 +1,6 @@
 #include "core/run_report.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <ostream>
 
@@ -15,32 +14,6 @@ namespace rabid::core {
 
 namespace {
 
-void json_escape(std::ostream& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u00" << (c < 0x10 ? "0" : "") << std::hex
-              << static_cast<int>(c) << std::dec;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-void json_number(std::ostream& out, double v) {
-  if (std::isfinite(v)) {
-    out << v;
-  } else {
-    out << '"' << (v > 0 ? "inf" : (v < 0 ? "-inf" : "nan")) << '"';
-  }
-}
-
 void write_utilization(std::ostream& out, const char* key,
                        const UtilizationHistogram& h, const char* indent) {
   out << indent << "\"" << key << "\": {\"buckets\": [";
@@ -49,7 +22,7 @@ void write_utilization(std::ostream& out, const char* key,
   }
   out << "], \"skipped\": " << h.skipped << ", \"total\": " << h.total
       << ", \"max\": ";
-  json_number(out, h.max_utilization);
+  obs::json::append_number(out, h.max_utilization);
   out << "}";
 }
 
@@ -111,47 +84,47 @@ void RunReport::write_json(std::ostream& out) const {
   // max_digits10 so every double survives the round trip bit-exact.
   const auto precision =
       out.precision(std::numeric_limits<double>::max_digits10);
-  out << "{\n  \"schema\": \"" << kSchema << "\",\n  \"design\": \"";
-  json_escape(out, design);
-  out << "\",\n  \"grid\": {\"nx\": " << nx << ", \"ny\": " << ny
+  out << "{\n  \"schema\": \"" << kSchema << "\",\n  \"design\": ";
+  obs::json::append_escaped(out, design);
+  out << ",\n  \"grid\": {\"nx\": " << nx << ", \"ny\": " << ny
       << "},\n  \"nets\": " << nets << ",\n  \"sinks\": " << sinks
-      << ",\n  \"site_supply\": " << site_supply << ",\n  \"obs_level\": \"";
-  json_escape(out, obs_level);
-  out << "\",\n  \"threads\": " << threads << ",\n  \"stages\": [";
+      << ",\n  \"site_supply\": " << site_supply << ",\n  \"obs_level\": ";
+  obs::json::append_escaped(out, obs_level);
+  out << ",\n  \"threads\": " << threads << ",\n  \"stages\": [";
   for (std::size_t i = 0; i < stages.size(); ++i) {
     const StageStats& s = stages[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"stage\": \"";
-    json_escape(out, s.stage);
-    out << "\", \"max_wire_congestion\": ";
-    json_number(out, s.max_wire_congestion);
+    out << (i == 0 ? "\n" : ",\n") << "    {\"stage\": ";
+    obs::json::append_escaped(out, s.stage);
+    out << ", \"max_wire_congestion\": ";
+    obs::json::append_number(out, s.max_wire_congestion);
     out << ", \"avg_wire_congestion\": ";
-    json_number(out, s.avg_wire_congestion);
+    obs::json::append_number(out, s.avg_wire_congestion);
     out << ", \"overflow\": " << s.overflow << ", \"max_buffer_density\": ";
-    json_number(out, s.max_buffer_density);
+    obs::json::append_number(out, s.max_buffer_density);
     out << ", \"avg_buffer_density\": ";
-    json_number(out, s.avg_buffer_density);
+    obs::json::append_number(out, s.avg_buffer_density);
     out << ", \"buffers\": " << s.buffers
         << ", \"failed_nets\": " << s.failed_nets << ", \"wirelength_mm\": ";
-    json_number(out, s.wirelength_mm);
+    obs::json::append_number(out, s.wirelength_mm);
     out << ", \"max_delay_ps\": ";
-    json_number(out, s.max_delay_ps);
+    obs::json::append_number(out, s.max_delay_ps);
     out << ", \"avg_delay_ps\": ";
-    json_number(out, s.avg_delay_ps);
+    obs::json::append_number(out, s.avg_delay_ps);
     out << ", \"cpu_s\": ";
-    json_number(out, s.cpu_s);
+    obs::json::append_number(out, s.cpu_s);
     out << ", \"threads\": " << s.threads << "}";
   }
   out << (stages.empty() ? "]" : "\n  ]") << ",\n  \"counters\": {";
   for (std::size_t i = 0; i < counters.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "    \"";
-    json_escape(out, counters[i].first);
-    out << "\": " << counters[i].second;
+    out << (i == 0 ? "\n" : ",\n") << "    ";
+    obs::json::append_escaped(out, counters[i].first);
+    out << ": " << counters[i].second;
   }
   out << (counters.empty() ? "}" : "\n  }") << ",\n  \"histograms\": {";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "    \"";
-    json_escape(out, histograms[i].name);
-    out << "\": [";
+    out << (i == 0 ? "\n" : ",\n") << "    ";
+    obs::json::append_escaped(out, histograms[i].name);
+    out << ": [";
     for (std::size_t b = 0; b < histograms[i].buckets.size(); ++b) {
       out << (b == 0 ? "" : ", ") << histograms[i].buckets[b];
     }
@@ -159,17 +132,17 @@ void RunReport::write_json(std::ostream& out) const {
   }
   out << (histograms.empty() ? "}" : "\n  }") << ",\n  \"gauges\": {";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "    \"";
-    json_escape(out, gauges[i].first);
-    out << "\": " << gauges[i].second;
+    out << (i == 0 ? "\n" : ",\n") << "    ";
+    obs::json::append_escaped(out, gauges[i].first);
+    out << ": " << gauges[i].second;
   }
   out << (gauges.empty() ? "}" : "\n  }") << ",\n";
   write_utilization(out, "wire_utilization", wire_utilization, "  ");
   out << ",\n";
   write_utilization(out, "site_utilization", site_utilization, "  ");
-  out << ",\n  \"verdict\": \"";
-  json_escape(out, verdict);
-  out << "\",\n  \"nets_cancelled\": " << nets_cancelled;
+  out << ",\n  \"verdict\": ";
+  obs::json::append_escaped(out, verdict);
+  out << ",\n  \"nets_cancelled\": " << nets_cancelled;
   out << ",\n  \"audit\": {\"run\": " << (audited ? "true" : "false")
       << ", \"clean\": " << (audit_clean ? "true" : "false")
       << ", \"errors\": " << audit_errors << ", \"warnings\": "
@@ -335,38 +308,21 @@ std::optional<RunReport> RunReport::parse(std::string_view text,
   return r;
 }
 
-RunReport Rabid::run_report() const { return build_run_report(*this); }
-
-RunReport build_run_report(const Rabid& rabid) {
-  return build_run_report_base(
-      rabid.design(), rabid.graph(),
-      static_cast<std::int32_t>(
-          util::resolve_thread_count(rabid.options().threads)),
-      rabid.stage_history(), rabid.timed_out() ? "timed_out" : "ok",
-      rabid.nets_cancelled(), rabid.last_audit());
-}
-
-RunReport build_run_report_base(const netlist::Design& design,
-                                const tile::TileGraph& graph,
-                                std::int32_t threads,
-                                std::vector<StageStats> stages,
-                                std::string verdict,
-                                std::int64_t nets_cancelled,
-                                const AuditReport* audit) {
+RunReport Allocator::run_report() const {
   RunReport r;
-  r.design = design.name();
-  r.nx = graph.nx();
-  r.ny = graph.ny();
-  r.nets = static_cast<std::int64_t>(design.nets().size());
-  for (const netlist::Net& net : design.nets()) {
+  r.design = design_.name();
+  r.nx = graph_.nx();
+  r.ny = graph_.ny();
+  r.nets = static_cast<std::int64_t>(design_.nets().size());
+  for (const netlist::Net& net : design_.nets()) {
     r.sinks += static_cast<std::int64_t>(net.sinks.size());
   }
-  r.site_supply = graph.total_site_supply();
+  r.site_supply = graph_.total_site_supply();
 
   obs::Registry& registry = obs::Registry::instance();
   r.obs_level = std::string(obs::level_name(registry.level()));
-  r.threads = threads;
-  r.stages = std::move(stages);
+  r.threads = threads();
+  r.stages = stage_history_;
 
   const obs::Snapshot snap = registry.snapshot();
   for (std::size_t c = 0;
@@ -396,27 +352,27 @@ RunReport build_run_report_base(const netlist::Design& design,
                           static_cast<std::int64_t>(v));
   }
 
-  for (tile::EdgeId e = 0; e < graph.edge_count(); ++e) {
-    const std::int32_t cap = graph.wire_capacity(e);
+  for (tile::EdgeId e = 0; e < graph_.edge_count(); ++e) {
+    const std::int32_t cap = graph_.wire_capacity(e);
     if (cap <= 0) {
       ++r.wire_utilization.skipped;
       continue;
     }
-    r.wire_utilization.add(static_cast<double>(graph.wire_usage(e)) / cap);
+    r.wire_utilization.add(static_cast<double>(graph_.wire_usage(e)) / cap);
   }
-  for (tile::TileId t = 0; t < graph.tile_count(); ++t) {
-    const std::int32_t supply = graph.site_supply(t);
+  for (tile::TileId t = 0; t < graph_.tile_count(); ++t) {
+    const std::int32_t supply = graph_.site_supply(t);
     if (supply <= 0) {
       ++r.site_utilization.skipped;
       continue;
     }
-    r.site_utilization.add(static_cast<double>(graph.site_usage(t)) / supply);
+    r.site_utilization.add(static_cast<double>(graph_.site_usage(t)) / supply);
   }
 
-  r.verdict = std::move(verdict);
-  r.nets_cancelled = nets_cancelled;
+  r.verdict = timed_out() ? "timed_out" : "ok";
+  r.nets_cancelled = nets_cancelled();
 
-  if (audit != nullptr) {
+  if (const AuditReport* audit = last_audit(); audit != nullptr) {
     r.audited = true;
     r.audit_clean = audit->clean();
     r.audit_errors = static_cast<std::int64_t>(audit->error_count());

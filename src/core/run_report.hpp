@@ -52,7 +52,7 @@ struct UtilizationHistogram {
 };
 
 /// Everything one flow run reports about itself.  Build with
-/// build_run_report(), serialize with write_json(), read back with
+/// Allocator::run_report(), serialize with write_json(), read back with
 /// parse().
 struct RunReport {
   /// Bumped when a field is renamed or re-shaped (never silently).
@@ -67,7 +67,7 @@ struct RunReport {
   std::string obs_level;  ///< registry level the run recorded at
   std::int32_t threads = 1;
 
-  /// The Table II rows, in execution order (Rabid::stage_history()).
+  /// The Table II rows, in execution order (Allocator::stage_history()).
   std::vector<StageStats> stages;
 
   /// The full counter catalogue in enum order, names from
@@ -113,24 +113,5 @@ struct RunReport {
   static std::optional<RunReport> parse(std::string_view text,
                                         std::string* error = nullptr);
 };
-
-/// Assembles a report from a flow instance's current state plus the
-/// global obs registry snapshot.  Pure with respect to the flow; call
-/// after the stages (and optionally an audit) have run.
-RunReport build_run_report(const Rabid& rabid);
-
-/// The backend-agnostic core of build_run_report: assembles the report
-/// from a solution's primitives (design/graph identity, stage rows,
-/// verdict, audit summary) plus the global obs registry snapshot.  The
-/// shared plumbing under both build_run_report(const Rabid&) and
-/// core::Allocator::run_report(), so every backend's report carries the
-/// identical schema and catalogue.
-RunReport build_run_report_base(const netlist::Design& design,
-                                const tile::TileGraph& graph,
-                                std::int32_t threads,
-                                std::vector<StageStats> stages,
-                                std::string verdict,
-                                std::int64_t nets_cancelled,
-                                const AuditReport* audit);
 
 }  // namespace rabid::core

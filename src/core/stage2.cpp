@@ -99,7 +99,7 @@ StageStats Rabid::run_stage2() {
       std::chrono::steady_clock::now() - start;
   StageStats stats = snapshot("2", elapsed.count());
   stage_history_.push_back(stats);
-  maybe_audit("2", /*final_stage=*/false);
+  maybe_audit("2", /*final_stage=*/false, /*overflow_pending=*/true);
   return stats;
 }
 

@@ -51,10 +51,7 @@ bool same_tree(const route::RouteTree& a, const route::RouteTree& b) {
 McfAllocator::McfAllocator(const netlist::Design& design,
                            tile::TileGraph& graph,
                            core::RabidOptions options, McfOptions mcf)
-    : design_(design),
-      graph_(graph),
-      options_(std::move(options)),
-      mcf_(mcf) {
+    : Allocator(design, graph, std::move(options)), mcf_(mcf) {
   RABID_ASSERT_MSG(options_.deadline_ms == 0.0,
                    "MCF does not support deadlines");
   RABID_ASSERT_MSG(mcf_.phases > 0, "MCF needs at least one phase");
@@ -71,8 +68,6 @@ McfAllocator::McfAllocator(const netlist::Design& design,
         supply > 0 ? 1.0 / static_cast<double>(supply) : kBlockedPrice;
   }
   candidates_.resize(design_.nets().size());
-  nets_.resize(design_.nets().size());
-  obs::Registry::instance().raise_level(options_.obs_level);
 }
 
 void McfAllocator::run_phase(util::ThreadPool* pool) {
@@ -181,7 +176,7 @@ bool McfAllocator::fits(const netlist::NetId id, const Candidate& cand) const {
 }
 
 std::vector<core::StageStats> McfAllocator::plan() {
-  RABID_ASSERT_MSG(history_.empty(), "plan() already ran");
+  RABID_ASSERT_MSG(stage_history_.empty(), "plan() already ran");
   const auto start = std::chrono::steady_clock::now();
   const std::size_t workers = util::resolve_thread_count(options_.threads);
   std::unique_ptr<util::ThreadPool> pool;
@@ -260,7 +255,7 @@ std::vector<core::StageStats> McfAllocator::plan() {
                          });
   }
   core::refresh_delays(graph_, design_, nets_, options_.tech, pool.get());
-  history_.push_back(core::solution_snapshot(
+  stage_history_.push_back(core::solution_snapshot(
       graph_, nets_, "mcf-round", seconds_since(start), threads()));
 
   // Bounded overflow repair: rip up and reroute nets riding an edge
@@ -289,24 +284,11 @@ std::vector<core::StageStats> McfAllocator::plan() {
     }
   }
   core::refresh_delays(graph_, design_, nets_, options_.tech, pool.get());
-  history_.push_back(core::solution_snapshot(
+  stage_history_.push_back(core::solution_snapshot(
       graph_, nets_, "mcf-repair", seconds_since(repair_start), threads()));
 
-  if (options_.audit_level != core::AuditLevel::kOff) {
-    core::AuditReport fresh =
-        core::SolutionAuditor(design_, graph_, audit_options()).audit(nets_);
-    last_audit_ = std::make_unique<core::AuditReport>();
-    last_audit_->merge(std::move(fresh), "final");
-  }
-  return history_;
-}
-
-core::AuditOptions McfAllocator::audit_options() const {
-  core::AuditOptions opt;
-  opt.tech = options_.tech;
-  opt.buffer_library = options_.buffer_library;
-  // Same hard-capacity posture as RABID: overflow is an error.
-  return opt;
+  maybe_audit("final", /*final_stage=*/true);
+  return stage_history_;
 }
 
 }  // namespace rabid::mcf

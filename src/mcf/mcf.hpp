@@ -40,14 +40,17 @@
 /// costs — site-full tiles are infinite, so b(v) <= B(v) by
 /// construction).  A bounded repair loop then rips up and reroutes any
 /// net still riding an overflowed edge.  MCF therefore targets the same
-/// hard-capacity guarantee as RABID, and its audit_options() keep
-/// overflow an error.
+/// hard-capacity guarantee as RABID, and it keeps the base class's
+/// audit_options(): overflow is an error.
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "buffer/insertion.hpp"
 #include "core/allocator.hpp"
+#include "core/audit.hpp"
+#include "core/run_report.hpp"
 #include "route/maze.hpp"
 #include "util/thread_pool.hpp"
 
@@ -71,26 +74,12 @@ class McfAllocator final : public core::Allocator {
   /// Graph capacities must be set and its usage books empty; honored
   /// RabidOptions: pd_alpha, threads, tech, buffer_library, audit_level
   /// (final audit), obs_level.  Deadlines and checkpoints are
-  /// unsupported (alloc/factory.hpp rejects them).
+  /// unsupported (alloc/factory.hpp rejects a deadline).
   McfAllocator(const netlist::Design& design, tile::TileGraph& graph,
                core::RabidOptions options = {}, McfOptions mcf = {});
 
   core::Backend backend() const override { return core::Backend::kMcf; }
   std::vector<core::StageStats> plan() override;
-  std::span<const core::NetState> nets() const override { return nets_; }
-  const netlist::Design& design() const override { return design_; }
-  const tile::TileGraph& graph() const override { return graph_; }
-  const std::vector<core::StageStats>& stage_history() const override {
-    return history_;
-  }
-  core::AuditOptions audit_options() const override;
-  const core::AuditReport* last_audit() const override {
-    return last_audit_.get();
-  }
-  std::int32_t threads() const override {
-    return static_cast<std::int32_t>(
-        util::resolve_thread_count(options_.threads));
-  }
 
  private:
   /// One integral per-net solution with its fractional weight.
@@ -111,18 +100,11 @@ class McfAllocator final : public core::Allocator {
   /// True when `cand` fits the live books with hard capacity.
   bool fits(const netlist::NetId id, const Candidate& cand) const;
 
-  const netlist::Design& design_;
-  tile::TileGraph& graph_;
-  core::RabidOptions options_;
   McfOptions mcf_;
 
   std::vector<double> wire_price_;
   std::vector<double> site_price_;
   std::vector<std::vector<Candidate>> candidates_;  ///< per net
-
-  std::vector<core::NetState> nets_;
-  std::vector<core::StageStats> history_;
-  std::unique_ptr<core::AuditReport> last_audit_;
 };
 
 }  // namespace rabid::mcf

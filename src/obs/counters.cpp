@@ -52,8 +52,7 @@ constexpr std::array<std::string_view,
         "twopath.keys_dropped",
         "pool.tasks",
         "pool.parallel_fors",
-        "pool.indices_inline",
-        "pool.indices_worker",
+        "pool.indices",
         "deadline.expirations",
         "deadline.nets_cancelled",
         "checkpoint.writes",

@@ -105,8 +105,7 @@ enum class Counter : std::uint16_t {
   // util/thread_pool.cpp.
   kPoolTasks,          ///< queue tasks executed by workers
   kPoolParallelFors,   ///< parallel_for() calls
-  kPoolIndicesInline,  ///< parallel_for indices run by the calling thread
-  kPoolIndicesWorker,  ///< parallel_for indices run by pool workers
+  kPoolIndices,        ///< parallel_for indices run (any thread)
   // core/rabid.cpp — cooperative deadlines (RabidOptions::deadline_ms).
   kDeadlineExpirations,    ///< deadlines that actually expired (<= 1/run)
   kDeadlineNetsCancelled,  ///< net-processing steps skipped after expiry

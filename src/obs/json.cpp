@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 
 #include "util/assert.hpp"
 
@@ -281,6 +282,20 @@ void append_escaped(std::string& out, std::string_view s) {
     }
   }
   out.push_back('"');
+}
+
+void append_escaped(std::ostream& out, std::string_view s) {
+  std::string literal;
+  append_escaped(literal, s);
+  out << literal;
+}
+
+void append_number(std::ostream& out, double v) {
+  if (std::isfinite(v)) {
+    out << v;
+  } else {
+    out << '"' << (v > 0 ? "inf" : (v < 0 ? "-inf" : "nan")) << '"';
+  }
 }
 
 void dump(const Value& value, std::string& out) {

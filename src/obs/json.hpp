@@ -13,6 +13,7 @@
 /// unterminated literals, and bad escapes all fail with a
 /// position-stamped error message.
 
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -58,6 +59,11 @@ std::optional<Value> parse(std::string_view text, std::string* error = nullptr);
 /// Appends a string literal (quotes + escapes) to `out`.  Control
 /// characters become \uXXXX; the output re-parses to exactly `s`.
 void append_escaped(std::string& out, std::string_view s);
+/// The same literal, streamed.
+void append_escaped(std::ostream& out, std::string_view s);
+/// Streams a finite `v` as a number at the stream's precision, and a
+/// non-finite one as the string "inf", "-inf" or "nan".
+void append_number(std::ostream& out, double v);
 
 /// Serializes `value` compactly (no whitespace, no newlines) — the
 /// single-line form the serving protocol needs for NDJSON framing.

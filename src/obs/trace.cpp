@@ -3,29 +3,9 @@
 #include <ostream>
 
 #include "obs/counters.hpp"
+#include "obs/json.hpp"
 
 namespace rabid::obs {
-
-namespace {
-
-void json_escape(std::ostream& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << ' ';
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 TraceWriter::TraceWriter() : epoch_(std::chrono::steady_clock::now()) {}
 
@@ -106,15 +86,15 @@ void TraceWriter::write_json(std::ostream& out) const {
     out << (first ? "\n" : ",\n")
         << "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
            "\"tid\": "
-        << tid << ", \"args\": {\"name\": \"";
-    json_escape(out, name);
-    out << "\"}}";
+        << tid << ", \"args\": {\"name\": ";
+    json::append_escaped(out, name);
+    out << "}}";
     first = false;
   }
   for (const Event& e : events_) {
-    out << (first ? "\n" : ",\n") << "  {\"name\": \"";
-    json_escape(out, e.name);
-    out << "\", \"cat\": \"" << e.category << "\", \"ph\": \"" << e.phase
+    out << (first ? "\n" : ",\n") << "  {\"name\": ";
+    json::append_escaped(out, e.name);
+    out << ", \"cat\": \"" << e.category << "\", \"ph\": \"" << e.phase
         << "\", \"pid\": 0, \"tid\": " << e.tid << ", \"ts\": " << e.ts_us;
     if (e.phase == 'X') out << ", \"dur\": " << e.dur_us;
     if (e.phase == 'i') out << ", \"s\": \"t\"";

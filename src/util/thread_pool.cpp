@@ -122,10 +122,10 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     for (std::size_t h = 0; h < helpers; ++h) {
       done.push_back(submit([state] {
         obs::ScopedTimer timer("parallel_for worker", "pool");
-        obs::count(obs::Counter::kPoolIndicesWorker, state->run());
+        obs::count(obs::Counter::kPoolIndices, state->run());
       }));
     }
-    obs::count(obs::Counter::kPoolIndicesInline, state->run());
+    obs::count(obs::Counter::kPoolIndices, state->run());
   } catch (...) {
     // submit() itself failed (allocation, queue assert).  Park the
     // counter and wait for already-launched helpers before unwinding so

@@ -10,10 +10,11 @@
 Usage: exit_codes_test.py <path-to-rabid_cli>
 """
 
+import json
+import os
 import subprocess
 import sys
 import tempfile
-import os
 
 
 def run(cli, *args):
@@ -149,6 +150,54 @@ def main():
             3,
             stderr_contains="error[stale-checkpoint]",
         )
+
+    # 0: every backend writes the same outputs through the one output
+    # tail, and every JSON document carries its schema fields.
+    required = {
+        "report": ["schema", "design", "grid", "stages", "counters",
+                   "gauges", "verdict", "audit", "trace"],
+        "audit": ["clean", "errors", "warnings", "checks_run",
+                  "nets_audited", "violations"],
+        "trace": ["traceEvents", "displayTimeUnit", "droppedEvents"],
+    }
+    for backend, extra in [("rabid", []), ("mcf", []),
+                           ("bbp", ["--two-pin"])]:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = {k: os.path.join(tmp, k + ".json") for k in required}
+            sol = os.path.join(tmp, "out.sol")
+            name = f"outputs-{backend}"
+            expect(name, run(cli, "--circuit", "apte", "--backend", backend,
+                             *extra, "--report", out["report"],
+                             "--audit-json", out["audit"],
+                             "--trace", out["trace"],
+                             "--dump-solution", sol), 0)
+            for kind, path in out.items():
+                try:
+                    with open(path) as f:
+                        doc = json.load(f)
+                except (OSError, ValueError) as e:
+                    failures.append(f"{name}: {kind} JSON unreadable: {e}")
+                    continue
+                missing = [k for k in required[kind] if k not in doc]
+                if missing:
+                    failures.append(f"{name}: {kind} JSON lacks {missing}")
+            if os.path.exists(out["report"]):
+                with open(out["report"]) as f:
+                    report = json.load(f)
+                if (report.get("schema") != "rabid.run_report.v1"
+                        or report.get("verdict") != "ok"
+                        or not report.get("stages")
+                        or not report["audit"].get("run")):
+                    failures.append(f"{name}: report schema/verdict/"
+                                    "stages/audit wrong")
+            if not os.path.exists(sol) or os.path.getsize(sol) == 0:
+                failures.append(f"{name}: no solution dump")
+        # A deadline is RABID's alone: a usage error for the others.
+        if backend != "rabid":
+            expect(f"deadline-{backend}",
+                   run(cli, "--circuit", "apte", "--backend", backend,
+                       *extra, "--deadline-ms", "5"),
+                   2, stderr_contains="--backend rabid only")
 
     if failures:
         print("\n".join(failures), file=sys.stderr)

@@ -7,6 +7,7 @@
 #include "circuits/specs.hpp"
 #include "core/audit.hpp"
 #include "core/rabid.hpp"
+#include "obs/json.hpp"
 
 namespace rabid {
 namespace {
@@ -315,6 +316,22 @@ TEST(Audit, ReportMergeAndCountsAndJson) {
   a.write_json(json);
   EXPECT_NE(json.str().find("\"errors\""), std::string::npos);
   EXPECT_NE(json.str().find("\"delay\""), std::string::npos);
+}
+
+TEST(Audit, JsonKeepsQuotesAndControlBytesInStrings) {
+  core::AuditReport report;
+  report.violations.push_back({core::AuditCheck::kDelay,
+                               core::AuditSeverity::kError, 0, tile::kNoTile,
+                               tile::kNoEdge, 1.0, 2.0,
+                               "net \"a\"\r\x01 drift", "vG\t"});
+  std::ostringstream json;
+  report.write_json(json);
+  std::string error;
+  const auto doc = obs::json::parse(json.str(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const obs::json::Value& v = doc->find("violations")->items.at(0);
+  EXPECT_EQ(v.find("detail")->as_string(), "net \"a\"\r\x01 drift");
+  EXPECT_EQ(v.find("stage")->as_string(), "vG\t");
 }
 
 }  // namespace

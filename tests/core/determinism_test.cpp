@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "books.hpp"
 #include "circuits/generator.hpp"
 #include "circuits/random_circuit.hpp"
 #include "circuits/specs.hpp"
@@ -98,8 +99,8 @@ TEST_P(Determinism, FourThreadsMatchesOneThread) {
 
   // Both runs keep the tile-graph books exactly in sync with per-net
   // state (aborts on mismatch).
-  r1.check_books();
-  r4.check_books();
+  EXPECT_TRUE(rabid::test::books_balance(r1));
+  EXPECT_TRUE(rabid::test::books_balance(r4));
 }
 
 // apte is the smallest CBL circuit; xerox adds multi-terminal nets with

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "books.hpp"
 #include "core/rabid.hpp"
 #include "util/rng.hpp"
 
@@ -44,7 +45,7 @@ StageStats run_with(Stage3Order order) {
   rabid.run_stage1();
   rabid.run_stage2();
   const StageStats s = rabid.run_stage3();
-  rabid.check_books();
+  EXPECT_TRUE(rabid::test::books_balance(rabid));
   return s;
 }
 

@@ -14,7 +14,7 @@ namespace {
 
 RunReport sample_report() {
   RunReport r;
-  r.design = "ami49 \"two-pin\"";  // exercises string escaping
+  r.design = "ami49 \"two-pin\"\r\x01";  // exercises string escaping
   r.nx = 33;
   r.ny = 31;
   r.nets = 493;
@@ -39,7 +39,7 @@ RunReport sample_report() {
   s1.threads = 4;
   r.stages.push_back(s1);
   StageStats s4 = s1;
-  s4.stage = "4";
+  s4.stage = "4\t\x1f";
   s4.overflow = 0;
   s4.buffers = 2220;
   s4.failed_nets = 0;

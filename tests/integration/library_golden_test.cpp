@@ -3,6 +3,7 @@
 #include <sstream>
 #include <string>
 
+#include "books.hpp"
 #include "circuits/generator.hpp"
 #include "circuits/specs.hpp"
 #include "core/rabid.hpp"
@@ -97,7 +98,7 @@ TEST(LibraryGolden, Paper4RunTagsEveryBuffer) {
       EXPECT_EQ(n.buffer_types.size(), n.buffers.size());
     }
   }
-  rabid.check_books();
+  EXPECT_TRUE(rabid::test::books_balance(rabid));
 }
 
 }  // namespace

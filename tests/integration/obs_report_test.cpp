@@ -153,5 +153,36 @@ TEST(ObsReportIntegration, Ami49CountersMatchAuditRecounts) {
   EXPECT_EQ(parsed->stages.size(), report.stages.size());
 }
 
+// Every counter is a count of work, not of scheduling: two runs of the
+// same input at the same thread count snapshot identically, so a work
+// ledger can compare them exactly.
+TEST(ObsReportIntegration, CountersRepeatAtTwoThreads) {
+  const circuits::CircuitSpec& spec = circuits::spec_by_name("apte");
+  const netlist::Design design = circuits::generate_design(spec);
+  obs::Registry& registry = obs::Registry::instance();
+  const auto run = [&] {
+    registry.set_level(obs::Level::kCounters);
+    registry.reset();
+    tile::TileGraph graph = circuits::build_tile_graph(design, spec);
+    core::RabidOptions options;
+    options.threads = 2;
+    options.obs_level = obs::Level::kCounters;
+    core::Rabid(design, graph, options).run_all();
+    const obs::Snapshot snap = registry.snapshot();
+    registry.set_level(obs::Level::kOff);
+    registry.reset();
+    return snap;
+  };
+  const obs::Snapshot first = run();
+  const obs::Snapshot second = run();
+  const auto pool = static_cast<std::size_t>(obs::Counter::kPoolIndices);
+  EXPECT_GT(first.counters[pool], 0U);
+  for (std::size_t c = 0; c < static_cast<std::size_t>(obs::Counter::kCount);
+       ++c) {
+    EXPECT_EQ(first.counters[c], second.counters[c])
+        << obs::counter_name(static_cast<obs::Counter>(c));
+  }
+}
+
 }  // namespace
 }  // namespace rabid

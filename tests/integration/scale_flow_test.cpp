@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "books.hpp"
 #include "circuits/generator.hpp"
 #include "circuits/specs.hpp"
 #include "core/audit.hpp"
@@ -40,7 +41,7 @@ TEST(ScaleFlow, Scale100kStages1To3AuditClean) {
   const core::AuditReport audit = rabid.audit();
   EXPECT_TRUE(audit.clean()) << audit.summary();
   EXPECT_EQ(audit.nets_audited, design.nets().size());
-  rabid.check_books();
+  EXPECT_TRUE(rabid::test::books_balance(rabid));
 
   // The memory observability that makes a 1M-net run diagnosable: the
   // OS peak and every per-structure gauge must be populated.

@@ -87,13 +87,13 @@ TEST(TraceWriter, CompleteEventsSerializeWellFormed) {
 TEST(TraceWriter, EscapesHostileNames) {
   TraceWriter writer;
   writer.set_enabled(true);
-  writer.complete("quote\" back\\slash\nnewline\ttab", "cat", 0.0, 1.0);
+  const std::string name = "quote\" back\\slash\nnewline\ttab\rcr\x01 ctl";
+  writer.complete(name, "cat", 0.0, 1.0);
   const json::Value doc = parse_trace(writer);
   const json::Value* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_EQ(events->items.size(), 1u);
-  EXPECT_EQ(events->items[0].find("name")->as_string(),
-            "quote\" back\\slash\nnewline\ttab");
+  EXPECT_EQ(events->items[0].find("name")->as_string(), name);
 }
 
 TEST(TraceWriter, ThreadsGetDistinctTracks) {

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "fuzz/faults.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
@@ -88,19 +89,6 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-void json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    if (c == '\n') {
-      out << "\\n";
-    } else {
-      out << c;
-    }
-  }
-  out << '"';
-}
-
 void write_json(const std::string& path, const Args& args, std::int64_t ran,
                 double elapsed_s, const rabid::fuzz::FaultReport& total,
                 std::int64_t io_injected) {
@@ -118,7 +106,7 @@ void write_json(const std::string& path, const Args& args, std::int64_t ran,
       << ",\n  \"failures\": [";
   for (std::size_t i = 0; i < total.failures.size(); ++i) {
     out << (i == 0 ? "\n    " : ",\n    ");
-    json_string(out, total.failures[i]);
+    rabid::obs::json::append_escaped(out, total.failures[i]);
   }
   out << (total.failures.empty() ? "]" : "\n  ]") << "\n}\n";
 }

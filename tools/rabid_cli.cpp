@@ -314,6 +314,42 @@ void print_stats_row(rabid::report::Table& t,
              fmt(static_cast<std::int64_t>(s.threads))});
 }
 
+/// RABID stage by stage: a prefix of the flow (--stages) or the rest of
+/// a checkpointed run (--resume), checkpointing after each stage
+/// (--checkpoint-dir).  Prints each stage row into `table`.
+rabid::core::Status run_stages(rabid::core::Rabid& rabid, const Args& args,
+                              rabid::report::Table& table) {
+  using rabid::core::Status;
+  int completed = 0;
+  if (args.resume) {
+    if (Status s = rabid::core::resume_from_checkpoint(args.checkpoint_dir,
+                                                       rabid, &completed);
+        !s) {
+      return s;
+    }
+    std::printf("resumed from %s (stages 1..%d already complete)\n\n",
+                args.checkpoint_dir.c_str(), completed);
+  }
+  for (int stage = completed + 1; stage <= args.stages; ++stage) {
+    if (rabid.timed_out()) break;
+    switch (stage) {
+      case 1: print_stats_row(table, rabid.run_stage1()); break;
+      case 2: print_stats_row(table, rabid.run_stage2()); break;
+      case 3: print_stats_row(table, rabid.run_stage3()); break;
+      case 4: print_stats_row(table, rabid.run_stage4()); break;
+    }
+    // A stage that the deadline cancelled mid-way is deliberately not
+    // checkpointed: the checkpoint would claim the stage completed.
+    if (args.checkpoint_dir.empty() || rabid.timed_out()) continue;
+    if (Status s = rabid::core::write_checkpoint(args.checkpoint_dir, rabid,
+                                                 stage);
+        !s) {
+      return s;
+    }
+  }
+  return Status::ok();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -356,249 +392,144 @@ int main(int argc, char** argv) {
               static_cast<long long>(graph.total_site_supply()),
               design.default_length_limit());
 
-  int rc = 0;
-  if (args.backend != core::Backend::kRabid) {
-    alloc::AllocatorConfig config;
-    config.rabid.threads = args.threads;
-    config.rabid.obs_level = args.obs_level;
-    if (args.audit) config.rabid.audit_level = core::AuditLevel::kFinal;
-    if (!args.buffer_library.empty()) {
-      buffer::BufferLibrary::preset(args.buffer_library,
-                                    &config.rabid.buffer_library);
-    }
-    auto made = alloc::make_allocator(args.backend, design, graph, config);
-    if (!made.ok()) return fail(made.status());
-    core::Allocator& alloc = *made.value();
+  alloc::AllocatorConfig config;
+  core::RabidOptions& options = config.rabid;
+  options.threads = args.threads;
+  options.obs_level = args.obs_level;
+  options.congestion_post_after_stage2 = args.post;
+  options.stage2_shards = args.stage2_shards;
+  if (args.audit) options.audit_level = core::AuditLevel::kPerStage;
+  options.deadline_ms = args.deadline_ms;
+  if (!args.buffer_library.empty()) {
+    buffer::BufferLibrary::preset(args.buffer_library,
+                                  &options.buffer_library);
+  }
+  auto made = alloc::make_allocator(args.backend, design, graph, config);
+  if (!made.ok()) return fail(made.status());
+  core::Allocator& alloc = *made.value();
 
-    report::Table table({"stage", "wireC max", "wireC avg", "overflows",
-                         "bufD max", "#bufs", "#fails", "wl (mm)",
-                         "delay max", "delay avg", "wall (s)", "thr"});
-    for (const core::StageStats& s : alloc.plan()) {
-      print_stats_row(table, s);
-    }
-    table.print();
-    if (alloc.backend() == core::Backend::kBbp) {
-      const bbp::BbpResult& r =
-          static_cast<bbp::BbpAllocator&>(alloc).result();
-      std::printf("BBP/FR: MTAP %.2f%% (Table V column the stage rows"
-                  " cannot carry)\n", r.mtap_pct);
-    }
-
-    if (args.audit) {
-      const core::AuditReport* audit = alloc.last_audit();
-      std::printf("\n%s\n", audit->summary().c_str());
-      if (!args.audit_json.empty()) {
-        std::ofstream out(args.audit_json);
-        if (!out) {
-          return fail(core::Status::io_error("cannot open for writing",
-                                             args.audit_json));
-        }
-        audit->write_json(out);
-        std::printf("wrote audit report to %s\n", args.audit_json.c_str());
-      }
-      if (!audit->clean()) rc = 1;
-    }
-    if (!args.report_json.empty()) {
-      std::ofstream out(args.report_json);
-      if (!out) {
-        return fail(core::Status::io_error("cannot open for writing",
-                                           args.report_json));
-      }
-      alloc.run_report().write_json(out);
-      std::printf("wrote run report to %s\n", args.report_json.c_str());
-    }
-    if (!args.trace_json.empty()) {
-      std::ofstream out(args.trace_json);
-      if (!out) {
-        return fail(core::Status::io_error("cannot open for writing",
-                                           args.trace_json));
-      }
-      obs::Registry::instance().trace().write_json(out);
-      std::printf("wrote chrome trace to %s (open in ui.perfetto.dev)\n",
-                  args.trace_json.c_str());
-    }
-    if (!args.dump_solution.empty()) {
-      std::ofstream out(args.dump_solution);
-      if (!out) {
-        return fail(core::Status::io_error("cannot open for writing",
-                                           args.dump_solution));
-      }
-      core::write_solution(out, design, graph, alloc.nets());
-      std::printf("wrote solution to %s\n", args.dump_solution.c_str());
-    }
-    if (!args.svg.empty()) {
-      std::ofstream out(args.svg);
-      if (!out) {
-        return fail(core::Status::io_error("cannot open for writing",
-                                           args.svg));
-      }
-      out << report::render_svg(design, graph, alloc.nets());
-      std::printf("wrote plot to %s\n", args.svg.c_str());
-    }
+  report::Table table({"stage", "wireC max", "wireC avg", "overflows",
+                       "bufD max", "#bufs", "#fails", "wl (mm)",
+                       "delay max", "delay avg", "wall (s)", "thr"});
+  // parse() admits the stage, checkpoint and vG flags for RABID only.
+  core::Rabid* const rabid = dynamic_cast<core::Rabid*>(&alloc);
+  if (args.resume || !args.checkpoint_dir.empty() || args.stages != 4) {
+    if (core::Status s = run_stages(*rabid, args, table); !s) return fail(s);
   } else {
-    core::RabidOptions options;
-    options.threads = args.threads;
-    options.obs_level = args.obs_level;
-    options.congestion_post_after_stage2 = args.post;
-    options.stage2_shards = args.stage2_shards;
-    if (args.audit) options.audit_level = core::AuditLevel::kPerStage;
-    options.deadline_ms = args.deadline_ms;
-    if (!args.buffer_library.empty()) {
-      buffer::BufferLibrary::preset(args.buffer_library,
-                                    &options.buffer_library);
+    for (const core::StageStats& s : alloc.plan()) print_stats_row(table, s);
+  }
+  if (args.vg > 0 && !alloc.timed_out()) {
+    print_stats_row(table, rabid->rebuffer_timing_driven(
+                               args.vg, buffer::BufferLibrary::standard_180nm(),
+                               args.inverters));
+  }
+  table.print();
+  if (alloc.backend() == core::Backend::kBbp) {
+    const bbp::BbpResult& r = static_cast<bbp::BbpAllocator&>(alloc).result();
+    std::printf("BBP/FR: MTAP %.2f%% (Table V column the stage rows"
+                " cannot carry)\n", r.mtap_pct);
+  }
+
+  int rc = 0;
+  if (alloc.timed_out()) {
+    std::printf("\ndeadline of %.1f ms expired: %lld nets returned "
+                "unprocessed (solution is a legal partial)\n",
+                args.deadline_ms,
+                static_cast<long long>(alloc.nets_cancelled()));
+    rc = 4;
+  }
+  if (args.audit) {
+    // A resume that had nothing left to run produced no per-stage
+    // audits; fall back to a fresh ground-up audit of the solution.
+    core::AuditReport resumed_audit;
+    const core::AuditReport* report = alloc.last_audit();
+    if (report == nullptr) {
+      resumed_audit = alloc.audit();
+      report = &resumed_audit;
     }
-    core::Rabid rabid(design, graph, options);
-    report::Table table({"stage", "wireC max", "wireC avg", "overflows",
-                         "bufD max", "#bufs", "#fails", "wl (mm)",
-                         "delay max", "delay avg", "wall (s)", "thr"});
-    if (args.checkpoint_dir.empty() && !args.resume && args.stages == 4) {
-      for (const core::StageStats& s : rabid.run_all()) {
-        print_stats_row(table, s);
-      }
-    } else {
-      int completed = 0;
-      if (args.resume) {
-        if (core::Status s = core::resume_from_checkpoint(
-                args.checkpoint_dir, rabid, &completed);
-            !s) {
-          return fail(s);
-        }
-        std::printf("resumed from %s (stages 1..%d already complete)\n\n",
-                    args.checkpoint_dir.c_str(), completed);
-      }
-      // A stage that the deadline cancelled mid-way is deliberately not
-      // checkpointed: the checkpoint would claim the stage completed.
-      const auto after_stage = [&](int stage) -> core::Status {
-        if (args.checkpoint_dir.empty() || rabid.timed_out()) {
-          return core::Status::ok();
-        }
-        return core::write_checkpoint(args.checkpoint_dir, rabid, stage);
-      };
-      const auto run_stage = [&](int stage) -> core::Status {
-        if (completed >= stage || rabid.timed_out()) {
-          return core::Status::ok();
-        }
-        switch (stage) {
-          case 1: print_stats_row(table, rabid.run_stage1()); break;
-          case 2: print_stats_row(table, rabid.run_stage2()); break;
-          case 3: print_stats_row(table, rabid.run_stage3()); break;
-          case 4: print_stats_row(table, rabid.run_stage4()); break;
-        }
-        return after_stage(stage);
-      };
-      for (int stage = 1; stage <= args.stages; ++stage) {
-        if (core::Status s = run_stage(stage); !s) return fail(s);
-      }
-    }
-    if (args.vg > 0 && !rabid.timed_out()) {
-      print_stats_row(
-          table, rabid.rebuffer_timing_driven(
-                     args.vg, buffer::BufferLibrary::standard_180nm(),
-                     args.inverters));
-    }
-    table.print();
-    if (rabid.timed_out()) {
-      std::printf("\ndeadline of %.1f ms expired: %lld nets returned "
-                  "unprocessed (solution is a legal partial)\n",
-                  args.deadline_ms,
-                  static_cast<long long>(rabid.nets_cancelled()));
-      rc = 4;
-    }
-    if (args.audit) {
-      // A resume that had nothing left to run produced no per-stage
-      // audits; fall back to a fresh ground-up audit of the solution.
-      core::AuditReport resumed_audit;
-      const core::AuditReport* report = rabid.last_audit();
-      if (report == nullptr) {
-        resumed_audit = rabid.audit();
-        report = &resumed_audit;
-      }
-      std::printf("\n%s\n", report->summary().c_str());
-      if (!args.audit_json.empty()) {
-        std::ofstream out(args.audit_json);
-        if (!out) {
-          return fail(core::Status::io_error("cannot open for writing",
-                                             args.audit_json));
-        }
-        report->write_json(out);
-        std::printf("wrote audit report to %s\n", args.audit_json.c_str());
-      }
-      if (!report->clean()) rc = 1;
-    }
-    if (!args.report_json.empty()) {
-      std::ofstream out(args.report_json);
+    std::printf("\n%s\n", report->summary().c_str());
+    if (!args.audit_json.empty()) {
+      std::ofstream out(args.audit_json);
       if (!out) {
         return fail(core::Status::io_error("cannot open for writing",
-                                           args.report_json));
+                                           args.audit_json));
       }
-      rabid.run_report().write_json(out);
-      std::printf("wrote run report to %s\n", args.report_json.c_str());
+      report->write_json(out);
+      std::printf("wrote audit report to %s\n", args.audit_json.c_str());
     }
-    if (!args.trace_json.empty()) {
-      std::ofstream out(args.trace_json);
-      if (!out) {
-        return fail(core::Status::io_error("cannot open for writing",
-                                           args.trace_json));
-      }
-      obs::Registry::instance().trace().write_json(out);
-      std::printf("wrote chrome trace to %s (open in ui.perfetto.dev)\n",
-                  args.trace_json.c_str());
+    if (!report->clean()) rc = 1;
+  }
+  if (!args.report_json.empty()) {
+    std::ofstream out(args.report_json);
+    if (!out) {
+      return fail(core::Status::io_error("cannot open for writing",
+                                         args.report_json));
     }
-    if (!args.dump_solution.empty()) {
-      std::ofstream out(args.dump_solution);
-      if (!out) {
-        return fail(core::Status::io_error("cannot open for writing",
-                                           args.dump_solution));
-      }
-      core::write_solution(out, design, graph, rabid.nets());
-      std::printf("wrote solution to %s\n", args.dump_solution.c_str());
+    alloc.run_report().write_json(out);
+    std::printf("wrote run report to %s\n", args.report_json.c_str());
+  }
+  if (!args.trace_json.empty()) {
+    std::ofstream out(args.trace_json);
+    if (!out) {
+      return fail(core::Status::io_error("cannot open for writing",
+                                         args.trace_json));
     }
-    if (!args.svg.empty()) {
-      std::ofstream out(args.svg);
-      if (!out) {
-        return fail(core::Status::io_error("cannot open for writing",
-                                           args.svg));
-      }
-      out << report::render_svg(design, graph, rabid.nets());
-      std::printf("wrote plot to %s\n", args.svg.c_str());
+    obs::Registry::instance().trace().write_json(out);
+    std::printf("wrote chrome trace to %s (open in ui.perfetto.dev)\n",
+                args.trace_json.c_str());
+  }
+  if (!args.dump_solution.empty()) {
+    std::ofstream out(args.dump_solution);
+    if (!out) {
+      return fail(core::Status::io_error("cannot open for writing",
+                                         args.dump_solution));
     }
-    // ECO last: everything above reports the batch solution; from here
-    // on the graph's books belong to the incremental planner.
-    if (args.eco) {
-      eco::EcoOptions eopt;
-      eopt.tech = options.tech;
-      eopt.buffer_library = options.buffer_library;
-      eco::IncrementalPlanner planner(design, graph, rabid.nets(), eopt);
-      const eco::Perturbation perturbation = eco::random_move_perturbation(
-          planner, args.eco_perturb, args.eco_seed);
-      eco::ReplanStats stats;
-      const auto t0 = std::chrono::steady_clock::now();
-      if (core::Status s = planner.replan(perturbation, &stats); !s) {
-        return fail(s);
-      }
-      const double ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - t0)
-              .count();
-      std::printf("\neco: moved %zu nets (%.1f%% of %zu, seed %llu); "
-                  "replanned %lld, kept %lld, %lld closure iterations, "
-                  "%.1f ms\n",
-                  perturbation.moved_nets.size(), 100.0 * args.eco_perturb,
-                  planner.design().nets().size(),
-                  static_cast<unsigned long long>(args.eco_seed),
-                  static_cast<long long>(stats.dirty_nets),
-                  static_cast<long long>(stats.kept_nets),
-                  static_cast<long long>(stats.iterations), ms);
-      if (args.eco_verify) {
-        const eco::EquivalenceReport report =
-            eco::compare_with_scratch(planner);
-        std::printf("eco verify: %s\n", report.summary().c_str());
-        if (!report.within(eopt.equivalence_epsilon)) {
-          std::printf("eco verify: FAILED the declared equivalence bound "
-                      "(epsilon %.2f)\n",
-                      eopt.equivalence_epsilon);
-          rc = 1;
-        }
+    core::write_solution(out, design, graph, alloc.nets());
+    std::printf("wrote solution to %s\n", args.dump_solution.c_str());
+  }
+  if (!args.svg.empty()) {
+    std::ofstream out(args.svg);
+    if (!out) {
+      return fail(core::Status::io_error("cannot open for writing", args.svg));
+    }
+    out << report::render_svg(design, graph, alloc.nets());
+    std::printf("wrote plot to %s\n", args.svg.c_str());
+  }
+  // ECO last: everything above reports the batch solution; from here
+  // on the graph's books belong to the incremental planner.
+  if (args.eco) {
+    eco::EcoOptions eopt;
+    eopt.tech = options.tech;
+    eopt.buffer_library = options.buffer_library;
+    eco::IncrementalPlanner planner(design, graph, alloc.nets(), eopt);
+    const eco::Perturbation perturbation = eco::random_move_perturbation(
+        planner, args.eco_perturb, args.eco_seed);
+    eco::ReplanStats stats;
+    const auto t0 = std::chrono::steady_clock::now();
+    if (core::Status s = planner.replan(perturbation, &stats); !s) {
+      return fail(s);
+    }
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    std::printf("\neco: moved %zu nets (%.1f%% of %zu, seed %llu); "
+                "replanned %lld, kept %lld, %lld closure iterations, "
+                "%.1f ms\n",
+                perturbation.moved_nets.size(), 100.0 * args.eco_perturb,
+                planner.design().nets().size(),
+                static_cast<unsigned long long>(args.eco_seed),
+                static_cast<long long>(stats.dirty_nets),
+                static_cast<long long>(stats.kept_nets),
+                static_cast<long long>(stats.iterations), ms);
+    if (args.eco_verify) {
+      const eco::EquivalenceReport report =
+          eco::compare_with_scratch(planner);
+      std::printf("eco verify: %s\n", report.summary().c_str());
+      if (!report.within(eopt.equivalence_epsilon)) {
+        std::printf("eco verify: FAILED the declared equivalence bound "
+                    "(epsilon %.2f)\n",
+                    eopt.equivalence_epsilon);
+        rc = 1;
       }
     }
   }
