@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "route/maze.hpp"
 
@@ -82,6 +85,67 @@ TEST(RouteTwoPath, SameTileEndpoints) {
   EXPECT_EQ(r.tiles, (std::vector<tile::TileId>{g.id_of({4, 4})}));
   EXPECT_DOUBLE_EQ(r.cost, 0.0);
 }
+
+/// The heuristic field, rooted at goal (0,0) and aimed at (8,8) with
+/// floor F = 1e6, reaches T = (1,1) twice: first over (1,0) at d1, then
+/// over (0,1) at d2 = d1 - 2^-31.  Both entries key to the same double
+/// (d + 14F rounds to a 2^-29 grid), so they tie on (key, tile) and the
+/// heap may pop either first; only d2 may settle T and relax its
+/// neighbors.  `via_front` also ties (0,1)'s own key with T's, so the
+/// stale entry is already waiting among the exact ties when the fresh
+/// one arrives; without it both entries queue together.
+struct FieldTie {
+  const char* name;
+  double c1a;  ///< (0,0)-(1,0)
+  double c2a;  ///< (1,0)-(1,1)
+  double c1b;  ///< (0,0)-(0,1)
+  double c2b;  ///< (0,1)-(1,1)
+};
+
+void PrintTo(const FieldTie& c, std::ostream* os) { *os << c.name; }
+
+class TwoPathFieldTie : public ::testing::TestWithParam<FieldTie> {};
+
+TEST_P(TwoPathFieldTie, SettlesThePlainDijkstraValue) {
+  const FieldTie& c = GetParam();
+  const tile::TileGraph g = make_graph();
+  const double F = 1e6;
+  std::vector<double> wire(static_cast<std::size_t>(g.edge_count()), 2 * F);
+  const auto set = [&](geom::TileCoord a, geom::TileCoord b, double cost) {
+    wire[static_cast<std::size_t>(g.edge_between(g.id_of(a), g.id_of(b)))] =
+        cost;
+  };
+  set({0, 0}, {1, 0}, c.c1a);
+  set({1, 0}, {1, 1}, c.c2a);
+  set({0, 0}, {0, 1}, c.c1b);
+  set({0, 1}, {1, 1}, c.c2b);
+  set({1, 1}, {2, 1}, F);
+  set({1, 1}, {1, 2}, F);
+  const double d1 = c.c1a + c.c2a;
+  const double d2 = c.c1b + c.c2b;
+  ASSERT_LT(d2, d1);
+  ASSERT_EQ(d1 + 14 * F, d2 + 14 * F);  // the (key, tile) tie
+
+  const std::vector<double> sites(static_cast<std::size_t>(g.tile_count()),
+                                  1.0);
+  TwoPathSearch search(g);
+  search.route(g.id_of({8, 8}), g.id_of({0, 0}), /*L=*/20, wire, sites,
+               /*wire_weight=*/1.0, /*astar_floor=*/F);
+  EXPECT_EQ(search.field_distance(g.id_of({1, 1}), wire), d2);
+  EXPECT_EQ(search.field_distance(g.id_of({2, 1}), wire), d2 + F);
+  EXPECT_EQ(search.field_distance(g.id_of({1, 2}), wire), d2 + F);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Orders, TwoPathFieldTie,
+    ::testing::Values(
+        FieldTie{"queued_together", 1e6, 1e6 + 0x1p-28 + 0x1p-31, 1e6,
+                 1e6 + 0x1p-28},
+        FieldTie{"via_front", 1e6, 1e6 + 0x1p-28 + 0x1p-31, 1e6 + 0x1p-28,
+                 1e6}),
+    [](const ::testing::TestParamInfo<FieldTie>& info) {
+      return std::string(info.param.name);
+    });
 
 route::RouteTree y_tree(const tile::TileGraph& g) {
   route::RouteTree t(g.id_of({0, 0}));

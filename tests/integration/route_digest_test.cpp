@@ -88,7 +88,7 @@ constexpr std::uint64_t kAmi49EcoPaper4 = 0x8e15255030466278ULL;
 /// two threads; apte with the stage-4 wire weight at 0.5; apte streamed
 /// with the unit library; an MCF plan whose legalization needs repair
 /// reroutes; and three chained ECO steps on ami49.
-constexpr std::uint64_t kXeroxShards4 = 0xbf016ada08a820dcULL;
+constexpr std::uint64_t kXeroxShards4 = 0x8ad3c048ec8e5cc9ULL;
 constexpr std::uint64_t kApteWireWeightHalf = 0xc5b31332ebadbbf3ULL;
 constexpr std::uint64_t kApteStreamUnit = 0xaca68ae350fae1e1ULL;
 constexpr std::uint64_t kMcfRepair = 0x2ae42603a7ceed68ULL;
