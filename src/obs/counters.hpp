@@ -64,9 +64,10 @@ enum class Counter : std::uint16_t {
   kEdgeCacheFullRefreshes,  ///< refresh_all() calls
   kEdgeCacheInvalidations,  ///< single-edge recomputes (refresh_edge)
   kEdgeCacheCapacityChanges,  ///< capacity-aware recomputes (ECO edits)
-  // util/dheap.hpp regrow events, flushed by the heap's owners (maze
-  // router, two-path search): pushes that forced the backing vector to
-  // reallocate.  Nonzero after warm-up means a reserve() is missing.
+  // util/radix_heap.hpp regrow events, flushed by the heap's owners
+  // (maze router, two-path search): pushes that forced the node pool or
+  // the front to reallocate.  Nonzero after warm-up means a reserve() is
+  // missing.
   kHeapRegrows,
   // core/stage2.cpp — stage-2 dirty-net filter.
   kStage2Iterations,  ///< rip-up/reroute iterations actually run

@@ -115,7 +115,7 @@ void MazeRouter::confine(tile::TileSpan span) {
 
 std::uint64_t MazeRouter::memory_bytes() const {
   return static_cast<std::uint64_t>(labels_.capacity()) * sizeof(Label) +
-         static_cast<std::uint64_t>(heap_.capacity()) * sizeof(HeapEntry) +
+         heap_.memory_bytes() +
          static_cast<std::uint64_t>(in_region_.capacity()) +
          static_cast<std::uint64_t>(targets_.capacity()) * sizeof(Target) +
          static_cast<std::uint64_t>(path_cost_.capacity()) * sizeof(double) +

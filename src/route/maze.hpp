@@ -56,7 +56,7 @@
 #include "route/route_tree.hpp"
 #include "tile/region.hpp"
 #include "tile/tile_graph.hpp"
-#include "util/dheap.hpp"
+#include "util/radix_heap.hpp"
 
 namespace rabid::route {
 
@@ -254,7 +254,7 @@ class MazeRouter {
   std::vector<std::uint8_t> in_region_;
 
   // Reusable wavefront storage: heap backing plus grow()'s worklists.
-  util::DaryHeap<HeapEntry> heap_;
+  util::RadixHeap<HeapEntry> heap_;
   std::vector<double> path_cost_;
   std::vector<tile::TileId> path_;
 

@@ -1,21 +1,20 @@
 #pragma once
 
 /// \file dheap.hpp
-/// A 4-ary implicit min-heap used by the wavefront searches (maze
-/// routing, the stage-4 (tile x L) search, its goal-rooted heuristic
-/// field).  Versus std::push_heap/pop_heap on a binary heap this halves
-/// the tree depth and keeps each sift-down's children in one cache line,
-/// which matters because the searches are pop-dominated (every pop pays
-/// a full-depth sift).
+/// A 4-ary implicit min-heap: the "front" of util::RadixHeap, which
+/// orders the exact-key ties and the pushes below the last minimum, and
+/// the reference order that RadixHeap's tests compare against.  Versus
+/// std::push_heap/pop_heap on a binary heap this halves the tree depth
+/// and keeps each sift-down's children in one cache line.
 ///
 /// Determinism: entry types order by `operator>` which every caller
 /// defines as a *strict total order* (cost first, then an id tie-break),
 /// so the minimum element is unique and any correct heap pops the same
-/// sequence.  Swapping the heap implementation provably cannot change a
-/// route.
+/// sequence.  Swapping the heap implementation cannot change a route.
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -42,13 +41,21 @@ class DaryHeap {
     return n;
   }
 
-  void push(T e) {
+  void push(T e) { push(e, std::greater<>{}); }
+
+  /// push() and pop() under an explicit strict total order `greater`
+  /// instead of T's operator>, so a heap of handles can order by the
+  /// entries they name (RadixHeap's front holds pool indices) without
+  /// storing a pointer that a reallocation would invalidate.  Every call
+  /// on one heap must pass the same order.
+  template <typename Greater>
+  void push(T e, Greater greater) {
     std::size_t i = v_.size();
     if (v_.size() == v_.capacity()) ++regrows_;
     v_.push_back(e);
     while (i > 0) {
       const std::size_t parent = (i - 1) / D;
-      if (!(v_[parent] > v_[i])) break;
+      if (!greater(v_[parent], v_[i])) break;
       std::swap(v_[parent], v_[i]);
       i = parent;
     }
@@ -58,7 +65,10 @@ class DaryHeap {
   const T& top() const { return v_.front(); }
 
   /// Removes and returns the minimum element (heap must be non-empty).
-  T pop() {
+  T pop() { return pop(std::greater<>{}); }
+
+  template <typename Greater>
+  T pop(Greater greater) {
     T top = v_.front();
     T last = v_.back();
     v_.pop_back();
@@ -71,9 +81,9 @@ class DaryHeap {
         std::size_t best = first;
         const std::size_t end = first + D < n ? first + D : n;
         for (std::size_t c = first + 1; c < end; ++c) {
-          if (v_[best] > v_[c]) best = c;
+          if (greater(v_[best], v_[c])) best = c;
         }
-        if (!(last > v_[best])) break;
+        if (!greater(last, v_[best])) break;
         v_[i] = v_[best];
         i = best;
       }
@@ -82,39 +92,7 @@ class DaryHeap {
     return top;
   }
 
-  /// Lets `edit` rewrite the stored elements in place (change keys, drop
-  /// elements), then restores heap order bottom-up in O(n).  The pop
-  /// sequence afterwards depends only on the edited element set.
-  template <typename Edit>
-  void rebuild(Edit&& edit) {
-    edit(v_);
-    if (v_.size() < 2) return;
-    for (std::size_t i = (v_.size() - 2) / D + 1; i-- > 0;) {
-      sift_down(i, v_[i]);
-    }
-  }
-
  private:
-  /// Moves `e` down from slot i until no child orders before it.  pop()
-  /// keeps its own copy of this loop, so the wavefront hot path compiles
-  /// exactly as it did before rebuild() existed.
-  void sift_down(std::size_t i, const T e) {
-    const std::size_t n = v_.size();
-    while (true) {
-      const std::size_t first = i * D + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t end = first + D < n ? first + D : n;
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (v_[best] > v_[c]) best = c;
-      }
-      if (!(e > v_[best])) break;
-      v_[i] = v_[best];
-      i = best;
-    }
-    v_[i] = e;
-  }
-
   std::vector<T> v_;
   std::uint64_t regrows_ = 0;
 };

@@ -62,29 +62,5 @@ TEST(DaryHeap, ReserveEliminatesRegrows) {
   EXPECT_EQ(heap.take_regrows(), 1u);
 }
 
-TEST(DaryHeap, RebuildRekeysAndDropsInPlace) {
-  DaryHeap<std::int64_t> heap;
-  std::mt19937_64 rng(11);
-  std::vector<std::int64_t> values;
-  for (int i = 0; i < 5000; ++i) {
-    values.push_back(static_cast<std::int64_t>(rng() % 100000));
-    heap.push(values.back());
-  }
-  // Drop the odd values and negate the rest: the new minimum is the old
-  // largest even value, so every surviving element must move.
-  heap.rebuild([](std::vector<std::int64_t>& v) {
-    std::erase_if(v, [](std::int64_t x) { return x % 2 != 0; });
-    for (std::int64_t& x : v) x = -x;
-  });
-  std::vector<std::int64_t> want;
-  for (const std::int64_t v : values) {
-    if (v % 2 == 0) want.push_back(-v);
-  }
-  std::sort(want.begin(), want.end());
-  ASSERT_EQ(heap.size(), want.size());
-  for (const std::int64_t v : want) EXPECT_EQ(heap.pop(), v);
-  EXPECT_TRUE(heap.empty());
-}
-
 }  // namespace
 }  // namespace rabid::util
