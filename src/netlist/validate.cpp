@@ -10,12 +10,20 @@ namespace {
 
 using core::Status;
 
-bool finite_point(const geom::Point& p) {
-  return std::isfinite(p.x) && std::isfinite(p.y);
+/// Largest coordinate magnitude a design may use, far beyond any chip.
+/// A finite but extreme outline (say lo.y = -1e308) still overflows the
+/// tile graph's derived geometry, such as extents scaled by a tile
+/// count, to infinity and NaN; below this bound every such product
+/// stays finite.
+constexpr double kMaxCoordinate = 1e12;
+
+/// Finite and within kMaxCoordinate (NaN fails both comparisons).
+bool in_range(const geom::Point& p) {
+  return std::abs(p.x) <= kMaxCoordinate && std::abs(p.y) <= kMaxCoordinate;
 }
 
-bool finite_rect(const geom::Rect& r) {
-  return finite_point(r.lo()) && finite_point(r.hi());
+bool in_range_rect(const geom::Rect& r) {
+  return in_range(r.lo()) && in_range(r.hi());
 }
 
 /// Exact-location key for duplicate-pin detection.  Bit-exact equality
@@ -35,10 +43,11 @@ struct PointKeyHash {
 
 Status check_pin(const Design& design, const Pin& pin, const std::string& net,
                  const char* role) {
-  if (!finite_point(pin.location)) {
-    return Status::invalid_input("net '" + net + "' " + role +
-                                     " has a non-finite coordinate",
-                                 "design");
+  if (!in_range(pin.location)) {
+    return Status::invalid_input(
+        "net '" + net + "' " + role +
+            " has a non-finite or out-of-range coordinate",
+        "design");
   }
   if (!design.outline().contains(pin.location)) {
     return Status::invalid_input(
@@ -63,9 +72,9 @@ Status check_pin(const Design& design, const Pin& pin, const std::string& net,
 
 Status validate_design(const Design& design) {
   const geom::Rect& outline = design.outline();
-  if (!finite_rect(outline)) {
-    return Status::invalid_input("outline has a non-finite coordinate",
-                                 "design");
+  if (!in_range_rect(outline)) {
+    return Status::invalid_input(
+        "outline has a non-finite or out-of-range coordinate", "design");
   }
   if (!(outline.hi().x > outline.lo().x) ||
       !(outline.hi().y > outline.lo().y)) {
@@ -77,9 +86,10 @@ Status validate_design(const Design& design) {
                                  "design");
   }
   for (const Block& b : design.blocks()) {
-    if (!finite_rect(b.shape)) {
+    if (!in_range_rect(b.shape)) {
       return Status::invalid_input(
-          "block '" + b.name + "' has a non-finite coordinate", "design");
+          "block '" + b.name +
+              "' has a non-finite or out-of-range coordinate", "design");
     }
     if (!outline.intersects(b.shape)) {
       return Status::invalid_input(
