@@ -434,7 +434,8 @@ FaultReport fuzz_graph_faults(std::uint64_t seed,
     tile::TileGraph graph = circuit.graph(design);
     const tile::TileId t = static_cast<tile::TileId>(rng.uniform_int(
         0, static_cast<std::int64_t>(graph.tile_count()) - 1));
-    graph.add_buffer(t);
+    // Unchecked: the tile may have no site at all (add_buffer asserts).
+    graph.add_buffer_unchecked(t);
     graph.set_site_supply(t, 0);  // b(v)=1 > B(v)=0
     if (core::Status s = core::validate_inputs(design, graph); !s) {
       ++report.structured_errors;
