@@ -275,7 +275,7 @@ Frontier brute_force_frontier_lib(const route::RouteTree& tree,
         // root load, and the answer is read off under budget L.
         const LoadCheck check = accumulate_loads(tree, buffers, types, L, lib);
         if (!check.gates_ok || check.root_load > jcap) return;
-        states.push_back({check.root_load, cost});
+        states.push_back({.load = check.root_load, .cost = cost});
       });
   return prune_frontier(states);
 }

@@ -2,7 +2,7 @@
 
 /// \file frontier.hpp
 /// Dominance-pruned candidate frontiers — the state representation of
-/// the multi-type buffer-insertion DP (Li & Shi, arXiv:0710.4691).
+/// the buffer-insertion DP (Li & Shi, arXiv:0710.4691).
 ///
 /// A DP state at a tree node is a pair (load j, cost c): some buffering
 /// of the subtree leaves j tile-units of unbuffered wire hanging at the
@@ -31,6 +31,10 @@ namespace rabid::buffer {
 /// leaving `load` unbuffered tile-units at the node.
 struct Cand {
   std::int32_t load = 0;
+  /// The insertion DP's traceback link (which state produced this one);
+  /// it fills what would be padding, so a Cand stays 16 bytes.  Unused
+  /// outside the DP.
+  std::int32_t src = 0;
   double cost = 0.0;
 };
 
@@ -40,7 +44,9 @@ using Frontier = std::vector<Cand>;
 
 /// Builds the dominance-pruned frontier of an arbitrary state set
 /// (unordered, duplicates allowed, +inf costs dropped).  If `pruned_out`
-/// is non-null it receives the number of states dropped.
+/// is non-null it receives the number of states dropped.  The DP builds
+/// its frontiers in linear passes instead; this sort-based version is
+/// the reference the exhaustive oracle prunes with.
 Frontier prune_frontier(std::span<const Cand> states,
                         std::uint64_t* pruned_out = nullptr);
 

@@ -1,10 +1,39 @@
+/// \file insertion.cpp
+/// The Stage-3 buffer-insertion DP over dominance-pruned candidate
+/// frontiers (see insertion.hpp for the transitions, frontier.hpp for
+/// the pruning invariant and library.hpp for type semantics).
+///
+/// Loads range over [0, Jcap] with Jcap = max(L, max_drive_limit(L)):
+/// states longer than every gate's reach (including the net driver's
+/// plain L) can never be consumed.  Every transition emits its pruned
+/// frontier in one pass, already sorted, without a sort:
+///
+///   K_w      the decouple state (load 0) goes first, then the advanced
+///            child frontier (already a staircase) is filtered against it;
+///   join     a dense per-load scratch row keeps the cheapest pair sum
+///            per load (strict <, so the first left state wins a tie),
+///            and one staircase pass reads it back;
+///   drive    the drive state (load 0) is prepended and the joined
+///            frontier filtered against it.
+///
+/// The per-load minimum is order-free and every cost is the same IEEE
+/// sum whichever way it was found, so the frontiers are exactly those a
+/// sort-and-prune would build.
+///
+/// All frontiers of one call are (offset, length) slices of one pool.
+/// Each state records in Cand::src where it came from — the left join
+/// prefix's state for a join, the child's state for an advance, the
+/// child's consumed state for a decouple — so the traceback is lookups.
+
 #include "buffer/insertion.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
-#include "buffer/kernels.hpp"
+#include "buffer/frontier.hpp"
 #include "obs/counters.hpp"
 #include "util/assert.hpp"
 
@@ -14,297 +43,349 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-using Array = std::vector<double>;
+/// One frontier inside the call's pool: `len` states from `off`.
+struct Slice {
+  std::uint32_t off = 0;
+  std::uint32_t len = 0;
+};
 
-/// K_w: child array advanced one tile toward the parent, plus the
-/// decoupling-buffer option at the parent (out[0]).  `out` has L+1 slots.
-void advance_and_decouple(std::span<const double> child, double q_v,
-                          std::int32_t L, std::span<double> out) {
-  // Advance: out[j] = child[j-1] for j in [1, L].
-  std::copy_n(child.data(), L, out.data() + 1);
-  // A buffer at the parent drives the 1-tile arc plus j units below the
-  // child: legal when j + 1 <= L, i.e. j <= L-1.
-  out[0] = q_v + kernels::range_min(child.data(), L);
-}
+/// A gate choice minimized over the library: type, realized cost, and
+/// the source state it consumes.
+struct GateChoice {
+  std::int32_t type = -1;  ///< library index; -1 == no legal choice
+  double cost = kInf;      ///< cost_scale_type * q_v + source cost
+  std::int32_t src = -1;   ///< index into the source frontier
+};
 
-/// Index of the first minimum of child[0..L-1] — the decoupling-buffer
-/// traceback target. Mirrors advance_and_decouple's scan order.
-std::int32_t decouple_argmin(std::span<const double> child, std::int32_t L) {
-  return kernels::range_argmin_first(child.data(), L);
-}
-
-/// Min-plus convolution truncated at L: unbuffered lengths of the two
-/// branch groups add at the merge node.  `out` must not alias a or b.
-void join(std::span<const double> a, std::span<const double> b,
-          std::int32_t L, std::span<double> out) {
-  kernels::min_plus_join(a.data(), b.data(), L, out.data());
-}
-
-/// Value/argmin of the driving-buffer option: a buffer at v drives the
-/// whole joined load j (j <= L).
-std::pair<double, std::int32_t> drive_option(std::span<const double> joined,
-                                             double q_v, std::int32_t L) {
-  const std::int32_t arg = kernels::range_argmin_first(joined.data(), L + 1);
-  return {q_v + joined[static_cast<std::size_t>(arg)], arg};
-}
-
-}  // namespace
-
-std::vector<double> dp_node_array(std::span<const Array> child_arrays,
-                                  double q_v, std::int32_t L,
-                                  bool allow_drive) {
-  RABID_ASSERT_MSG(L >= 1, "length limit must be at least one tile");
-  const auto stride = static_cast<std::size_t>(L) + 1;
-  if (child_arrays.empty()) {
-    // Fig. 6 Step 1: the sink/leaf array is all zeros.
-    return Array(stride, 0.0);
-  }
-  // Fold the children through the same span kernels the tree DP uses;
-  // two stride-wide scratch rows ping-pong as the join accumulator.
-  Array k(stride, kInf);
-  Array acc(stride, kInf);
-  Array next(stride, kInf);
-  advance_and_decouple(child_arrays[0], q_v, L, acc);
-  for (std::size_t s = 1; s < child_arrays.size(); ++s) {
-    advance_and_decouple(child_arrays[s], q_v, L, k);
-    join(acc, k, L, next);
-    std::swap(acc, next);
-  }
-  if (allow_drive && child_arrays.size() >= 2) {
-    const double val = drive_option(acc, q_v, L).first;
-    if (val < acc[0]) acc[0] = val;
-  }
-  return acc;
-}
-
-namespace {
-
-/// Bottom-up forward pass + top-down traceback over a route tree.
-///
-/// All per-node state lives in one arena: flat double buffers with a
-/// uniform stride of L+1 doubles per array.
-///
-///   c_    node x stride   C_v, drive-min applied
-///   k_    node x stride   K_w, stored at the *child* w (root row unused)
-///   acc_  (#children total) x stride   join prefixes; acc row s of node
-///         v folds K of children 0..s and keeps the PRE-drive-min values
-///         (the traceback compares drive_value against acc.back()[0])
-///
-/// The forward pass memoizes drive_value/drive_arg/has_drive per node, so
-/// the traceback is pure table lookups — no re-running of the DP kernels.
-class TreeDp {
+/// Bottom-up forward pass + top-down traceback.
+class CandidateDp {
  public:
-  TreeDp(const route::RouteTree& tree, std::int32_t L, const TileCostFn& q)
-      : tree_(tree), L_(L), stride_(static_cast<std::size_t>(L) + 1) {
+  CandidateDp(const route::RouteTree& tree, std::int32_t L,
+              const TileCostFn& q, const BufferLibrary& lib)
+      : tree_(tree), L_(L) {
     RABID_ASSERT_MSG(L >= 1, "length limit must be at least one tile");
-    const std::size_t n = tree.node_count();
-    q_of_node_.resize(n);
-    acc_off_.assign(n, 0);
-    std::size_t total_children = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto v = static_cast<route::NodeId>(i);
-      q_of_node_[i] = q(tree.node(v).tile);
-      acc_off_[i] = total_children;
-      total_children += tree.node(v).children.size();
+    jcap_ = std::max(L, lib.max_drive_limit(L));
+    types_.reserve(lib.size());
+    for (std::size_t t = 0; t < lib.size(); ++t) {
+      types_.push_back({lib.type(t).cost_scale, lib.drive_limit(t, L)});
     }
-    c_.assign(n * stride_, 0.0);
-    k_.assign(n * stride_, kInf);
-    acc_.assign(total_children * stride_, kInf);
-    drive_value_.assign(n, kInf);
-    drive_arg_.assign(n, 0);
-    has_drive_.assign(n, 0);
-
+    const std::size_t n = tree.node_count();
+    nodes_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      nodes_[i].q = q(tree.node(static_cast<route::NodeId>(i)).tile);
+    }
+    // Every leaf shares the one sink frontier {(0, 0)}: zero wire, zero
+    // cost (Fig. 6 Step 1).
+    pool_.reserve(4 * n);
+    pool_.push_back({});
     for (const route::NodeId v : tree.postorder()) {
       forward_node(v);
     }
   }
 
-  double best_cost() const {
-    const std::span<const double> root = c_of(tree_.root());
-    return *std::min_element(root.begin(), root.end());
-  }
+  double best_cost() const { return frontier_min_under(root_frontier(), L_); }
 
-  /// Cost-array cells this DP filled (the c_/k_/acc_ arena).
-  std::uint64_t cells_computed() const {
-    return static_cast<std::uint64_t>(c_.size() + k_.size() + acc_.size());
-  }
+  std::uint64_t states_pruned() const { return states_pruned_; }
 
-  /// Bytes held by the arena and the per-node side tables (the obs
-  /// memory.dp_arena high-water mark — per-net, since the arena dies
-  /// with the call).
+  /// Frontier states materialized by this call (the pool's size).
+  std::uint64_t states_kept() const { return pool_.size(); }
+
+  /// Bytes of DP state this call held: the pool, the node records and
+  /// the join scratch row.
   std::uint64_t memory_bytes() const {
-    return static_cast<std::uint64_t>(c_.capacity() + k_.capacity() +
-                                      acc_.capacity() +
-                                      q_of_node_.capacity() +
-                                      drive_value_.capacity()) *
-               sizeof(double) +
-           static_cast<std::uint64_t>(acc_off_.capacity()) *
-               sizeof(std::size_t) +
-           static_cast<std::uint64_t>(drive_arg_.capacity()) *
-               sizeof(std::int32_t) +
-           static_cast<std::uint64_t>(has_drive_.capacity());
+    return pool_.size() * sizeof(Cand) + nodes_.size() * sizeof(NodeRec) +
+           row_.size() * (sizeof(double) + sizeof(std::int32_t));
   }
 
-  /// Span-kernel invocations of the forward pass.
-  std::uint64_t kernel_calls() const { return kernel_calls_; }
-
-  /// C_v cells left at +inf — candidate states no buffering realizes.
-  std::uint64_t cells_infeasible() const {
-    return static_cast<std::uint64_t>(
-        std::count(c_.begin(), c_.end(), kInf));
+  /// The root frontier — the oracle battery compares it state-for-state
+  /// against exhaustive enumeration.
+  std::span<const Cand> root_frontier() const {
+    return view(node(tree_.root()).c);
   }
 
-  route::BufferList traceback() const {
-    route::BufferList out;
-    const std::span<const double> root = c_of(tree_.root());
-    std::int32_t j = 0;
-    double best = kInf;
-    for (std::int32_t i = 0; i <= L_; ++i) {
-      if (root[static_cast<std::size_t>(i)] < best) {
-        best = root[static_cast<std::size_t>(i)];
-        j = i;
-      }
-    }
-    RABID_ASSERT(std::isfinite(best));
-    trace(tree_.root(), j, out);
-    return out;
+  /// Appends the optimal placement; `types` may be null when the caller
+  /// does not want type indices.
+  void traceback(route::BufferList* buffers,
+                 std::vector<std::int32_t>* types) const {
+    const std::int32_t arg = frontier_arg_under(root_frontier(), L_);
+    RABID_ASSERT_MSG(arg >= 0, "traceback on an infeasible DP");
+    trace(tree_.root(), arg, {buffers, types});
   }
 
  private:
-  std::span<double> row(std::vector<double>& a, std::size_t i) {
-    return std::span<double>(a).subspan(i * stride_, stride_);
+  /// Per-node DP state.  The K/acc/dec fields belong to the node *as a
+  /// child*: every non-root node is exactly one child slot of its
+  /// parent, so the slot's records live with the child.
+  struct NodeRec {
+    double q = kInf;               ///< q(v), resolved once
+    Slice c;                       ///< C_v (after the drive option)
+    Slice k;                       ///< C_v advanced into the parent + decouple
+    Slice acc;                     ///< parent's join prefix through this child
+    std::int32_t dec_type = -1;    ///< decouple type at the parent
+    std::int32_t drive_type = -1;  ///< drive type at v; -1 == not applied
+    std::int32_t drive_src = -1;   ///< the last join prefix's driven state
+  };
+
+  struct TypeBudget {
+    double cost_scale = 1.0;
+    std::int32_t drive = 1;  ///< drive_limit(t, L)
+  };
+
+  /// Where the traceback writes; `types` may be null.
+  struct Placement {
+    route::BufferList* buffers;
+    std::vector<std::int32_t>* types;
+
+    void emit(route::NodeId v, route::NodeId w, std::int32_t type) const {
+      buffers->push_back({v, w});
+      if (types != nullptr) types->push_back(type);
+    }
+  };
+
+  NodeRec& node(route::NodeId v) {
+    return nodes_[static_cast<std::size_t>(v)];
   }
-  std::span<const double> row(const std::vector<double>& a,
-                              std::size_t i) const {
-    return std::span<const double>(a).subspan(i * stride_, stride_);
+  const NodeRec& node(route::NodeId v) const {
+    return nodes_[static_cast<std::size_t>(v)];
   }
-  std::span<const double> c_of(route::NodeId v) const {
-    return row(c_, static_cast<std::size_t>(v));
+  std::span<const Cand> view(Slice s) const {
+    return {pool_.data() + s.off, s.len};
   }
-  std::span<const double> k_of(route::NodeId w) const {
-    return row(k_, static_cast<std::size_t>(w));
+  const Cand& at(Slice s, std::int32_t i) const {
+    return pool_[s.off + static_cast<std::uint32_t>(i)];
   }
-  std::span<const double> acc_of(route::NodeId v, std::size_t s) const {
-    return row(acc_, acc_off_[static_cast<std::size_t>(v)] + s);
+
+  /// A new slice starting at the end of the pool; end_slice() closes it
+  /// over whatever was appended since.
+  Slice begin_slice() const {
+    return {static_cast<std::uint32_t>(pool_.size()), 0};
+  }
+  void end_slice(Slice& s) const {
+    s.len = static_cast<std::uint32_t>(pool_.size()) - s.off;
+  }
+
+  /// Cheapest type for a buffer at v consuming `source`, where type t
+  /// may carry loads up to drive_limit(t) - `reserve`.  Ties break
+  /// toward lower library indices (library order is part of the
+  /// deterministic contract).
+  GateChoice best_gate(Slice source, double q_v, std::int32_t reserve) const {
+    GateChoice best;
+    if (!std::isfinite(q_v)) return best;  // no site at v
+    for (std::size_t t = 0; t < types_.size(); ++t) {
+      const std::int32_t src =
+          frontier_arg_under(view(source), types_[t].drive - reserve);
+      if (src < 0) continue;
+      const double cost = types_[t].cost_scale * q_v + at(source, src).cost;
+      if (cost < best.cost) best = {static_cast<std::int32_t>(t), cost, src};
+    }
+    return best;
   }
 
   void forward_node(route::NodeId v) {
-    const auto i = static_cast<std::size_t>(v);
+    NodeRec& d = node(v);
     const auto& children = tree_.node(v).children;
-    const std::span<double> c = row(c_, i);
     if (children.empty()) {
-      // Fig. 6 Step 1: the sink/leaf array is all zeros (pre-filled).
+      d.c = {0, 1};  // the shared sink frontier
       return;
     }
-    const double q_v = q_of_node_[i];
-    kernel_calls_ += 2 * children.size() - 1;  // advances + joins
-    for (std::size_t s = 0; s < children.size(); ++s) {
-      const auto w = static_cast<std::size_t>(children[s]);
-      advance_and_decouple(row(c_, w), q_v, L_, row(k_, w));
-    }
-    std::span<double> prev = row(k_, static_cast<std::size_t>(children[0]));
-    // acc[0] duplicates K of the first child so the traceback can index
-    // the prefixes uniformly.
-    std::copy(prev.begin(), prev.end(), row(acc_, acc_off_[i]).begin());
+    for (const route::NodeId w : children) advance(d.q, node(w));
+    NodeRec& first = node(children[0]);
+    first.acc = first.k;
+    Slice acc = first.acc;
     for (std::size_t s = 1; s < children.size(); ++s) {
-      const std::span<double> out = row(acc_, acc_off_[i] + s);
-      join(row(acc_, acc_off_[i] + s - 1),
-           row(k_, static_cast<std::size_t>(children[s])), L_, out);
-      prev = out;
+      NodeRec& w = node(children[s]);
+      w.acc = join(acc, w.k);
+      acc = w.acc;
     }
-    std::copy(prev.begin(), prev.end(), c.begin());
-    // Decoupling buffers may sit in the source tile, but nothing ever
-    // drives in series with the net driver itself.
+    d.c = acc;
+    // Drive: a buffer in series at v (never at the net driver itself).
     if (v != tree_.root() && children.size() >= 2) {
-      has_drive_[i] = 1;
-      ++kernel_calls_;
-      const auto [val, arg] = drive_option(prev, q_v, L_);
-      drive_value_[i] = val;
-      drive_arg_[i] = arg;
-      if (val < c[0]) c[0] = val;
-    }
-  }
-
-  void trace(route::NodeId v, std::int32_t j, route::BufferList& out) const {
-    const auto i = static_cast<std::size_t>(v);
-    const auto& children = tree_.node(v).children;
-    if (children.empty()) return;  // leaf: nothing below
-    const std::size_t m = children.size();
-
-    // Was C_v[0] realized by the driving-buffer option?
-    if (j == 0 && has_drive_[i] != 0 &&
-        drive_value_[i] < acc_of(v, m - 1)[0]) {
-      out.push_back({v, route::kNoNode});
-      j = drive_arg_[i];
-    }
-
-    // Unfold the convolution, last child first.
-    for (std::size_t s = m; s-- > 1;) {
-      const std::span<const double> left = acc_of(v, s - 1);
-      const std::span<const double> right = k_of(children[s]);
-      const double target = acc_of(v, s)[static_cast<std::size_t>(j)];
-      std::int32_t a = -1;
-      for (std::int32_t x = 0; x <= j; ++x) {
-        if (left[static_cast<std::size_t>(x)] +
-                right[static_cast<std::size_t>(j - x)] ==
-            target) {
-          a = x;
-          break;
-        }
+      const GateChoice drive = best_gate(acc, d.q, 0);
+      if (drive.type >= 0 && drive.cost < frontier_min_under(view(acc), 0)) {
+        d.drive_type = drive.type;
+        d.drive_src = drive.src;
+        d.c = prepend_zero({0, drive.src, drive.cost}, acc);
       }
-      RABID_ASSERT_MSG(a >= 0, "join traceback lost the optimal split");
-      resolve_child(v, children[s], j - a, out);
-      j = a;
     }
-    resolve_child(v, children[0], j, out);
   }
 
-  /// Child w consumed K-index `b`: either a decoupling buffer at v (b==0)
-  /// or a plain one-tile advance.
-  void resolve_child(route::NodeId v, route::NodeId w, std::int32_t b,
-                     route::BufferList& out) const {
-    if (b == 0) {
-      out.push_back({v, w});
-      trace(w, decouple_argmin(c_of(w), L_), out);
-    } else {
-      trace(w, b - 1, out);
+  /// K for child `w` of a node with site cost q_v: a type-t decoupling
+  /// buffer at the parent drives the 1-tile arc plus the child's load
+  /// (source budget drive_limit(t) - 1), or one more tile of wire hangs
+  /// at the parent.
+  void advance(double q_v, NodeRec& w) {
+    const GateChoice dec = best_gate(w.c, q_v, 1);
+    w.dec_type = dec.type;
+    w.k = begin_slice();
+    double last = kInf;
+    std::uint32_t offered = 0;
+    if (dec.type >= 0) {
+      pool_.push_back({0, dec.src, dec.cost});
+      last = dec.cost;
+      ++offered;
     }
+    for (std::uint32_t i = 0; i < w.c.len; ++i) {
+      const Cand c = pool_[w.c.off + i];
+      if (c.load + 1 > jcap_) break;
+      ++offered;
+      if (c.cost < last) {
+        pool_.push_back({c.load + 1, static_cast<std::int32_t>(i), c.cost});
+        last = c.cost;
+      }
+    }
+    end_slice(w.k);
+    states_pruned_ += offered - w.k.len;
+  }
+
+  /// Join: unbuffered loads of the two branch groups add at the node.
+  Slice join(Slice left, Slice right) {
+    if (row_.empty()) {
+      row_.assign(static_cast<std::size_t>(jcap_) + 1, kInf);
+      row_src_.assign(row_.size(), 0);
+    }
+    const Cand* a = pool_.data() + left.off;
+    const Cand* b = pool_.data() + right.off;
+    std::int32_t hi = -1;
+    std::uint64_t offered = 0;
+    for (std::uint32_t x = 0; x < left.len; ++x) {
+      for (std::uint32_t y = 0; y < right.len; ++y) {
+        const std::int32_t load = a[x].load + b[y].load;
+        if (load > jcap_) break;
+        ++offered;
+        const double sum = a[x].cost + b[y].cost;
+        const auto l = static_cast<std::size_t>(load);
+        if (sum < row_[l]) {
+          row_[l] = sum;
+          row_src_[l] = static_cast<std::int32_t>(x);
+        }
+        hi = std::max(hi, load);
+      }
+    }
+    Slice out = begin_slice();
+    double last = kInf;
+    for (std::int32_t load = 0; load <= hi; ++load) {
+      const auto l = static_cast<std::size_t>(load);
+      if (row_[l] < last) {
+        last = row_[l];
+        pool_.push_back({load, row_src_[l], last});
+      }
+      row_[l] = kInf;
+    }
+    end_slice(out);
+    states_pruned_ += offered - out.len;
+    return out;
+  }
+
+  /// `head` (load 0) followed by the states of `f` it does not dominate.
+  Slice prepend_zero(Cand head, Slice f) {
+    Slice out = begin_slice();
+    pool_.push_back(head);
+    double last = head.cost;
+    for (std::uint32_t i = 0; i < f.len; ++i) {
+      const Cand c = pool_[f.off + i];
+      if (c.cost < last) {
+        pool_.push_back(c);
+        last = c.cost;
+      }
+    }
+    end_slice(out);
+    states_pruned_ += f.len + 1 - out.len;
+    return out;
+  }
+
+  /// Unfolds state `ci` of C_v.
+  void trace(route::NodeId v, std::int32_t ci, const Placement& out) const {
+    const auto& children = tree_.node(v).children;
+    if (children.empty()) return;
+    const NodeRec& d = node(v);
+    Cand target = at(d.c, ci);
+    // An applied drive state is always C_v's load-0 head.
+    if (d.drive_type >= 0 && ci == 0) {
+      out.emit(v, route::kNoNode, d.drive_type);
+      target = at(node(children.back()).acc, d.drive_src);
+    }
+    // Unfold the join, last child first: the state is left prefix state
+    // `src` plus the right child's K state holding the remaining load.
+    for (std::size_t s = children.size(); s-- > 1;) {
+      const Cand a = at(node(children[s - 1]).acc, target.src);
+      const std::span<const Cand> k = view(node(children[s]).k);
+      const std::int32_t b = frontier_arg_under(k, target.load - a.load);
+      RABID_ASSERT_MSG(b >= 0 && a.load + k[b].load == target.load,
+                       "join traceback lost the optimal split");
+      resolve_child(v, children[s], k[static_cast<std::size_t>(b)], out);
+      target = a;
+    }
+    resolve_child(v, children[0], target, out);
+  }
+
+  /// Child w's K state `kc`: load 0 is the decouple option (advance
+  /// always produces load >= 1); otherwise a plain one-tile advance.
+  void resolve_child(route::NodeId v, route::NodeId w, Cand kc,
+                     const Placement& out) const {
+    if (kc.load == 0) out.emit(v, w, node(w).dec_type);
+    trace(w, kc.src, out);
   }
 
   const route::RouteTree& tree_;
   std::int32_t L_;
-  std::size_t stride_;
-  std::vector<double> q_of_node_;
-  std::vector<double> c_;
-  std::vector<double> k_;
-  std::vector<double> acc_;
-  std::vector<std::size_t> acc_off_;
-  std::vector<double> drive_value_;
-  std::vector<std::int32_t> drive_arg_;
-  std::vector<std::uint8_t> has_drive_;
-  std::uint64_t kernel_calls_ = 0;
+  std::int32_t jcap_ = 0;
+  std::vector<TypeBudget> types_;  ///< per library type, this call's L
+  std::vector<NodeRec> nodes_;
+  std::vector<Cand> pool_;             ///< every frontier of the call
+  std::vector<double> row_;            ///< join scratch: cheapest per load
+  std::vector<std::int32_t> row_src_;  ///< join scratch: its left state
+  std::uint64_t states_pruned_ = 0;
 };
 
 }  // namespace
 
 InsertionResult insert_buffers(const route::RouteTree& tree, std::int32_t L,
-                               const TileCostFn& q) {
+                               const TileCostFn& q, const BufferLibrary& lib) {
   RABID_ASSERT_MSG(!tree.empty(), "cannot buffer an empty route");
   InsertionResult result;
   result.effective_limit = L;
-  const TreeDp dp(tree, L, q);
+  const CandidateDp dp(tree, L, q, lib);
   result.cost = dp.best_cost();
   result.feasible = std::isfinite(result.cost);
-  if (result.feasible) result.buffers = dp.traceback();
+  if (result.feasible) {
+    // The solution dump names types whenever `types` is non-empty, so a
+    // unit library leaves it empty.
+    dp.traceback(&result.buffers, lib.is_unit() ? nullptr : &result.types);
+  }
   if (obs::counting()) {
     obs::count(obs::Counter::kDpNets);
-    obs::count(obs::Counter::kDpCellsComputed, dp.cells_computed());
-    obs::count(obs::Counter::kDpCellsInfeasible, dp.cells_infeasible());
-    obs::count(obs::Counter::kDpKernels, dp.kernel_calls());
-    obs::observe(obs::HistogramId::kDpCellsPerNet, dp.cells_computed());
+    obs::count(obs::Counter::kDpCellsComputed, dp.states_kept());
+    obs::count(obs::Counter::kDpStatesPruned, dp.states_pruned());
+    obs::observe(obs::HistogramId::kDpCellsPerNet, dp.states_kept());
     obs::gauge_max(obs::GaugeId::kDpArenaBytes, dp.memory_bytes());
   }
   return result;
+}
+
+InsertionResult insert_buffers_relaxed(const route::RouteTree& tree,
+                                       std::int32_t L, const TileCostFn& q,
+                                       const BufferLibrary& lib) {
+  InsertionResult result = insert_buffers(tree, L, q, lib);
+  std::int32_t limit = L;
+  const auto wirelength = static_cast<std::int32_t>(tree.wirelength_tiles());
+  while (!result.feasible) {
+    RABID_ASSERT_MSG(limit <= 2 * std::max(wirelength, std::int32_t{1}),
+                     "relaxation failed to converge");
+    limit *= 2;
+    obs::count(obs::Counter::kDpLimitRelaxations);
+    result = insert_buffers(tree, limit, q, lib);
+    result.effective_limit = limit;
+  }
+  return result;
+}
+
+std::vector<Cand> dp_root_frontier(const route::RouteTree& tree,
+                                   std::int32_t L, const TileCostFn& q,
+                                   const BufferLibrary& lib) {
+  RABID_ASSERT_MSG(!tree.empty(), "cannot buffer an empty route");
+  const CandidateDp dp(tree, L, q, lib);
+  const std::span<const Cand> root = dp.root_frontier();
+  return {root.begin(), root.end()};
 }
 
 }  // namespace rabid::buffer

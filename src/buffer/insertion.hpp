@@ -29,17 +29,25 @@
 /// reproduces the Fig. 7 table cell-for-cell (the worked example's
 /// source tile has no sites, disabling root decoupling there).
 ///
-/// Complexity: O(n L) for a single-sink chain plus O(m L^2) of join work
-/// over m sinks, matching Section III-C.
+/// Representation: each C_v (and every K_w and join prefix) is kept as
+/// its dominance-pruned frontier (frontier.hpp) — only the (j, C_v[j])
+/// points where the cost strictly drops — and a b-type library
+/// generalizes decouple and drive to a minimum over types (Li & Shi's
+/// candidate-list formulation, arXiv:0710.4691; see library.hpp).  The
+/// frontier loses nothing a later transition can use, so a unit library
+/// reproduces the array DP's optimum and placement exactly.
 ///
-/// Reentrancy: the DP is a pure function of (tree, L, q) with no shared
-/// state; q is evaluated only on the tree's own node tiles.  Concurrent
+/// Complexity: O(n L) for a single-sink chain plus O(m L^2) of join work
+/// over m sinks, matching Section III-C; pruning only shrinks both.
+///
+/// Reentrancy: the DP is a pure function of (tree, L, q, lib) with no
+/// shared state; q is evaluated only on the tree's own node tiles.  Concurrent
 /// calls on distinct nets are safe whenever each q is itself safe to
 /// call concurrently — core::Rabid's speculative parallel Stage 3
 /// exploits both properties (the tile set bounds what can go stale).
 
+#include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "buffer/frontier.hpp"
@@ -59,61 +67,40 @@ struct InsertionResult {
   bool feasible = false;
   route::BufferList buffers;
   /// Planning-library type index per buffer, parallel to `buffers`.
-  /// Empty means "all unit type" (the single-type engine's output).
+  /// Empty for a unit library (every buffer is the unit type).
   std::vector<std::int32_t> types;
   /// Length limit actually used: == requested L normally; > L when the
   /// relaxed variant had to loosen the rule (net counts as a failure).
   std::int32_t effective_limit = 0;
 };
 
-/// Optimal length-based buffer insertion for `tree` under limit `L`.
-/// Infeasible (e.g. a path of blocked tiles longer than L) yields
-/// feasible == false and no buffers.
+/// Optimal length-based buffer insertion for `tree` under limit `L`,
+/// choosing one of `lib`'s b types per buffer and minimizing total
+/// scaled site cost (type t at tile v costs cost_scale_t * q(v); a
+/// type-t gate may drive up to drive_limit(t, L) tile-units — the net
+/// driver itself always obeys the plain L).  `result.types[i]` is the
+/// library index of `result.buffers[i]`; for a unit library `types`
+/// stays empty.  Infeasible (e.g. a path of blocked tiles longer than
+/// L) yields feasible == false and no buffers.
 InsertionResult insert_buffers(const route::RouteTree& tree, std::int32_t L,
-                               const TileCostFn& q);
+                               const TileCostFn& q,
+                               const BufferLibrary& lib = BufferLibrary{});
 
-/// Multi-type buffer insertion: chooses one of `lib`'s b types per
-/// buffer, minimizing total scaled site cost (type t at tile v costs
-/// cost_scale_t * q(v); a type-t gate may drive up to drive_limit(t, L)
-/// tile-units — the net driver itself always obeys the plain L).  Runs
-/// the dominance-pruned candidate-list engine; `result.types[i]` is the
-/// library index of `result.buffers[i]`.  For a unit library this is
-/// value-equivalent to insert_buffers (the oracle battery pins both).
-InsertionResult insert_buffers_lib(const route::RouteTree& tree,
+/// Like insert_buffers, but on infeasibility retries with 2L, 4L, ...
+/// until a solution exists (L >= total wirelength always succeeds with
+/// zero buffers), providing the best-effort buffering the experiment
+/// tables count as a length-constraint failure; `effective_limit`
+/// reports the limit that succeeded.
+InsertionResult insert_buffers_relaxed(const route::RouteTree& tree,
+                                       std::int32_t L, const TileCostFn& q,
+                                       const BufferLibrary& lib);
+
+/// The DP's pruned root frontier (all (load, cost) states with load <=
+/// max(L, lib.max_drive_limit(L))).  Exposed for the oracle battery,
+/// which checks it state-for-state against exhaustive enumeration
+/// (brute_force_frontier_lib).
+std::vector<Cand> dp_root_frontier(const route::RouteTree& tree,
                                    std::int32_t L, const TileCostFn& q,
-                                   const BufferLibrary& lib);
-
-/// The candidate engine's pruned root frontier (all (load, cost) states
-/// with load <= max(L, lib.max_drive_limit(L))).  Exposed for the oracle
-/// battery, which checks it state-for-state against exhaustive
-/// enumeration (brute_force_frontier_lib).
-std::vector<Cand> dp_root_frontier_lib(const route::RouteTree& tree,
-                                       std::int32_t L, const TileCostFn& q,
-                                       const BufferLibrary& lib);
-
-/// Dispatcher the flow calls: unit libraries take the dense SoA/SIMD
-/// path (bit-for-bit the historical engine, empty `types`), anything
-/// else takes the candidate-list path.
-InsertionResult insert_buffers_planned(const route::RouteTree& tree,
-                                       std::int32_t L, const TileCostFn& q,
-                                       const BufferLibrary& lib);
-/// Like insert_buffers_planned, but on infeasibility retries with 2L,
-/// 4L, ... until a solution exists (L >= total wirelength always
-/// succeeds with zero buffers), providing the best-effort buffering the
-/// experiment tables count as a length-constraint failure;
-/// `effective_limit` reports the limit that succeeded.
-InsertionResult insert_buffers_planned_relaxed(const route::RouteTree& tree,
-                                               std::int32_t L,
-                                               const TileCostFn& q,
-                                               const BufferLibrary& lib);
-
-/// The forward DP for one node: cost array C_v (size L+1) given the
-/// children's arrays (tree child order).  Leaves get the all-zero array.
-/// `q_v` == +infinity forbids buffers at v; `allow_drive` is false at
-/// the root (no buffer in series with the net driver).
-/// Exposed for unit tests; insert_buffers composes it bottom-up.
-std::vector<double> dp_node_array(
-    std::span<const std::vector<double>> child_arrays, double q_v,
-    std::int32_t L, bool allow_drive = true);
+                                   const BufferLibrary& lib = BufferLibrary{});
 
 }  // namespace rabid::buffer

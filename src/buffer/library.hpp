@@ -31,9 +31,8 @@
 /// not offered.
 ///
 /// The default library holds exactly the paper's single unit type
-/// (cost_scale == drive_scale == 1), for which the engine runs the
-/// original dense single-type DP bit-for-bit; any other library routes
-/// through the dominance-pruned candidate-list engine.
+/// (cost_scale == drive_scale == 1), for which the one insertion DP
+/// (insertion.hpp) reproduces the paper's single-type DP bit-for-bit.
 
 #include <cstdint>
 #include <span>
@@ -93,8 +92,9 @@ class BufferLibrary {
   const BufferType& type(std::size_t i) const { return types_.at(i); }
   std::size_t size() const { return types_.size(); }
 
-  /// True when the library is exactly {unit}: the dense single-type DP
-  /// applies and existing goldens must reproduce bit-for-bit.
+  /// True when the library is exactly {unit}: the paper's single-type
+  /// setting, whose placements carry no type tags (InsertionResult::
+  /// types stays empty) and whose goldens reproduce bit-for-bit.
   bool is_unit() const;
 
   /// Per-type length limit for a net with length rule L:

@@ -403,7 +403,7 @@ void Rabid::assign_buffers_parallel(const std::vector<std::size_t>& order,
                          "speculative DP priced an off-tree tile");
         return graph_.buffer_cost(t, it->second);
       };
-      speculated[k] = buffer::insert_buffers_planned_relaxed(
+      speculated[k] = buffer::insert_buffers_relaxed(
           nets_[i].tree, design_.length_limit(static_cast<netlist::NetId>(i)),
           q, options_.buffer_library);
     });

@@ -77,7 +77,7 @@ void buffer_net(tile::TileGraph& graph, NetState& state, std::int32_t L,
                    if (forbidden.empty() && first_attempt != nullptr) {
                      return *first_attempt;
                    }
-                   return buffer::insert_buffers_planned_relaxed(
+                   return buffer::insert_buffers_relaxed(
                        state.tree, L, site_costs(graph, forbidden, demand),
                        lib);
                  });

@@ -89,7 +89,7 @@ bool StreamPlanner::try_plan(netlist::NetId id) {
   const bool buffered = core::commit_buffers(
       graph_, st, L, lib,
       [&](std::span<const tile::TileId> forbidden) {
-        return buffer::insert_buffers_planned(
+        return buffer::insert_buffers(
             st.tree, L, core::site_costs(graph_, forbidden), lib);
       },
       core::OnCommitFailure::kPark);

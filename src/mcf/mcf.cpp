@@ -91,7 +91,7 @@ void McfAllocator::run_phase(util::ThreadPool* pool) {
       const netlist::Net& net = design_.net(id);
       route::RouteTree tree =
           router.route_net(net, options_.pd_alpha, wire_cost, floor);
-      buffer::InsertionResult ins = buffer::insert_buffers_planned_relaxed(
+      buffer::InsertionResult ins = buffer::insert_buffers_relaxed(
           tree, design_.length_limit(id), q, options_.buffer_library);
       results[i] = {std::move(tree), std::move(ins)};
     }

@@ -33,7 +33,6 @@ constexpr std::array<std::string_view,
         "dp.cells_computed",
         "dp.cells_infeasible",
         "dp.limit_relaxations",
-        "dp.kernels",
         "dp.states_pruned",
         "stage3.spec_hits",
         "stage3.spec_misses",

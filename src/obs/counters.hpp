@@ -79,10 +79,9 @@ enum class Counter : std::uint16_t {
   kStage2BoundaryNets,  ///< nets routed in the serial boundary pass
   // buffer/insertion.cpp — the stage-3 DP.
   kDpNets,             ///< insert_buffers() calls
-  kDpCellsComputed,    ///< C_v/K_w cost-array cells filled
-  kDpCellsInfeasible,  ///< cells left at +inf (no candidate survives)
-  kDpLimitRelaxations, ///< insert_buffers_planned_relaxed limit doublings
-  kDpKernels,          ///< span-kernel invocations (advance/join/min)
+  kDpCellsComputed,    ///< frontier states materialized
+  kDpCellsInfeasible,  ///< retired, always 0; perfbench still names it
+  kDpLimitRelaxations, ///< insert_buffers_relaxed limit doublings
   kDpStatesPruned,     ///< dominated (cost, load) candidates dropped
   // core/rabid.cpp — stage-3 speculative parallel batches.
   kStage3SpecHits,    ///< speculated DP results committed as-is
@@ -146,7 +145,7 @@ std::string_view counter_name(Counter c);
 /// [2^(b-1), 2^b), bucket 0 counts zeros).
 enum class HistogramId : std::uint16_t {
   kMazePopsPerRoute,  ///< wavefront pops per grow() call
-  kDpCellsPerNet,     ///< DP cells per insert_buffers() call
+  kDpCellsPerNet,     ///< frontier states per insert_buffers() call
   kPoolQueueDepth,    ///< queue length observed at each enqueue
   kServeQueueDepth,   ///< total job-queue depth observed at each admit
   kCount,
@@ -164,7 +163,7 @@ enum class GaugeId : std::uint16_t {
   kRouteTreeBytes,      ///< sum of all live per-net route trees
   kEdgeCostCacheBytes,  ///< flat edge-cost arrays (stages 2/4)
   kMazeScratchBytes,    ///< router labels + heap backing (all routers)
-  kDpArenaBytes,        ///< stage-3 DP candidate/cost arenas
+  kDpArenaBytes,        ///< stage-3 DP frontier pool (per call)
   kCount,
 };
 

@@ -141,7 +141,7 @@ TEST(DegenerateLibraries, DuplicatedUnitTypesCollapseToTypeZero) {
     };
     const auto L = static_cast<std::int32_t>(rng.uniform_int(1, 4));
     const InsertionResult one = insert_buffers(t, L, q);
-    const InsertionResult three = insert_buffers_lib(t, L, q, dup);
+    const InsertionResult three = insert_buffers(t, L, q, dup);
     ASSERT_EQ(three.feasible, one.feasible);
     if (one.feasible) {
       EXPECT_EQ(three.cost, one.cost);
@@ -161,7 +161,7 @@ TEST(DegenerateLibraries, ZeroCostTypeMakesBufferingFree) {
     const route::RouteTree t = random_tree(g, rng, 9);
     const TileCostFn q = [](tile::TileId) { return 3.0; };
     const auto L = static_cast<std::int32_t>(rng.uniform_int(1, 4));
-    const InsertionResult dp = insert_buffers_lib(t, L, q, lib);
+    const InsertionResult dp = insert_buffers(t, L, q, lib);
     ASSERT_TRUE(dp.feasible);
     EXPECT_EQ(dp.cost, 0.0);
     EXPECT_TRUE(placement_is_legal_lib(t, dp.buffers, dp.types, L, lib));
@@ -195,7 +195,7 @@ TEST(DegenerateLibraries, ExtremeDriveScalesStayConsistent) {
       return qv[static_cast<std::size_t>(tl)];
     };
     const auto L = static_cast<std::int32_t>(rng.uniform_int(1, 3));
-    const InsertionResult dp = insert_buffers_lib(t, L, q, lib);
+    const InsertionResult dp = insert_buffers(t, L, q, lib);
     const InsertionResult bf = brute_force_insert_lib(t, L, q, lib);
     ASSERT_EQ(dp.feasible, bf.feasible) << "trial=" << trial;
     if (dp.feasible) {

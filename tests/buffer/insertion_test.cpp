@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <vector>
 
 #include "buffer/brute_force.hpp"
 #include "buffer/single_sink.hpp"
@@ -95,7 +96,7 @@ TEST(Insertion, InfeasibleChainReportsNoSolution) {
 TEST(Insertion, RelaxedDoublesUntilFeasible) {
   const tile::TileGraph g = make_graph();
   const route::RouteTree t = chain(g, 6);  // span 6
-  const InsertionResult r = insert_buffers_planned_relaxed(
+  const InsertionResult r = insert_buffers_relaxed(
       t, 3, [](tile::TileId) { return kInf; }, BufferLibrary{});
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.effective_limit, 6);  // 3 -> 6 suffices (driver drives 6)
@@ -105,7 +106,7 @@ TEST(Insertion, RelaxedDoublesUntilFeasible) {
 TEST(Insertion, RelaxedKeepsOriginalLimitWhenFeasible) {
   const tile::TileGraph g = make_graph();
   const route::RouteTree t = chain(g, 6);
-  const InsertionResult r = insert_buffers_planned_relaxed(
+  const InsertionResult r = insert_buffers_relaxed(
       t, 3, [](tile::TileId) { return 1.0; }, BufferLibrary{});
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.effective_limit, 3);
@@ -174,38 +175,74 @@ TEST(Insertion, PrefersCheapTiles) {
   EXPECT_EQ(g.coord_of(t.node(r.buffers[0].node).tile).x, 4);
 }
 
-TEST(Insertion, DpNodeArrayLeafIsAllZero) {
-  const std::vector<double> leaf = dp_node_array({}, 1.0, 4);
-  ASSERT_EQ(leaf.size(), 5U);
-  for (const double v : leaf) EXPECT_DOUBLE_EQ(v, 0.0);
+TEST(Insertion, RootFrontierOfALeafIsZero) {
+  // Fig. 6 Step 1: a sink leaves zero wire at zero cost.
+  const tile::TileGraph g = make_graph();
+  route::RouteTree t(g.id_of({5, 5}));
+  t.add_sink(t.root());
+  const std::vector<Cand> f =
+      dp_root_frontier(t, 4, [](tile::TileId) { return 1.0; });
+  ASSERT_EQ(f.size(), 1U);
+  EXPECT_EQ(f[0].load, 0);
+  EXPECT_DOUBLE_EQ(f[0].cost, 0.0);
 }
 
-TEST(Insertion, DpNodeArrayAdvanceAndDecouple) {
-  // One child with a concrete array; verify shift + decouple.
-  std::vector<std::vector<double>> child{{2.0, 5.0, 1.0, kInf, 0.5}};
-  const std::vector<double> c = dp_node_array(child, 0.3, 4);
-  ASSERT_EQ(c.size(), 5U);
-  // Decouple: q + min over j<=3 of child = 0.3 + 1.0.
-  EXPECT_DOUBLE_EQ(c[0], 1.3);
-  EXPECT_DOUBLE_EQ(c[1], 2.0);
-  EXPECT_DOUBLE_EQ(c[2], 5.0);
-  EXPECT_DOUBLE_EQ(c[3], 1.0);
-  EXPECT_TRUE(std::isinf(c[4]));
+TEST(Insertion, RootFrontierAdvanceAndDecouple) {
+  // One child per node: source (0,0) -> a (1,0) -> b (2,0) -> sink
+  // (3,0), L = 2.  Below the root, C_a = {(0, 5), (1, 1), (2, 0)}:
+  // decouple at a, decouple at b, or no buffer.
+  const tile::TileGraph g = make_graph();
+  const route::RouteTree t = chain(g, 3);
+  const TileCostFn q =
+      q_map(g, {{{0, 0}, 0.3}, {{1, 0}, 5.0}, {{2, 0}, 1.0}});
+  const std::vector<Cand> f = dp_root_frontier(t, 2, q);
+  ASSERT_EQ(f.size(), 2U);
+  // Decouple at the root: q + the cheapest child state of load <= L-1.
+  EXPECT_EQ(f[0].load, 0);
+  EXPECT_DOUBLE_EQ(f[0].cost, 0.3 + 1.0);
+  // Advance shifts loads by one: (1, 5) is dominated by the decouple
+  // state and (3, 0) runs past L, so only (2, 1) survives.
+  EXPECT_EQ(f[1].load, 2);
+  EXPECT_DOUBLE_EQ(f[1].cost, 1.0);
 }
 
-TEST(Insertion, DpNodeArrayJoinAddsLengths) {
-  // Two children, both needing 1 tile: joined index 2 is their sum.
-  std::vector<std::vector<double>> kids{{kInf, 0.0, kInf, kInf},
-                                        {kInf, 0.0, kInf, kInf}};
-  const std::vector<double> c = dp_node_array(kids, kInf, 3);
-  // Advance each to index 2, join at 4 > L... the only finite joined
-  // index is 2+2 = 4 which exceeds L=3, so everything is inf except the
-  // (blocked) buffer options.
-  for (const double v : c) EXPECT_TRUE(std::isinf(v));
-  // With a finite q, decoupling rescues it.
-  const std::vector<double> c2 = dp_node_array(kids, 2.0, 3);
-  EXPECT_DOUBLE_EQ(c2[2], 2.0 + 0.0);  // decouple one branch, advance other
-  EXPECT_DOUBLE_EQ(c2[0], 2.0 + 2.0 + 0.0);  // drive-or-decouple both
+TEST(Insertion, RootFrontierJoinAndDrive) {
+  // source (0,0) -> v (1,0), which branches into v -> (2,0) -> sink
+  // (3,0) and v -> (1,1) -> sink (1,2).  Each branch reaches v with
+  // load 2; only v has a site, and the siteless source just advances
+  // C_v by one tile.
+  const tile::TileGraph g = make_graph();
+  route::RouteTree t(g.id_of({0, 0}));
+  const route::NodeId v = t.add_child(t.root(), g.id_of({1, 0}));
+  t.add_sink(t.add_child(t.add_child(v, g.id_of({2, 0})), g.id_of({3, 0})));
+  t.add_sink(t.add_child(t.add_child(v, g.id_of({1, 1})), g.id_of({1, 2})));
+
+  // Join adds the branch loads: 2 + 2 > L = 3 with no site at v.
+  EXPECT_TRUE(dp_root_frontier(t, 3, q_map(g, {})).empty());
+
+  // q(v) = 2, L = 3: decouple one branch and advance the other (2, 2),
+  // or decouple both (0, 4); a driving buffer would cost the same 4.
+  const TileCostFn q = q_map(g, {{{1, 0}, 2.0}});
+  const std::vector<Cand> f = dp_root_frontier(t, 3, q);
+  ASSERT_EQ(f.size(), 2U);
+  EXPECT_EQ(f[0].load, 1);
+  EXPECT_DOUBLE_EQ(f[0].cost, 4.0);
+  EXPECT_EQ(f[1].load, 3);
+  EXPECT_DOUBLE_EQ(f[1].cost, 2.0);
+
+  // L = 4: the unbuffered join (4, 0) lets one driving buffer (cost 2)
+  // replace decouple-both, and dominates (2, 2); (4, 0) itself advances
+  // past L at the source.
+  const std::vector<Cand> f4 = dp_root_frontier(t, 4, q);
+  ASSERT_EQ(f4.size(), 1U);
+  EXPECT_EQ(f4[0].load, 1);
+  EXPECT_DOUBLE_EQ(f4[0].cost, 2.0);
+  const InsertionResult r = insert_buffers(t, 4, q);
+  ASSERT_TRUE(r.feasible);
+  ASSERT_EQ(r.buffers.size(), 1U);
+  EXPECT_EQ(r.buffers[0].node, v);
+  EXPECT_EQ(r.buffers[0].child, route::kNoNode);
+  EXPECT_TRUE(placement_is_legal(t, r.buffers, 4));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -12,7 +13,7 @@
 namespace rabid::buffer {
 namespace {
 
-/// The oracle battery: the dominance-pruned multi-type DP against
+/// The oracle battery: the dominance-pruned DP against
 /// exhaustive (b+1)^slots enumeration, *exactly* — costs compared with
 /// == on doubles, and the root frontier compared state-for-state.
 ///
@@ -90,19 +91,21 @@ BufferLibrary exact4() {
 void check_instance(const route::RouteTree& t, std::int32_t L,
                     const TileCostFn& q, const BufferLibrary& lib,
                     const std::string& where) {
-  const InsertionResult dp = insert_buffers_lib(t, L, q, lib);
+  const InsertionResult dp = insert_buffers(t, L, q, lib);
   const InsertionResult bf = brute_force_insert_lib(t, L, q, lib);
   ASSERT_EQ(dp.feasible, bf.feasible) << where;
   if (dp.feasible) {
     EXPECT_EQ(dp.cost, bf.cost) << where;
-    ASSERT_EQ(dp.types.size(), dp.buffers.size()) << where;
+    // A unit library leaves `types` empty (every buffer is type 0).
+    ASSERT_EQ(dp.types.size(), lib.is_unit() ? 0 : dp.buffers.size())
+        << where;
     EXPECT_TRUE(placement_is_legal_lib(t, dp.buffers, dp.types, L, lib))
         << where;
     EXPECT_EQ(placement_cost_lib(t, dp.buffers, dp.types, q, lib), dp.cost)
         << where;
   }
 
-  const Frontier dpf = dp_root_frontier_lib(t, L, q, lib);
+  const Frontier dpf = dp_root_frontier(t, L, q, lib);
   const Frontier bff = brute_force_frontier_lib(t, L, q, lib);
   ASSERT_EQ(dpf.size(), bff.size()) << where << " (frontier size)";
   for (std::size_t i = 0; i < dpf.size(); ++i) {
@@ -141,14 +144,57 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DpOracle,
                          ::testing::Range(std::uint64_t{1},
                                           std::uint64_t{21}));
 
-/// With a unit library the candidate engine must be value-equivalent to
-/// the dense SoA engine: same feasibility, bitwise-same optimum (both
-/// minimize over the same exact sums), and a placement of the same cost.
+/// The paper's array DP (Figs. 6/8/9) written out densely, cost only:
+/// C_v[j] for every load j in [0, L], nothing pruned.  An independent
+/// reference for the frontier engine on the unit library.
+double dense_reference_cost(const route::RouteTree& t, std::int32_t L,
+                            const TileCostFn& q) {
+  const auto stride = static_cast<std::size_t>(L) + 1;
+  std::vector<std::vector<double>> c(t.node_count());
+  for (const route::NodeId v : t.postorder()) {
+    const auto& kids = t.node(v).children;
+    std::vector<double>& cv = c[static_cast<std::size_t>(v)];
+    if (kids.empty()) {
+      cv.assign(stride, 0.0);  // Fig. 6 Step 1
+      continue;
+    }
+    const double qv = q(t.node(v).tile);
+    for (std::size_t s = 0; s < kids.size(); ++s) {
+      const std::vector<double>& cw = c[static_cast<std::size_t>(kids[s])];
+      // Advance one tile; a decoupling buffer at v drives the arc too.
+      std::vector<double> k(stride, kInf);
+      std::copy(cw.begin(), cw.end() - 1, k.begin() + 1);
+      k[0] = qv + *std::min_element(cw.begin(), cw.end() - 1);
+      if (s == 0) {
+        cv = std::move(k);
+        continue;
+      }
+      // Join: min-plus convolution truncated at L.
+      std::vector<double> joined(stride, kInf);
+      for (std::size_t j = 0; j < stride; ++j) {
+        for (std::size_t x = 0; x <= j; ++x) {
+          joined[j] = std::min(joined[j], cv[x] + k[j - x]);
+        }
+      }
+      cv = std::move(joined);
+    }
+    // Drive: never in series with the net driver.
+    if (v != t.root() && kids.size() >= 2) {
+      cv[0] = std::min(cv[0], qv + *std::min_element(cv.begin(), cv.end()));
+    }
+  }
+  const std::vector<double>& root = c[static_cast<std::size_t>(t.root())];
+  return *std::min_element(root.begin(), root.end());
+}
+
+/// With a unit library the frontier engine must be value-equivalent to
+/// the dense array DP and to exhaustive enumeration: same feasibility,
+/// bitwise-same optimum (all three minimize over the same exact sums),
+/// and a legal placement of that cost with no type tags.
 class UnitEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(UnitEquivalence, CandidateEngineMatchesDenseEngine) {
   const tile::TileGraph g = oracle_graph();
-  const BufferLibrary unit = BufferLibrary::single_unit();
   util::Rng rng(0xdeca5 ^ GetParam());
   for (int trial = 0; trial < 10; ++trial) {
     const route::RouteTree t = random_tree(g, rng, 12);
@@ -157,16 +203,20 @@ TEST_P(UnitEquivalence, CandidateEngineMatchesDenseEngine) {
       return qv[static_cast<std::size_t>(tl)];
     };
     const auto L = static_cast<std::int32_t>(rng.uniform_int(1, 6));
-    const InsertionResult dense = insert_buffers(t, L, q);
-    const InsertionResult cand = insert_buffers_lib(t, L, q, unit);
-    ASSERT_EQ(cand.feasible, dense.feasible)
-        << "seed=" << GetParam() << " trial=" << trial << " L=" << L;
-    if (dense.feasible) {
-      EXPECT_EQ(cand.cost, dense.cost)
-          << "seed=" << GetParam() << " trial=" << trial << " L=" << L;
-      EXPECT_TRUE(placement_is_legal(t, cand.buffers, L));
-      // Unit traceback commits type 0 everywhere.
-      for (const std::int32_t ty : cand.types) EXPECT_EQ(ty, 0);
+    const std::string where = "seed=" + std::to_string(GetParam()) +
+                              " trial=" + std::to_string(trial) +
+                              " L=" + std::to_string(L);
+    const InsertionResult dp = insert_buffers(t, L, q);
+    const double dense = dense_reference_cost(t, L, q);
+    const InsertionResult bf = brute_force_insert(t, L, q);
+    ASSERT_EQ(dp.feasible, std::isfinite(dense)) << where;
+    ASSERT_EQ(dp.feasible, bf.feasible) << where;
+    if (dp.feasible) {
+      EXPECT_EQ(dp.cost, dense) << where;
+      EXPECT_EQ(dp.cost, bf.cost) << where;
+      EXPECT_TRUE(placement_is_legal(t, dp.buffers, L)) << where;
+      EXPECT_EQ(placement_cost(t, dp.buffers, q), dp.cost) << where;
+      EXPECT_TRUE(dp.types.empty()) << where;
     }
   }
 }
@@ -189,7 +239,7 @@ TEST(DpOracleFixed, StrongTypeCollapsesAChain) {
 
   const BufferLibrary lib(
       {spec("ox1", 1.0, 1.0), spec("mega", 2.0, 8.0)});
-  const InsertionResult dp = insert_buffers_lib(t, 1, q, lib);
+  const InsertionResult dp = insert_buffers(t, 1, q, lib);
   ASSERT_TRUE(dp.feasible);
   // One mega buffer on the first tile after the driver: cost 2.  The
   // all-unit alternative needs a buffer on every tile: cost 6.
@@ -219,7 +269,7 @@ TEST(DpOracleFixed, BlockedSitesForceTheStrongType) {
       {spec("ox1", 1.0, 1.0), spec("ox2", 4.0, 2.0)});
   // L = 2: driver covers tiles 1..2; a buffer at (2,0) must then drive
   // tiles 3..5 (3 units) — over the unit reach, within ox2's 2L = 4.
-  const InsertionResult dp = insert_buffers_lib(t, 2, q, lib);
+  const InsertionResult dp = insert_buffers(t, 2, q, lib);
   ASSERT_TRUE(dp.feasible);
   EXPECT_EQ(dp.cost, 4.0);
   ASSERT_EQ(dp.types.size(), 1u);
@@ -228,12 +278,12 @@ TEST(DpOracleFixed, BlockedSitesForceTheStrongType) {
   EXPECT_EQ(dp.cost, bf.cost);
 
   // Under the unit library the same instance is infeasible.
-  EXPECT_FALSE(insert_buffers_lib(t, 2, q, BufferLibrary::single_unit())
+  EXPECT_FALSE(insert_buffers(t, 2, q, BufferLibrary::single_unit())
                    .feasible);
 }
 
-/// The relaxed variant under a multi-type library mirrors the dense
-/// engine's contract: doubles L until feasible and reports the limit.
+/// The relaxed variant under a multi-type library keeps the unit
+/// library's contract: doubles L until feasible and reports the limit.
 TEST(DpOracleFixed, RelaxedDoublesTheLimitUntilFeasible) {
   const tile::TileGraph g = oracle_graph();
   route::RouteTree t(g.id_of({0, 0}));
@@ -241,7 +291,7 @@ TEST(DpOracleFixed, RelaxedDoublesTheLimitUntilFeasible) {
   for (std::int32_t x = 1; x <= 6; ++x) cur = t.add_child(cur, g.id_of({x, 0}));
   t.add_sink(cur);
   const TileCostFn q = [](tile::TileId) { return kInf; };  // no sites at all
-  const InsertionResult dp = insert_buffers_planned_relaxed(t, 1, q, exact2());
+  const InsertionResult dp = insert_buffers_relaxed(t, 1, q, exact2());
   ASSERT_TRUE(dp.feasible);
   EXPECT_EQ(dp.cost, 0.0);  // no buffers once L covers the wirelength
   EXPECT_TRUE(dp.buffers.empty());

@@ -16,10 +16,9 @@ namespace {
 /// (the "unit" preset, which is also the RabidOptions default) must
 /// reproduce the historical single-type flow byte for byte — same
 /// buffers / failed-net / arc pins, and the same solution dump to the
-/// last character.  This is the contract that lets the multi-type
-/// candidate engine coexist with the dense SoA engine: is_unit()
-/// dispatches to the dense path, and nothing upstream or downstream of
-/// the DP may notice the library plumbing at all.
+/// last character.  This is the contract that lets one multi-type
+/// engine serve the paper's single-type flow: nothing upstream or
+/// downstream of the DP may notice the library plumbing at all.
 
 std::string run_and_dump(const char* circuit, const core::RabidOptions& opt,
                          std::int64_t* buffers, std::int64_t* fails,
