@@ -36,7 +36,7 @@ bool placement_is_legal(const route::RouteTree& tree,
   std::vector<std::int32_t> load(n, 0);
   for (const route::NodeId v : tree.postorder()) {
     std::int32_t total = 0;
-    for (const route::NodeId w : tree.node(v).children) {
+    for (const route::NodeId w : tree.node(v).children()) {
       const std::int32_t arc_load =
           1 + load[static_cast<std::size_t>(w)];
       if (decoupled[static_cast<std::size_t>(w)]) {
@@ -73,10 +73,10 @@ route::BufferList buffer_slots(const route::RouteTree& tree) {
   route::BufferList slots;
   for (std::size_t i = 0; i < tree.node_count(); ++i) {
     const auto v = static_cast<route::NodeId>(i);
-    for (const route::NodeId w : tree.node(v).children) {
+    for (const route::NodeId w : tree.node(v).children()) {
       slots.push_back({v, w});
     }
-    if (v != tree.root() && tree.node(v).children.size() >= 2) {
+    if (v != tree.root() && tree.node(v).children().size() >= 2) {
       slots.push_back({v, route::kNoNode});
     }
   }
@@ -118,7 +118,7 @@ LoadCheck accumulate_loads(const route::RouteTree& tree,
   std::vector<std::int32_t> load(n, 0);
   for (const route::NodeId v : tree.postorder()) {
     std::int32_t total = 0;
-    for (const route::NodeId w : tree.node(v).children) {
+    for (const route::NodeId w : tree.node(v).children()) {
       const auto wi = static_cast<std::size_t>(w);
       const std::int32_t arc_load = 1 + load[wi];
       if (dec_type[wi] >= 0) {

@@ -183,7 +183,7 @@ class CandidateDp {
 
   void forward_node(route::NodeId v) {
     NodeRec& d = node(v);
-    const auto& children = tree_.node(v).children;
+    const auto children = tree_.node(v).children();
     if (children.empty()) {
       d.c = {0, 1};  // the shared sink frontier
       return;
@@ -295,7 +295,7 @@ class CandidateDp {
 
   /// Unfolds state `ci` of C_v.
   void trace(route::NodeId v, std::int32_t ci, const Placement& out) const {
-    const auto& children = tree_.node(v).children;
+    const auto children = tree_.node(v).children();
     if (children.empty()) return;
     const NodeRec& d = node(v);
     Cand target = at(d.c, ci);

@@ -160,7 +160,7 @@ class VgSolver {
     const route::RouteNode& node = tree_.node(v);
 
     // Arc lists per child.
-    for (const route::NodeId w : node.children) {
+    for (const route::NodeId w : node.children()) {
       const PList& below = nodes_[static_cast<std::size_t>(w)].final;
       const double r = tech_.wire_res(arc_len(w));
       const double c = tech_.wire_cap(arc_len(w));
@@ -187,7 +187,7 @@ class VgSolver {
     }
 
     // Merge children; the node's own sinks are one more operand.
-    if (node.children.empty()) {
+    if (node.children().empty()) {
       Cand leaf;
       leaf.cap = tech_.sink_cap * node.sink_count;
       leaf.q = 0.0;
@@ -227,7 +227,7 @@ class VgSolver {
 
     // Driving-repeater options (>= 2 children, never at the root).
     n.final = n.merge.back();
-    if (node.children.size() >= 2 && v != tree_.root() &&
+    if (node.children().size() >= 2 && v != tree_.root() &&
         allow_(node.tile)) {
       add_repeater_options(n.merge.back(), Cand::Op::kDrive, n.final);
     }
@@ -317,7 +317,7 @@ class VgSolver {
                  std::int32_t idx, TimingDrivenResult& out) const {
     const NodeLists& n = nodes_[static_cast<std::size_t>(v)];
     const route::NodeId w =
-        tree_.node(v).children[static_cast<std::size_t>(child_pos)];
+        tree_.node(v).children()[static_cast<std::size_t>(child_pos)];
     const Cand& c = n.arc_final[static_cast<std::size_t>(child_pos)]
                                [static_cast<std::size_t>(parity)]
                                [static_cast<std::size_t>(idx)];

@@ -177,8 +177,7 @@ void SolutionAuditor::audit_net(netlist::NetId id, const NetState& state,
         continue;
       }
       const route::RouteNode& parent = tree.node(node.parent);
-      const auto listed = std::count(parent.children.begin(),
-                                     parent.children.end(), v);
+      const auto listed = std::ranges::count(parent.children(), v);
       if (listed != 1) {
         broken(AuditCheck::kTreeStructure, 1.0,
                static_cast<double>(listed),
@@ -191,7 +190,7 @@ void SolutionAuditor::audit_net(netlist::NetId id, const NetState& state,
                "arc between non-adjacent tiles");
       }
     }
-    for (const route::NodeId w : node.children) {
+    for (const route::NodeId w : node.children()) {
       ++report.checks_run;
       if (w < 0 || w >= n || tree.node(w).parent != v) {
         broken(AuditCheck::kTreeStructure, v, w < 0 || w >= n ? -1.0
@@ -226,7 +225,7 @@ void SolutionAuditor::audit_net(netlist::NetId id, const NetState& state,
       const route::NodeId v = stack.back();
       stack.pop_back();
       ++reached;
-      for (const route::NodeId w : tree.node(v).children) {
+      for (const route::NodeId w : tree.node(v).children()) {
         if (!seen[static_cast<std::size_t>(w)]) {
           seen[static_cast<std::size_t>(w)] = true;
           stack.push_back(w);

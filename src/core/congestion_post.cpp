@@ -82,6 +82,7 @@ CongestionPostResult minimize_congestion(tile::TileGraph& g,
                                          const PinnedFn& pinned) {
   CongestionPostResult result;
   result.before = g.stats();
+  TileTreeEditor editor(g);  // O(chip) scratch: one for every swap
 
   for (std::int32_t pass = 0; pass < max_passes; ++pass) {
     bool changed = false;
@@ -142,7 +143,7 @@ CongestionPostResult minimize_congestion(tile::TileGraph& g,
               g.add_wire(g.edge_between(old_path[k - 1], old_path[k]));
             }
             tree.uncommit(g);
-            TileTreeEditor editor(tree, g);
+            editor.reset(tree);
             editor.remove_path(head, interior, tail);
             editor.add_path(new_path);
             // Pinned tiles (buffer stubs) must survive the prune even

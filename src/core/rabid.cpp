@@ -44,7 +44,7 @@ bool meets_length_rule(const route::RouteTree& tree,
   std::vector<std::int32_t> load(n, 0);
   for (const route::NodeId v : tree.postorder()) {
     std::int32_t total = 0;
-    for (const route::NodeId w : tree.node(v).children) {
+    for (const route::NodeId w : tree.node(v).children()) {
       const std::int32_t arc = 1 + load[static_cast<std::size_t>(w)];
       if (decoupled[static_cast<std::size_t>(w)]) {
         if (arc > L) return false;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -336,7 +335,8 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
 TileTreeEditor::TileTreeEditor(const tile::TileGraph& g)
     : g_(g),
       sink_multiplicity_(static_cast<std::size_t>(g.tile_count()), 0),
-      adj_(static_cast<std::size_t>(g.tile_count()), Arcs{{}, 0}) {}
+      adj_(static_cast<std::size_t>(g.tile_count()), Arcs{{}, 0}),
+      seen_(static_cast<std::size_t>(g.tile_count()), 0) {}
 
 TileTreeEditor::TileTreeEditor(const route::RouteTree& tree,
                                const tile::TileGraph& g)
@@ -372,7 +372,9 @@ std::uint64_t TileTreeEditor::memory_bytes() const {
          static_cast<std::uint64_t>(adj_.capacity()) * sizeof(Arcs) +
          static_cast<std::uint64_t>(sink_tiles_.capacity() +
                                     touched_.capacity()) *
-             sizeof(tile::TileId);
+             sizeof(tile::TileId) +
+         static_cast<std::uint64_t>(flat_.capacity()) * sizeof(Slot) +
+         static_cast<std::uint64_t>(seen_.capacity()) * sizeof(std::uint32_t);
 }
 
 void TileTreeEditor::add_arc(tile::TileId a, tile::TileId b) {
@@ -424,70 +426,86 @@ bool TileTreeEditor::in_tree(tile::TileId t) const {
          adj_[static_cast<std::size_t>(t)].count > 0;
 }
 
-route::RouteTree TileTreeEditor::rebuild(
-    const std::function<bool(tile::TileId)>& keep) const {
-  route::RouteTree tree(source_);
-  // BFS from the source; arcs closing a cycle are dropped.
-  std::queue<tile::TileId> frontier;
-  frontier.push(source_);
-  while (!frontier.empty()) {
-    const tile::TileId u = frontier.front();
-    frontier.pop();
-    const route::NodeId un = tree.node_at(u);
-    const Arcs& arcs = adj_[static_cast<std::size_t>(u)];
+void TileTreeEditor::prune(const std::function<bool(tile::TileId)>& keep) {
+  // BFS from the source, flat_ being the queue; arcs closing a cycle are
+  // dropped.
+  ++epoch_;
+  flat_.assign(1, Slot{source_, -1, 0, 0, 0, false});
+  seen_[static_cast<std::size_t>(source_)] = epoch_;
+  for (std::size_t i = 0; i < flat_.size(); ++i) {
+    const Arcs& arcs = adj_[static_cast<std::size_t>(flat_[i].tile)];
+    flat_[i].first = static_cast<std::int32_t>(flat_.size());
     for (std::int32_t k = 0; k < arcs.count; ++k) {
       const tile::TileId v = arcs.to[static_cast<std::size_t>(k)];
-      if (tree.contains(v)) continue;
-      tree.add_child(un, v);
-      frontier.push(v);
+      if (seen_[static_cast<std::size_t>(v)] == epoch_) continue;
+      seen_[static_cast<std::size_t>(v)] = epoch_;
+      flat_.push_back(Slot{v, static_cast<std::int32_t>(i), 0, 0, 0, false});
     }
-  }
-
-  // Attach sinks, then prune useless leaves bottom-up.  Pruning works on
-  // a keep-set, then the tree is reassembled (RouteTree is append-only).
-  const std::size_t n = tree.node_count();
-  std::vector<std::int32_t> sinks_at(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const tile::TileId t = tree.node(static_cast<route::NodeId>(i)).tile;
-    sinks_at[i] = sink_multiplicity_[static_cast<std::size_t>(t)];
+    flat_[i].end = static_cast<std::int32_t>(flat_.size());
   }
   for (const tile::TileId t : sink_tiles_) {
-    RABID_ASSERT_MSG(tree.contains(t), "rebuild lost a sink tile");
+    RABID_ASSERT_MSG(seen_[static_cast<std::size_t>(t)] == epoch_,
+                     "rebuild lost a sink tile");
   }
+  // Prune useless leaves bottom-up: reverse BFS order is children first.
+  for (std::size_t i = flat_.size(); i-- > 0;) {
+    Slot& s = flat_[i];
+    s.kept = sink_multiplicity_[static_cast<std::size_t>(s.tile)] > 0 ||
+             s.live > 0 || i == 0 || (keep && keep(s.tile));
+    if (s.kept && i > 0) ++flat_[static_cast<std::size_t>(s.parent)].live;
+  }
+}
 
-  std::vector<bool> kept(n, false);
-  std::vector<std::int32_t> live_children(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    live_children[i] = static_cast<std::int32_t>(
-        tree.node(static_cast<route::NodeId>(i)).children.size());
+route::RouteTree TileTreeEditor::tree() const {
+  route::RouteTree out(source_);
+  std::vector<route::NodeId> node(flat_.size(), out.root());
+  for (std::size_t i = 1; i < flat_.size(); ++i) {
+    if (!flat_[i].kept) continue;
+    node[i] = out.add_child(node[static_cast<std::size_t>(flat_[i].parent)],
+                            flat_[i].tile);
   }
-  // Reverse index order == children first.
-  for (std::size_t i = n; i-- > 0;) {
-    const auto v = static_cast<route::NodeId>(i);
-    kept[i] = sinks_at[i] > 0 || live_children[i] > 0 || v == tree.root() ||
-              (keep && keep(tree.node(v).tile));
-    if (!kept[i]) {
-      const route::NodeId p = tree.node(v).parent;
-      --live_children[static_cast<std::size_t>(p)];
+  for (std::size_t i = 0; i < flat_.size(); ++i) {
+    const std::int32_t sinks =
+        sink_multiplicity_[static_cast<std::size_t>(flat_[i].tile)];
+    for (std::int32_t s = 0; s < sinks; ++s) out.add_sink(node[i]);
+  }
+  return out;
+}
+
+std::pair<tile::TileId, tile::TileId> TileTreeEditor::first_two_path(
+    std::span<const std::pair<tile::TileId, tile::TileId>> done,
+    std::vector<tile::TileId>& interior) const {
+  const auto kept_child = [&](std::size_t i) {
+    auto c = static_cast<std::size_t>(flat_[i].first);
+    while (!flat_[c].kept) ++c;
+    return c;
+  };
+  for (std::size_t h = 0; h < flat_.size(); ++h) {
+    if (!flat_[h].kept || !anchor(h)) continue;
+    for (std::int32_t c = flat_[h].first; c < flat_[h].end; ++c) {
+      if (!flat_[static_cast<std::size_t>(c)].kept) continue;
+      interior.clear();
+      std::size_t cur = static_cast<std::size_t>(c);
+      while (!anchor(cur)) {
+        interior.push_back(flat_[cur].tile);
+        cur = kept_child(cur);
+      }
+      const std::pair key{flat_[h].tile, flat_[cur].tile};
+      if (std::find(done.begin(), done.end(), key) == done.end()) return key;
     }
   }
+  interior.clear();
+  return {tile::kNoTile, tile::kNoTile};
+}
 
-  route::RouteTree pruned(source_);
-  std::vector<route::NodeId> remap(n, route::kNoNode);
-  remap[0] = pruned.root();
-  for (std::size_t i = 1; i < n; ++i) {
-    if (!kept[i]) continue;
-    const route::RouteNode& node = tree.node(static_cast<route::NodeId>(i));
-    const route::NodeId p = remap[static_cast<std::size_t>(node.parent)];
-    RABID_ASSERT(p != route::kNoNode);
-    remap[i] = pruned.add_child(p, node.tile);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::int32_t s = 0; s < sinks_at[i]; ++s) {
-      pruned.add_sink(remap[i]);
+std::size_t TileTreeEditor::two_path_count() const {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < flat_.size(); ++i) {
+    if (flat_[i].kept && anchor(i)) {
+      count += static_cast<std::size_t>(flat_[i].live);
     }
   }
-  return pruned;
+  return count;
 }
 
 TwoPathRerouter::TwoPathRerouter(const tile::TileGraph& g)
@@ -503,36 +521,21 @@ route::RouteTree TwoPathRerouter::reroute(const route::RouteTree& tree,
   // Inside this call they hold still (the net stays uncommitted).
   search_.drop_field();
   editor_.reset(tree);
-  route::RouteTree current = editor_.rebuild();
-  std::vector<std::pair<tile::TileId, tile::TileId>> processed;
-  const std::size_t max_rips = 3 * current.two_paths().size() + 4;
+  editor_.prune();
+  done_.clear();
+  const std::size_t max_rips = 3 * editor_.two_path_count() + 4;
   for (std::size_t rip = 0; rip < max_rips; ++rip) {
-    const auto paths = current.two_paths();
-    const route::RouteTree::TwoPath* next = nullptr;
-    std::pair<tile::TileId, tile::TileId> key{tile::kNoTile, tile::kNoTile};
-    for (const auto& tp : paths) {
-      key = {current.node(tp.head).tile, current.node(tp.tail).tile};
-      if (std::find(processed.begin(), processed.end(), key) ==
-          processed.end()) {
-        next = &tp;
-        break;
-      }
-    }
-    if (next == nullptr) break;
-    processed.push_back(key);
-    std::vector<tile::TileId> interior;
-    interior.reserve(next->interior.size());
-    for (const route::NodeId n : next->interior) {
-      interior.push_back(current.node(n).tile);
-    }
-    editor_.remove_path(key.first, interior, key.second);
+    const auto key = editor_.first_two_path(done_, interior_);
+    if (key.first == tile::kNoTile) break;
+    done_.push_back(key);
+    editor_.remove_path(key.first, interior_, key.second);
     const TwoPathRoute reroute = search_.route_keeping_field(
         key.second, key.first, L, wire_cost, buffer_cost, wire_weight,
         astar_floor);
     editor_.add_path(reroute.tiles);
-    current = editor_.rebuild();
+    editor_.prune();
   }
-  return current;
+  return editor_.tree();
 }
 
 }  // namespace rabid::core

@@ -19,6 +19,7 @@
 #include <array>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "buffer/insertion.hpp"
@@ -340,8 +341,11 @@ class TwoPathSearch {
 /// arcs, supporting two-path removal, path insertion, pruning of dangling
 /// stubs, and reconstruction into a RouteTree.
 ///
+/// prune() lays the tree out flat in stamped scratch (BFS order, parents,
+/// child ranges, prune flags); first_two_path() walks that layout and
+/// tree() materializes it, so a rip loop builds one RouteTree per net.
 /// One editor can serve many trees: reset() clears only the tiles the
-/// previous tree touched, and rebuild() checks the tree's own sink tiles,
+/// previous tree touched, and prune() checks the tree's own sink tiles,
 /// so per-tree work is O(tree), not O(chip).
 class TileTreeEditor {
  public:
@@ -363,14 +367,33 @@ class TileTreeEditor {
   /// True if `t` currently has any arcs (or is the root/a sink).
   bool in_tree(tile::TileId t) const;
 
-  /// Rebuilds a RouteTree: BFS from the source over the arc set (cycle
+  /// Lays out the flat tree: BFS from the source over the arc set (cycle
   /// arcs dropped), then iterative pruning of non-sink leaves.  Aborts if
   /// any sink became unreachable.  Tiles for which `keep` returns true
   /// are never pruned (e.g. stubs ending at a net's buffer tile).
-  route::RouteTree rebuild(
-      const std::function<bool(tile::TileId)>& keep = {}) const;
+  void prune(const std::function<bool(tile::TileId)>& keep = {});
 
-  /// Bytes held by the per-tile arc lists and sink counts.
+  /// The flat tree as a RouteTree: its kept nodes in BFS order.
+  route::RouteTree tree() const;
+
+  /// prune(keep), then tree().
+  route::RouteTree rebuild(
+      const std::function<bool(tile::TileId)>& keep = {}) {
+    prune(keep);
+    return tree();
+  }
+
+  /// The first two-path of the flat tree, in RouteTree::two_paths()
+  /// order, whose (head, tail) tiles are not in `done`; its interior
+  /// tiles, head side first, go to `interior`.  {kNoTile, kNoTile} if
+  /// every two-path is done.
+  std::pair<tile::TileId, tile::TileId> first_two_path(
+      std::span<const std::pair<tile::TileId, tile::TileId>> done,
+      std::vector<tile::TileId>& interior) const;
+  /// Number of two-paths of the flat tree.
+  std::size_t two_path_count() const;
+
+  /// Bytes held by the per-tile arc lists, sink counts and flat tree.
   std::uint64_t memory_bytes() const;
 
  private:
@@ -381,6 +404,22 @@ class TileTreeEditor {
     std::array<tile::TileId, 4> to;
     std::int32_t count;
   };
+  /// One BFS node of the flat tree.  A node's BFS children are found
+  /// together, so they are the contiguous slots [first, end).
+  struct Slot {
+    tile::TileId tile;
+    std::int32_t parent;  ///< slot index; -1 at the root
+    std::int32_t first;
+    std::int32_t end;
+    std::int32_t live;  ///< kept children
+    bool kept;
+  };
+
+  /// Two-path ends: the root, a sink tile, or not exactly one kept child.
+  bool anchor(std::size_t i) const {
+    return i == 0 || flat_[i].live != 1 ||
+           sink_multiplicity_[static_cast<std::size_t>(flat_[i].tile)] > 0;
+  }
 
   const tile::TileGraph& g_;
   tile::TileId source_ = tile::kNoTile;
@@ -390,6 +429,9 @@ class TileTreeEditor {
   /// Tiles whose arc list went non-empty since the last reset() (may
   /// repeat; reset() only clears them).
   std::vector<tile::TileId> touched_;
+  std::vector<Slot> flat_;           ///< the flat tree, BFS order
+  std::vector<std::uint32_t> seen_;  ///< per tile: BFS reached, by epoch_
+  std::uint32_t epoch_ = 0;
   void remove_arc(tile::TileId a, tile::TileId b);
   void add_arc(tile::TileId a, tile::TileId b);
 };
@@ -398,9 +440,9 @@ class TileTreeEditor {
 /// Rabid::run_stage4 and the ECO polish pass: one two-path at a time is
 /// ripped out of the tree and reconnected by the (tile x L) search with
 /// joint wire+buffer costs.  The decomposition is recomputed from the
-/// live tree after every replacement: a reroute may share arcs with a
-/// not-yet-processed two-path, so ripping from a stale snapshot could
-/// sever it.
+/// editor's flat tree after every replacement: a reroute may share arcs
+/// with a not-yet-processed two-path, so ripping from a stale snapshot
+/// could sever it.
 ///
 /// One rerouter serves a whole stage or ECO step: it owns the search and
 /// the tree editor, whose scratch stays warm across nets.  Wire and site
@@ -427,6 +469,8 @@ class TwoPathRerouter {
  private:
   TwoPathSearch search_;
   TileTreeEditor editor_;
+  std::vector<std::pair<tile::TileId, tile::TileId>> done_;
+  std::vector<tile::TileId> interior_;
 };
 
 }  // namespace rabid::core

@@ -16,7 +16,7 @@ auto tile_less = [](const TilePair& a, tile::TileId t) { return a.first < t; };
 }  // namespace
 
 RouteTree::RouteTree(tile::TileId source) {
-  nodes_.push_back(RouteNode{source, kNoNode, {}, 0});
+  nodes_.push_back(RouteNode{.tile = source});
   by_tile_.emplace_back(source, 0);
 }
 
@@ -31,9 +31,11 @@ NodeId RouteTree::add_child(NodeId parent, tile::TileId t) {
   RABID_ASSERT(parent >= 0 &&
                parent < static_cast<NodeId>(nodes_.size()));
   RABID_ASSERT_MSG(node_at(t) == kNoNode, "tile already in route tree");
+  RouteNode& p = nodes_[static_cast<std::size_t>(parent)];
+  RABID_ASSERT_MSG(p.child_count < 4, "route node has a fifth child");
   const auto id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(RouteNode{t, parent, {}, 0});
-  nodes_[static_cast<std::size_t>(parent)].children.push_back(id);
+  p.child[static_cast<std::size_t>(p.child_count++)] = id;
+  nodes_.push_back(RouteNode{.tile = t, .parent = parent});
   const auto it =
       std::lower_bound(by_tile_.begin(), by_tile_.end(), t, tile_less);
   by_tile_.insert(it, {t, id});
@@ -124,22 +126,19 @@ std::vector<RouteTree::TwoPath> RouteTree::two_paths() const {
   if (nodes_.empty()) return out;
   auto is_anchor = [&](NodeId n) {
     const RouteNode& node = nodes_[static_cast<std::size_t>(n)];
-    return n == root() || node.sink_count > 0 || node.children.size() >= 2 ||
-           node.children.empty();
+    return n == root() || node.sink_count > 0 || node.child_count != 1;
   };
   // Walk down from every anchor until the next anchor.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const auto head = static_cast<NodeId>(i);
     if (!is_anchor(head)) continue;
-    for (const NodeId first : nodes_[i].children) {
+    for (const NodeId first : nodes_[i].children()) {
       TwoPath tp;
       tp.head = head;
       NodeId cur = first;
       while (!is_anchor(cur)) {
         tp.interior.push_back(cur);
-        RABID_ASSERT(nodes_[static_cast<std::size_t>(cur)].children.size() ==
-                     1);
-        cur = nodes_[static_cast<std::size_t>(cur)].children.front();
+        cur = nodes_[static_cast<std::size_t>(cur)].child[0];
       }
       tp.tail = cur;
       out.push_back(std::move(tp));

@@ -9,7 +9,10 @@
 /// at this abstraction level).  The root is the net's driver tile; any
 /// node may carry one or more of the net's sinks.
 
+#include <array>
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "tile/tile_graph.hpp"
@@ -19,12 +22,22 @@ namespace rabid::route {
 using NodeId = std::int32_t;
 constexpr NodeId kNoNode = -1;
 
+/// One tree node, children inline: a node's children are distinct tiles
+/// adjacent to it, so a grid node has at most four (add_child asserts
+/// it), and a tree copies as two flat buffers.
 struct RouteNode {
   tile::TileId tile = tile::kNoTile;
   NodeId parent = kNoNode;
-  std::vector<NodeId> children;
   std::int32_t sink_count = 0;  ///< number of net sinks attached here
+  std::int32_t child_count = 0;
+  std::array<NodeId, 4> child{};  ///< first child_count entries, in add order
+
+  std::span<const NodeId> children() const {
+    return {child.data(), static_cast<std::size_t>(child_count)};
+  }
 };
+static_assert(sizeof(RouteNode) == 32 &&
+              std::is_trivially_copyable_v<RouteNode>);
 
 class RouteTree {
  public:
@@ -45,7 +58,8 @@ class RouteTree {
   bool contains(tile::TileId t) const { return node_at(t) != kNoNode; }
 
   /// Adds a child of `parent` at tile `t` (must be adjacent in `g` when a
-  /// graph is supplied to verify(); uniqueness of `t` is always enforced).
+  /// graph is supplied to verify(); uniqueness of `t` and the four-child
+  /// limit are always enforced).
   NodeId add_child(NodeId parent, tile::TileId t);
 
   /// Marks one net sink as attached to node `n`.
@@ -90,19 +104,13 @@ class RouteTree {
   /// arcs adjacent in `g`); aborts on violation.
   void verify(const tile::TileGraph& g) const;
 
-  /// Bytes held by this tree's storage, per-node child lists included
-  /// (obs memory.route_tree accounting: at 1M nets the trees are the
-  /// flow's dominant live structure).
+  /// Bytes held by this tree's two buffers (obs memory.route_tree
+  /// accounting: at 1M nets the trees are the flow's dominant live
+  /// structure).
   std::uint64_t memory_bytes() const {
-    std::uint64_t total =
-        static_cast<std::uint64_t>(nodes_.capacity()) * sizeof(RouteNode) +
-        static_cast<std::uint64_t>(by_tile_.capacity()) *
-            sizeof(std::pair<tile::TileId, NodeId>);
-    for (const RouteNode& n : nodes_) {
-      total += static_cast<std::uint64_t>(n.children.capacity()) *
-               sizeof(NodeId);
-    }
-    return total;
+    return static_cast<std::uint64_t>(nodes_.capacity()) * sizeof(RouteNode) +
+           static_cast<std::uint64_t>(by_tile_.capacity()) *
+               sizeof(std::pair<tile::TileId, NodeId>);
   }
 
  private:

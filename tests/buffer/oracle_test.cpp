@@ -48,7 +48,7 @@ route::RouteTree random_tree(const tile::TileGraph& g, util::Rng& rng,
   }
   for (std::size_t i = 1; i < t.node_count(); ++i) {
     const auto v = static_cast<route::NodeId>(i);
-    if (t.node(v).children.empty() || rng.chance(0.15)) t.add_sink(v);
+    if (t.node(v).children().empty() || rng.chance(0.15)) t.add_sink(v);
   }
   if (t.total_sinks() == 0) t.add_sink(t.root());
   return t;
@@ -152,7 +152,7 @@ double dense_reference_cost(const route::RouteTree& t, std::int32_t L,
   const auto stride = static_cast<std::size_t>(L) + 1;
   std::vector<std::vector<double>> c(t.node_count());
   for (const route::NodeId v : t.postorder()) {
-    const auto& kids = t.node(v).children;
+    const auto kids = t.node(v).children();
     std::vector<double>& cv = c[static_cast<std::size_t>(v)];
     if (kids.empty()) {
       cv.assign(stride, 0.0);  // Fig. 6 Step 1

@@ -37,7 +37,7 @@ route::RouteTree random_tree(const tile::TileGraph& g, util::Rng& rng,
   // Sinks: all leaves, plus occasionally an internal node.
   for (std::size_t i = 1; i < t.node_count(); ++i) {
     const auto v = static_cast<route::NodeId>(i);
-    if (t.node(v).children.empty() || rng.chance(0.15)) t.add_sink(v);
+    if (t.node(v).children().empty() || rng.chance(0.15)) t.add_sink(v);
   }
   if (t.total_sinks() == 0) t.add_sink(t.root());
   return t;

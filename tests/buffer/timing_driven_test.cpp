@@ -45,8 +45,9 @@ double brute_force_delay(const route::RouteTree& tree,
   for (std::size_t i = 0; i < tree.node_count(); ++i) {
     const auto v = static_cast<route::NodeId>(i);
     if (!allow(tree.node(v).tile)) continue;
-    for (const route::NodeId w : tree.node(v).children) slots.push_back({v, w});
-    if (v != tree.root() && tree.node(v).children.size() >= 2) {
+    for (const route::NodeId w : tree.node(v).children())
+      slots.push_back({v, w});
+    if (v != tree.root() && tree.node(v).children().size() >= 2) {
       slots.push_back({v, route::kNoNode});
     }
   }

@@ -170,7 +170,7 @@ TEST(Rabid, LengthRuleHonoredByBufferedNets) {
     std::vector<std::int32_t> load(n.tree.node_count(), 0);
     for (const route::NodeId v : n.tree.postorder()) {
       std::int32_t total = 0;
-      for (const route::NodeId w : n.tree.node(v).children) {
+      for (const route::NodeId w : n.tree.node(v).children()) {
         const std::int32_t arc = 1 + load[static_cast<std::size_t>(w)];
         if (decoupled[static_cast<std::size_t>(w)]) {
           EXPECT_LE(arc, L);

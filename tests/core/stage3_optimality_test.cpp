@@ -28,7 +28,7 @@ std::int64_t slot_count(const route::RouteTree& tree) {
   std::int64_t slots =
       static_cast<std::int64_t>(tree.node_count()) - 1;
   for (std::size_t v = 0; v < tree.node_count(); ++v) {
-    if (tree.node(static_cast<route::NodeId>(v)).children.size() >= 2) {
+    if (tree.node(static_cast<route::NodeId>(v)).children().size() >= 2) {
       ++slots;
     }
   }

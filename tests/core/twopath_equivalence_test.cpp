@@ -167,6 +167,104 @@ class ReferenceSearch {
   const tile::TileGraph& g_;
 };
 
+/// A plain tree editor, the reference for TileTreeEditor and
+/// TwoPathRerouter: per-tile arc lists in insertion order, and a
+/// rebuild() that materializes the whole BFS tree, prunes non-sink
+/// leaves on a keep-set and reassembles the survivors as a new tree.
+class ReferenceEditor {
+ public:
+  ReferenceEditor(const route::RouteTree& tree, const tile::TileGraph& g)
+      : adj_(static_cast<std::size_t>(g.tile_count())),
+        sinks_(static_cast<std::size_t>(g.tile_count()), 0),
+        source_(tree.node(tree.root()).tile) {
+    for (const route::RouteNode& n : tree.nodes()) {
+      if (n.parent != route::kNoNode) add_arc(n.tile, tree.node(n.parent).tile);
+      sinks_[static_cast<std::size_t>(n.tile)] += n.sink_count;
+    }
+  }
+
+  void remove_path(tile::TileId head, std::span<const tile::TileId> interior,
+                   tile::TileId tail) {
+    tile::TileId prev = head;
+    for (const tile::TileId t : interior) {
+      remove_arc(prev, t);
+      prev = t;
+    }
+    remove_arc(prev, tail);
+  }
+
+  void add_path(std::span<const tile::TileId> tiles) {
+    for (std::size_t i = 1; i < tiles.size(); ++i) {
+      add_arc(tiles[i - 1], tiles[i]);
+    }
+  }
+
+  route::RouteTree rebuild() const {
+    route::RouteTree tree(source_);
+    std::queue<tile::TileId> frontier;
+    frontier.push(source_);
+    while (!frontier.empty()) {
+      const tile::TileId u = frontier.front();
+      frontier.pop();
+      const route::NodeId un = tree.node_at(u);
+      for (const tile::TileId v : adj_[static_cast<std::size_t>(u)]) {
+        if (tree.contains(v)) continue;
+        tree.add_child(un, v);
+        frontier.push(v);
+      }
+    }
+    const std::size_t n = tree.node_count();
+    std::vector<std::int32_t> sinks_at(n, 0);
+    std::vector<std::int32_t> live_children(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const route::RouteNode& node = tree.node(static_cast<route::NodeId>(i));
+      sinks_at[i] = sinks_[static_cast<std::size_t>(node.tile)];
+      live_children[i] = node.child_count;
+    }
+    std::vector<bool> kept(n, false);
+    for (std::size_t i = n; i-- > 0;) {
+      kept[i] = sinks_at[i] > 0 || live_children[i] > 0 || i == 0;
+      if (!kept[i]) {
+        const route::NodeId p = tree.node(static_cast<route::NodeId>(i)).parent;
+        --live_children[static_cast<std::size_t>(p)];
+      }
+    }
+    route::RouteTree pruned(source_);
+    std::vector<route::NodeId> remap(n, route::kNoNode);
+    remap[0] = pruned.root();
+    for (std::size_t i = 1; i < n; ++i) {
+      if (!kept[i]) continue;
+      const route::RouteNode& node = tree.node(static_cast<route::NodeId>(i));
+      remap[i] = pruned.add_child(remap[static_cast<std::size_t>(node.parent)],
+                                  node.tile);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::int32_t k = 0; k < sinks_at[i]; ++k) pruned.add_sink(remap[i]);
+    }
+    return pruned;
+  }
+
+ private:
+  void add_arc(tile::TileId a, tile::TileId b) {
+    std::vector<tile::TileId>& na = adj_[static_cast<std::size_t>(a)];
+    if (std::find(na.begin(), na.end(), b) != na.end()) return;
+    na.push_back(b);
+    adj_[static_cast<std::size_t>(b)].push_back(a);
+  }
+  void remove_arc(tile::TileId a, tile::TileId b) {
+    std::vector<tile::TileId>& na = adj_[static_cast<std::size_t>(a)];
+    const auto it = std::find(na.begin(), na.end(), b);
+    if (it == na.end()) return;
+    na.erase(it);
+    std::vector<tile::TileId>& nb = adj_[static_cast<std::size_t>(b)];
+    nb.erase(std::find(nb.begin(), nb.end(), a));
+  }
+
+  std::vector<std::vector<tile::TileId>> adj_;
+  std::vector<std::int32_t> sinks_;
+  tile::TileId source_;
+};
+
 bool same_tree(const route::RouteTree& a, const route::RouteTree& b) {
   if (a.node_count() != b.node_count()) return false;
   for (std::size_t i = 0; i < a.node_count(); ++i) {
@@ -190,9 +288,11 @@ struct Tally {
 /// Replays stage 4 over a stage-3 solution.  Every two-path search runs
 /// three times: the unpruned reference, a fresh route_two_path(), and
 /// one TwoPathSearch shared across all nets and keeping its field within
-/// a net.  The rip loop is driven by a fresh editor per net and mirrored
-/// on one shared editor; each net's outcome is also checked against one
-/// TwoPathRerouter shared across all nets.  Net wires move as in stage 4
+/// a net.  The rip loop is the per-rip rebuild() + two_paths() loop on a
+/// fresh ReferenceEditor per net, mirrored on one shared TileTreeEditor
+/// whose flat tree and next two-path must match it rip for rip; each
+/// net's outcome is also checked against one TwoPathRerouter shared
+/// across all nets.  Net wires move as in stage 4
 /// (ripped, rerouted, recommitted), so the costs change between nets.
 /// A non-empty `only` replays just those nets, in that order (an ECO
 /// polish pass); the rest keep their routes.
@@ -235,7 +335,7 @@ void replay_stage4(const std::string& name, const netlist::Design& design,
     const double floor = astar ? cache.min_cost() : 0.0;
     ++tally->nets;
 
-    TileTreeEditor editor(st.tree, graph);
+    ReferenceEditor editor(st.tree, graph);
     shared_editor.reset(st.tree);
     shared.drop_field();
     route::RouteTree current = editor.rebuild();
@@ -243,6 +343,9 @@ void replay_stage4(const std::string& name, const netlist::Design& design,
         << name << " net " << i << ": reset editor differs at start";
     std::vector<std::pair<tile::TileId, tile::TileId>> processed;
     const std::size_t max_rips = 3 * current.two_paths().size() + 4;
+    ASSERT_EQ(shared_editor.two_path_count(), current.two_paths().size())
+        << name << " net " << i;
+    std::vector<tile::TileId> flat_interior;
     tile::TileId last_goal = tile::kNoTile;
     for (std::size_t rip = 0; rip < max_rips; ++rip) {
       const auto paths = current.two_paths();
@@ -256,12 +359,20 @@ void replay_stage4(const std::string& name, const netlist::Design& design,
           break;
         }
       }
-      if (next == nullptr) break;
+      const auto flat_key =
+          shared_editor.first_two_path(processed, flat_interior);
+      if (next == nullptr) {
+        ASSERT_EQ(flat_key.first, tile::kNoTile) << name << " net " << i;
+        break;
+      }
       processed.push_back(key);
       std::vector<tile::TileId> interior;
       for (const route::NodeId n : next->interior) {
         interior.push_back(current.node(n).tile);
       }
+      ASSERT_EQ(flat_key, key) << name << " net " << i << " rip " << rip;
+      ASSERT_EQ(flat_interior, interior)
+          << name << " net " << i << " rip " << rip;
       editor.remove_path(key.first, interior, key.second);
       shared_editor.remove_path(key.first, interior, key.second);
 

@@ -58,7 +58,7 @@ TEST(EmbedExact, SteinerPointBecomesBranchTile) {
   t.verify(g);
   const NodeId steiner = t.node_at(g.id_of({7, 4}));
   ASSERT_NE(steiner, kNoNode);
-  EXPECT_EQ(t.node(steiner).children.size(), 2U);
+  EXPECT_EQ(t.node(steiner).children().size(), 2U);
   EXPECT_EQ(t.wirelength_tiles(), 7 + 3 + 3);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <type_traits>
+
 namespace rabid::route {
 namespace {
 
@@ -21,6 +24,59 @@ RouteTree make_tree(const tile::TileGraph& g) {
   t.add_sink(c);
   t.add_sink(e);
   return t;
+}
+
+// A node is one flat record, so copying a tree allocates nothing per node.
+static_assert(sizeof(RouteNode) == 32);
+static_assert(std::is_trivially_copyable_v<RouteNode>);
+
+TEST(RouteTree, ChildrenSpanKeepsAddOrder) {
+  const tile::TileGraph g = make_graph();
+  const RouteTree t = make_tree(g);
+  const NodeId a = t.node_at(g.id_of({1, 0}));
+  const std::span<const NodeId> kids = t.node(a).children();
+  EXPECT_EQ(kids.data(), t.node(a).child.data());
+  ASSERT_EQ(kids.size(), 2U);
+  EXPECT_EQ(kids[0], t.node_at(g.id_of({2, 0})));
+  EXPECT_EQ(kids[1], t.node_at(g.id_of({1, 1})));
+  ASSERT_EQ(t.node(t.root()).children().size(), 1U);
+  EXPECT_EQ(t.node(t.root()).children()[0], a);
+  EXPECT_TRUE(t.node(t.node_at(g.id_of({2, 1}))).children().empty());
+}
+
+TEST(RouteTree, CopyEqualsNodeForNode) {
+  const tile::TileGraph g = make_graph();
+  const RouteTree t = make_tree(g);
+  const RouteTree copy = t;
+  ASSERT_EQ(copy.node_count(), t.node_count());
+  for (std::size_t i = 0; i < t.node_count(); ++i) {
+    const RouteNode& x = t.node(static_cast<NodeId>(i));
+    const RouteNode& y = copy.node(static_cast<NodeId>(i));
+    EXPECT_EQ(x.tile, y.tile);
+    EXPECT_EQ(x.parent, y.parent);
+    EXPECT_EQ(x.sink_count, y.sink_count);
+    EXPECT_TRUE(std::ranges::equal(x.children(), y.children()));
+    EXPECT_EQ(copy.node_at(x.tile), static_cast<NodeId>(i));
+  }
+}
+
+TEST(RouteTree, MemoryBytesCountsTwoBuffers) {
+  // Four nodes: one-at-a-time growth leaves both buffers at capacity 4
+  // under doubling and under 1.5x growth alike.
+  const tile::TileGraph g = make_graph();
+  RouteTree t(g.id_of({0, 0}));
+  NodeId cur = t.root();
+  for (std::int32_t x = 1; x <= 3; ++x) cur = t.add_child(cur, g.id_of({x, 0}));
+  EXPECT_EQ(t.memory_bytes(), 4U * 32U + 4U * 8U);
+}
+
+TEST(RouteTreeDeathTest, FifthChildAborts) {
+  // Grid trees never need a fifth child (four neighbors); add_child does
+  // not check adjacency itself, so a hand-built star can ask for one.
+  const tile::TileGraph g = make_graph();
+  RouteTree t(g.id_of({2, 2}));
+  for (std::int32_t x = 0; x < 4; ++x) t.add_child(t.root(), g.id_of({x, 0}));
+  EXPECT_DEATH(t.add_child(t.root(), g.id_of({4, 0})), "fifth child");
 }
 
 TEST(RouteTree, BasicStructure) {
@@ -88,7 +144,7 @@ TEST(RouteTree, PostorderChildrenFirst) {
   const RouteTree t = make_tree(g);
   std::vector<bool> seen(t.node_count(), false);
   for (const NodeId n : t.postorder()) {
-    for (const NodeId c : t.node(n).children) {
+    for (const NodeId c : t.node(n).children()) {
       EXPECT_TRUE(seen[static_cast<std::size_t>(c)]);
     }
     seen[static_cast<std::size_t>(n)] = true;
