@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "bbp/bbp_allocator.hpp"
+#include "bbp/bbp.hpp"
 #include "core/rabid.hpp"
 
 namespace rabid::alloc {

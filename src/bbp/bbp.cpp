@@ -1,17 +1,23 @@
 #include "bbp/bbp.hpp"
 
-#include "core/congestion_post.hpp"
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 
+#include "buffer/brute_force.hpp"
+#include "core/congestion_post.hpp"
 #include "util/assert.hpp"
 
 namespace rabid::bbp {
 
 namespace {
+
+/// Delay constraint = kGamma x optimal achievable delay (paper: 1.05-1.2).
+constexpr double kGamma = 1.10;
+/// Upper bound on buffers per two-pin net (safety rail).
+constexpr std::int32_t kMaxBuffersPerNet = 64;
 
 /// Staircase (x-first) tile walk from the tree node at `from` to tile
 /// `target`, re-anchoring on tiles already present; returns the node at
@@ -49,39 +55,11 @@ std::vector<tile::TileId> staircase(const tile::TileGraph& g, tile::TileId a,
   return path;
 }
 
-}  // namespace
-
-BbpPlanner::BbpPlanner(const netlist::Design& design, tile::TileGraph& graph,
-                       BbpOptions options)
-    : design_(design),
-      graph_(graph),
-      options_(options),
-      free_tile_(static_cast<std::size_t>(graph.tile_count()), true),
-      tile_buffers_(static_cast<std::size_t>(graph.tile_count()), 0) {
-  for (const netlist::Net& n : design.nets()) {
-    RABID_ASSERT_MSG(n.sinks.size() == 1,
-                     "BBP/FR operates on two-pin nets; decompose first");
-  }
-  // Free space = tiles whose center no macro covers: the channels and
-  // dead space where buffer blocks may be erected.
-  for (tile::TileId t = 0; t < graph.tile_count(); ++t) {
-    const geom::Point c = graph.center(t);
-    for (const netlist::Block& b : design.blocks()) {
-      if (b.shape.contains(c)) {
-        free_tile_[static_cast<std::size_t>(t)] = false;
-        break;
-      }
-    }
-  }
-}
-
-bool BbpPlanner::tile_is_free(tile::TileId t) const {
-  return free_tile_[static_cast<std::size_t>(t)];
-}
-
-double BbpPlanner::evenly_buffered_delay(const std::vector<tile::TileId>& path,
-                                         std::int32_t k) const {
-  // Chain route with k buffers at evenly spaced path indices.
+/// Delay of a chain route along `path` with k buffers at evenly spaced
+/// path indices.
+double evenly_buffered_delay(const tile::TileGraph& g,
+                             const std::vector<tile::TileId>& path,
+                             std::int32_t k, const timing::Technology& tech) {
   route::RouteTree tree(path.front());
   route::NodeId cur = tree.root();
   std::vector<route::NodeId> node_at(path.size());
@@ -105,227 +83,231 @@ double BbpPlanner::evenly_buffered_delay(const std::vector<tile::TileId>& path,
             [](const route::BufferPlacement& a,
                const route::BufferPlacement& b) { return a.node < b.node; });
   buffers.erase(std::unique(buffers.begin(), buffers.end()), buffers.end());
-  return timing::evaluate_delay(tree, buffers, {}, graph_, options_.tech).max_ps;
+  return timing::evaluate_delay(tree, buffers, {}, g, tech).max_ps;
 }
 
-BbpResult BbpPlanner::run(double buffer_area_um2) {
-  const auto start = std::chrono::steady_clock::now();
-  BbpResult result;
-  nets_.clear();
-  nets_.reserve(design_.nets().size());
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
-  double delay_sum = 0.0;
-  std::size_t sink_count = 0;
-  double wl_um = 0.0;
+}  // namespace
 
-  for (const netlist::Net& net : design_.nets()) {
-    const tile::TileId src = graph_.tile_at(net.source.location);
-    const tile::TileId dst = graph_.tile_at(net.sinks.front().location);
-    const std::vector<tile::TileId> path = staircase(graph_, src, dst);
-
-    // Minimal k meeting gamma x optimal delay.
-    double best = std::numeric_limits<double>::infinity();
-    std::vector<double> delay_of_k;
-    std::int32_t k_at_best = 0;
-    for (std::int32_t k = 0; k <= options_.max_buffers_per_net; ++k) {
-      const double d = evenly_buffered_delay(path, k);
-      delay_of_k.push_back(d);
-      if (d < best) {
-        best = d;
-        k_at_best = k;
-      }
-      // Delay in k is unimodal; stop once past the minimum.
-      if (k >= k_at_best + 2) break;
-    }
-    const double constraint = options_.gamma * best;
-    std::int32_t k_min = k_at_best;
-    for (std::int32_t k = 0; k < static_cast<std::int32_t>(delay_of_k.size());
-         ++k) {
-      if (delay_of_k[static_cast<std::size_t>(k)] <= constraint) {
-        k_min = k;
+BbpAllocator::BbpAllocator(const netlist::Design& design,
+                           tile::TileGraph& graph, core::RabidOptions options)
+    : Allocator(design, graph, std::move(options)),
+      free_tile_(static_cast<std::size_t>(graph.tile_count()), true) {
+  RABID_ASSERT_MSG(options_.deadline_ms == 0.0,
+                   "BBP/FR does not support deadlines");
+  options_.threads = 1;
+  for (const netlist::Net& n : design.nets()) {
+    RABID_ASSERT_MSG(n.sinks.size() == 1,
+                     "BBP/FR operates on two-pin nets; decompose first");
+  }
+  // Free space = tiles whose center no macro covers: the channels and
+  // dead space where buffer blocks may be erected.
+  for (tile::TileId t = 0; t < graph.tile_count(); ++t) {
+    const geom::Point c = graph.center(t);
+    for (const netlist::Block& b : design.blocks()) {
+      if (b.shape.contains(c)) {
+        free_tile_[static_cast<std::size_t>(t)] = false;
         break;
       }
     }
-
-    // Feasible-region radius (in tiles) for displacing one buffer while
-    // the rest stay ideal: widest when the constraint is loose.
-    const auto n = static_cast<std::int32_t>(path.size());
-    std::int32_t fr_radius = 0;
-    if (k_min > 0) {
-      const double spacing =
-          static_cast<double>(n - 1) / static_cast<double>(k_min + 1);
-      // The classic FR result: displacement freedom grows with the slack
-      // ratio; at gamma >= 1 the half-width in tile units is roughly
-      // spacing * sqrt(gamma - 1), never below one tile.
-      fr_radius = std::max<std::int32_t>(
-          1, static_cast<std::int32_t>(spacing * std::sqrt(options_.gamma - 1.0)));
-    }
-
-    // Snap each ideal spot to free space: nearest free tile, preferring
-    // the feasible region.
-    std::vector<tile::TileId> waypoints;
-    for (std::int32_t j = 1; j <= k_min; ++j) {
-      const auto idx = static_cast<std::size_t>(
-          static_cast<std::int64_t>(j) * (n - 1) / (k_min + 1));
-      if (idx == 0) continue;
-      const tile::TileId ideal = path[idx];
-      tile::TileId chosen = tile::kNoTile;
-      std::int64_t chosen_score = std::numeric_limits<std::int64_t>::max();
-      for (tile::TileId t = 0; t < graph_.tile_count(); ++t) {
-        if (!tile_is_free(t)) continue;
-        const std::int32_t d = graph_.tile_distance(ideal, t);
-        // Inside the FR distance is free-ish; outside it dominates.
-        const std::int64_t score =
-            d <= fr_radius ? d : static_cast<std::int64_t>(d) * 1000;
-        if (score < chosen_score) {
-          chosen_score = score;
-          chosen = t;
-        }
-      }
-      if (chosen == tile::kNoTile) chosen = ideal;  // no free space at all
-      if (chosen != src && (waypoints.empty() || waypoints.back() != chosen)) {
-        waypoints.push_back(chosen);
-      }
-    }
-
-    // Route source -> waypoints -> sink and place the buffers.
-    BbpNetState state;
-    state.constraint_ps = constraint;
-    state.tree = route::RouteTree(src);
-    route::NodeId cur = state.tree.root();
-    for (const tile::TileId w : waypoints) {
-      cur = walk_to(state.tree, graph_, cur, w);
-      // A zig-zagging walk can revisit a node; one driving buffer each.
-      const bool already =
-          std::any_of(state.buffers.begin(), state.buffers.end(),
-                      [&](const route::BufferPlacement& b) {
-                        return b.node == cur;
-                      });
-      if (cur == state.tree.root() || already) continue;
-      state.buffers.push_back({cur, route::kNoNode});
-      ++tile_buffers_[static_cast<std::size_t>(w)];
-    }
-    cur = walk_to(state.tree, graph_, cur, dst);
-    state.tree.add_sink(cur);
-    state.tree.commit(graph_);
-    state.delay = timing::evaluate_delay(state.tree, state.buffers, {}, graph_,
-                                         options_.tech);
-
-    result.buffers += static_cast<std::int64_t>(state.buffers.size());
-    if (state.delay.max_ps > constraint) ++result.nets_missing_constraint;
-    delay_sum += state.delay.sum_ps;
-    sink_count += state.delay.sink_delays_ps.size();
-    result.max_delay_ps = std::max(result.max_delay_ps, state.delay.max_ps);
-    wl_um += state.tree.wirelength_um(graph_);
-    nets_.push_back(std::move(state));
   }
-
-  const tile::CongestionStats cs = graph_.stats();
-  result.max_wire_congestion = cs.max_wire_congestion;
-  result.avg_wire_congestion = cs.avg_wire_congestion;
-  result.overflow = cs.overflow;
-  result.wirelength_mm = wl_um / 1000.0;
-  result.avg_delay_ps =
-      sink_count == 0 ? 0.0 : delay_sum / static_cast<double>(sink_count);
-  result.mtap_pct = mtap_pct(graph_, tile_buffers_, buffer_area_um2);
-  result.cpu_s = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  return result;
 }
 
-BbpResult BbpPlanner::congestion_post(double buffer_area_um2) {
-  const auto start = std::chrono::steady_clock::now();
-  RABID_ASSERT_MSG(!nets_.empty(), "run() must precede congestion_post()");
-
-  // Buffer tiles per net: pinned during re-embedding, then used to remap
-  // the placements onto the rebuilt trees.
-  std::vector<std::vector<tile::TileId>> buffer_tiles(nets_.size());
+std::vector<core::StageStats> BbpAllocator::plan() {
+  RABID_ASSERT_MSG(stage_history_.empty(), "plan() already ran");
+  auto start = std::chrono::steady_clock::now();
+  constraint_ps_.assign(nets_.size(), 0.0);
   for (std::size_t i = 0; i < nets_.size(); ++i) {
-    for (const route::BufferPlacement& b : nets_[i].buffers) {
-      buffer_tiles[i].push_back(nets_[i].tree.node(b.node).tile);
+    plan_net(static_cast<netlist::NetId>(i));
+  }
+  stage_history_.push_back(core::solution_snapshot(
+      graph_, nets_, "bbp", seconds_since(start), threads()));
+  if (options_.congestion_post_after_stage2) {
+    start = std::chrono::steady_clock::now();
+    congestion_post();
+    stage_history_.push_back(core::solution_snapshot(
+        graph_, nets_, "post", seconds_since(start), threads()));
+  }
+  maybe_audit("final", /*final_stage=*/true);
+  return stage_history_;
+}
+
+void BbpAllocator::plan_net(netlist::NetId id) {
+  const netlist::Net& net = design_.net(id);
+  const timing::Technology tech =
+      timing::scaled_for_width(options_.tech, net.width);
+  const tile::TileId src = graph_.tile_at(net.source.location);
+  const tile::TileId dst = graph_.tile_at(net.sinks.front().location);
+  const std::vector<tile::TileId> path = staircase(graph_, src, dst);
+
+  // Minimal k meeting kGamma x optimal delay.
+  double best = std::numeric_limits<double>::infinity();
+  std::vector<double> delay_of_k;
+  std::int32_t k_at_best = 0;
+  for (std::int32_t k = 0; k <= kMaxBuffersPerNet; ++k) {
+    const double d = evenly_buffered_delay(graph_, path, k, tech);
+    delay_of_k.push_back(d);
+    if (d < best) {
+      best = d;
+      k_at_best = k;
+    }
+    // Delay in k is unimodal; stop once past the minimum.
+    if (k >= k_at_best + 2) break;
+  }
+  const double constraint = kGamma * best;
+  std::int32_t k_min = k_at_best;
+  for (std::int32_t k = 0; k < static_cast<std::int32_t>(delay_of_k.size());
+       ++k) {
+    if (delay_of_k[static_cast<std::size_t>(k)] <= constraint) {
+      k_min = k;
+      break;
+    }
+  }
+  constraint_ps_[static_cast<std::size_t>(id)] = constraint;
+
+  // Feasible-region radius (in tiles) for displacing one buffer while
+  // the rest stay ideal: widest when the constraint is loose.
+  const auto n = static_cast<std::int32_t>(path.size());
+  std::int32_t fr_radius = 0;
+  if (k_min > 0) {
+    const double spacing =
+        static_cast<double>(n - 1) / static_cast<double>(k_min + 1);
+    // The classic FR result: displacement freedom grows with the slack
+    // ratio; at gamma >= 1 the half-width in tile units is roughly
+    // spacing * sqrt(gamma - 1), never below one tile.
+    fr_radius = std::max<std::int32_t>(
+        1, static_cast<std::int32_t>(spacing * std::sqrt(kGamma - 1.0)));
+  }
+
+  // Snap each ideal spot to free space: nearest free tile, preferring
+  // the feasible region.
+  std::vector<tile::TileId> waypoints;
+  for (std::int32_t j = 1; j <= k_min; ++j) {
+    const auto idx = static_cast<std::size_t>(
+        static_cast<std::int64_t>(j) * (n - 1) / (k_min + 1));
+    if (idx == 0) continue;
+    const tile::TileId ideal = path[idx];
+    tile::TileId chosen = tile::kNoTile;
+    std::int64_t chosen_score = std::numeric_limits<std::int64_t>::max();
+    for (tile::TileId t = 0; t < graph_.tile_count(); ++t) {
+      if (!free_tile_[static_cast<std::size_t>(t)]) continue;
+      const std::int32_t d = graph_.tile_distance(ideal, t);
+      // Inside the FR distance is free-ish; outside it dominates.
+      const std::int64_t score =
+          d <= fr_radius ? d : static_cast<std::int64_t>(d) * 1000;
+      if (score < chosen_score) {
+        chosen_score = score;
+        chosen = t;
+      }
+    }
+    if (chosen == tile::kNoTile) chosen = ideal;  // no free space at all
+    if (chosen != src && (waypoints.empty() || waypoints.back() != chosen)) {
+      waypoints.push_back(chosen);
     }
   }
 
+  // Route source -> waypoints -> sink, placing and booking the buffers.
+  core::NetState& state = nets_[static_cast<std::size_t>(id)];
+  state.tree = route::RouteTree(src);
+  route::NodeId cur = state.tree.root();
+  for (const tile::TileId w : waypoints) {
+    cur = walk_to(state.tree, graph_, cur, w);
+    // A zig-zagging walk can revisit a node; one driving buffer each.
+    const bool already =
+        std::any_of(state.buffers.begin(), state.buffers.end(),
+                    [&](const route::BufferPlacement& b) {
+                      return b.node == cur;
+                    });
+    if (cur == state.tree.root() || already) continue;
+    state.buffers.push_back({cur, route::kNoNode});
+    graph_.add_buffer_unchecked(w);
+  }
+  cur = walk_to(state.tree, graph_, cur, dst);
+  state.tree.add_sink(cur);
+  state.tree.commit(graph_, net.width);
+  evaluate(id);
+}
+
+void BbpAllocator::congestion_post() {
+  // Buffer tiles per re-embedded net: pinned during re-embedding, then
+  // used to remap the placements onto the rebuilt trees.  The pass edits
+  // usage one track at a time, so wide-wire nets keep their routes.
+  std::vector<std::size_t> eligible;
+  std::vector<std::vector<tile::TileId>> buffer_tiles;
   std::vector<route::RouteTree> trees;
-  trees.reserve(nets_.size());
-  for (BbpNetState& n : nets_) trees.push_back(std::move(n.tree));
-  const core::PinnedFn pinned = [&](std::size_t net, tile::TileId t) {
-    const auto& tiles = buffer_tiles[net];
+  for (std::size_t i = 0; i < nets_.size(); ++i) {
+    if (design_.net(static_cast<netlist::NetId>(i)).width != 1) continue;
+    core::NetState& state = nets_[i];
+    eligible.push_back(i);
+    std::vector<tile::TileId>& tiles = buffer_tiles.emplace_back();
+    for (const route::BufferPlacement& b : state.buffers) {
+      tiles.push_back(state.tree.node(b.node).tile);
+    }
+    trees.push_back(std::move(state.tree));
+  }
+  const core::PinnedFn pinned = [&](std::size_t k, tile::TileId t) {
+    const std::vector<tile::TileId>& tiles = buffer_tiles[k];
     return std::find(tiles.begin(), tiles.end(), t) != tiles.end();
   };
   core::minimize_congestion(graph_, trees, 3, pinned);
 
-  BbpResult result;
-  double delay_sum = 0.0;
-  std::size_t sink_count = 0;
-  double wl_um = 0.0;
-  for (std::size_t i = 0; i < nets_.size(); ++i) {
-    BbpNetState& state = nets_[i];
-    state.tree = std::move(trees[i]);
+  for (std::size_t k = 0; k < eligible.size(); ++k) {
+    core::NetState& state = nets_[eligible[k]];
+    state.tree = std::move(trees[k]);
     state.buffers.clear();
-    for (const tile::TileId t : buffer_tiles[i]) {
+    for (const tile::TileId t : buffer_tiles[k]) {
       const route::NodeId n = state.tree.node_at(t);
       RABID_ASSERT_MSG(n != route::kNoNode,
                        "pinned buffer tile lost in post-pass");
       state.buffers.push_back({n, route::kNoNode});
     }
-    state.delay = timing::evaluate_delay(state.tree, state.buffers, {}, graph_,
-                                         options_.tech);
-    result.buffers += static_cast<std::int64_t>(state.buffers.size());
-    if (state.delay.max_ps > state.constraint_ps) {
-      ++result.nets_missing_constraint;
-    }
-    delay_sum += state.delay.sum_ps;
-    sink_count += state.delay.sink_delays_ps.size();
-    result.max_delay_ps = std::max(result.max_delay_ps, state.delay.max_ps);
-    wl_um += state.tree.wirelength_um(graph_);
+    evaluate(static_cast<netlist::NetId>(eligible[k]));
   }
-
-  const tile::CongestionStats cs = graph_.stats();
-  result.max_wire_congestion = cs.max_wire_congestion;
-  result.avg_wire_congestion = cs.avg_wire_congestion;
-  result.overflow = cs.overflow;
-  result.wirelength_mm = wl_um / 1000.0;
-  result.avg_delay_ps =
-      sink_count == 0 ? 0.0 : delay_sum / static_cast<double>(sink_count);
-  result.mtap_pct = mtap_pct(graph_, tile_buffers_, buffer_area_um2);
-  result.cpu_s = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  return result;
 }
 
-double mtap_pct(const tile::TileGraph& g,
-                std::span<const std::int32_t> buffers_per_tile,
-                double buffer_area_um2) {
-  RABID_ASSERT(static_cast<std::int32_t>(buffers_per_tile.size()) ==
-               g.tile_count());
+void BbpAllocator::evaluate(netlist::NetId id) {
+  core::NetState& state = nets_[static_cast<std::size_t>(id)];
+  state.meets_length_rule = buffer::placement_is_legal(
+      state.tree, state.buffers, design_.length_limit(id));
+  state.delay = timing::evaluate_delay(
+      state.tree, state.buffers, {}, graph_,
+      timing::scaled_for_width(options_.tech, design_.net(id).width));
+}
+
+core::AuditOptions BbpAllocator::audit_options() const {
+  core::AuditOptions opt;
+  opt.tech = options_.tech;
+  // Capacity overload IS the measured phenomenon (Fig. 1 / Table V):
+  // congestion-blind staircase routes and buffers piled into channels.
+  // Integrity invariants stay hard errors.
+  opt.wire_overflow_severity = core::AuditSeverity::kWarning;
+  opt.buffer_overflow_severity = core::AuditSeverity::kWarning;
+  return opt;
+}
+
+double mtap_pct(const tile::TileGraph& g, double buffer_area_um2) {
   const double tile_area = g.tile_width() * g.tile_height();
   std::int32_t max_count = 0;
-  for (const std::int32_t c : buffers_per_tile) {
-    max_count = std::max(max_count, c);
+  for (tile::TileId t = 0; t < g.tile_count(); ++t) {
+    max_count = std::max(max_count, g.site_usage(t));
   }
   return 100.0 * static_cast<double>(max_count) * buffer_area_um2 / tile_area;
 }
 
-std::int32_t count_buffer_blocks(
-    const tile::TileGraph& g, std::span<const std::int32_t> buffers_per_tile,
-    std::int32_t min_buffers) {
-  RABID_ASSERT(static_cast<std::int32_t>(buffers_per_tile.size()) ==
-               g.tile_count());
-  std::vector<bool> dense(buffers_per_tile.size(), false);
-  for (std::size_t i = 0; i < buffers_per_tile.size(); ++i) {
-    dense[i] = buffers_per_tile[i] >= min_buffers;
-  }
-  std::vector<bool> seen(buffers_per_tile.size(), false);
+std::int32_t count_buffer_blocks(const tile::TileGraph& g,
+                                 std::int32_t min_buffers) {
+  const auto tiles = static_cast<std::size_t>(g.tile_count());
+  auto dense = [&](tile::TileId t) { return g.site_usage(t) >= min_buffers; };
+  std::vector<bool> seen(tiles, false);
   std::int32_t components = 0;
   std::vector<tile::TileId> stack;
   for (tile::TileId t = 0; t < g.tile_count(); ++t) {
-    if (!dense[static_cast<std::size_t>(t)] ||
-        seen[static_cast<std::size_t>(t)]) {
-      continue;
-    }
+    if (!dense(t) || seen[static_cast<std::size_t>(t)]) continue;
     ++components;
     stack.push_back(t);
     seen[static_cast<std::size_t>(t)] = true;
@@ -336,7 +318,7 @@ std::int32_t count_buffer_blocks(
       const int n = g.neighbors(u, nbr);
       for (int k = 0; k < n; ++k) {
         const auto i = static_cast<std::size_t>(nbr[k]);
-        if (dense[i] && !seen[i]) {
+        if (dense(nbr[k]) && !seen[i]) {
           seen[i] = true;
           stack.push_back(nbr[k]);
         }

@@ -2,14 +2,15 @@
 
 /// \file bbp.hpp
 /// BBP/FR — buffer-block planning with feasible regions (Cong, Kong,
-/// Pan, ICCAD'99), the baseline of Table V.
+/// Pan, ICCAD'99), the baseline of Table V, behind the core::Allocator
+/// interface.
 ///
 /// This is a from-scratch reconstruction of the methodology (the
 /// original code is not distributed; see DESIGN.md):
 ///   * multi-pin nets are decomposed into two-pin nets by the caller
 ///     (Section IV-C does the same for both tools);
 ///   * per net, the minimal buffer count k is found such that evenly
-///     spaced buffers meet a delay constraint of gamma x the optimal
+///     spaced buffers meet a delay constraint of 1.10x the optimal
 ///     achievable delay (the paper's 1.05-1.20x constraints);
 ///   * each buffer has a feasible region along its path — the maximal
 ///     displacement from the ideal spot that still meets the constraint;
@@ -23,100 +24,74 @@
 /// The point of the comparison survives the reconstruction: buffers
 /// forced into channels concentrate area (high MTAP) and drag wires into
 /// the same corridors (overflow), which RABID's dispersed sites avoid.
+///
+/// Each net is planned straight into the common NetState and the graph's
+/// books: its tree is committed at the net's wire width, and every
+/// buffer is booked with add_buffer_unchecked (the methodology has no
+/// site bound, so overload is expected and must be *visible*, not
+/// crash).  meets_length_rule uses the auditor's placement_is_legal
+/// (BBP optimizes a delay constraint, not the length rule, so many nets
+/// legitimately fail), and delays use the width-scaled technology.
+/// audit_options() downgrades wire and buffer overflow to warnings (they
+/// are the Table V phenomenon being measured); every integrity
+/// invariant stays a hard error.
+///
+/// Honored RabidOptions: tech, congestion_post_after_stage2 (the
+/// Table V post-pass, run after routing: a second stage row "post"),
+/// audit_level (one final audit), obs_level.  The flow is serial
+/// (threads() is 1).  Deadlines and checkpoints are unsupported;
+/// alloc/factory.hpp rejects a deadline.
 
-#include <span>
+#include <cstdint>
 #include <vector>
 
-#include "netlist/design.hpp"
-#include "route/buffers.hpp"
-#include "route/route_tree.hpp"
+#include "core/allocator.hpp"
+#include "core/audit.hpp"
 #include "tile/tile_graph.hpp"
-#include "timing/delay.hpp"
-#include "timing/tech.hpp"
 
 namespace rabid::bbp {
 
-struct BbpOptions {
-  /// Delay constraint = gamma x optimal achievable delay (paper: 1.05-1.2).
-  double gamma = 1.10;
-  /// Upper bound on buffers per two-pin net (safety rail).
-  std::int32_t max_buffers_per_net = 64;
-  /// Area of one buffer for the MTAP metric (the Table-I site area).
-  double buffer_area_um2 = 400.0;
-  timing::Technology tech = timing::kTech180nm;
-};
-
-struct BbpNetState {
-  route::RouteTree tree;
-  route::BufferList buffers;
-  timing::DelayResult delay;
-  double constraint_ps = 0.0;  ///< the net's delay target
-};
-
-struct BbpResult {
-  double max_wire_congestion = 0.0;
-  double avg_wire_congestion = 0.0;
-  std::int64_t overflow = 0;
-  std::int64_t buffers = 0;
-  double mtap_pct = 0.0;  ///< max tile-area percentage devoted to buffers
-  double wirelength_mm = 0.0;
-  double max_delay_ps = 0.0;
-  double avg_delay_ps = 0.0;
-  double cpu_s = 0.0;
-  std::int32_t nets_missing_constraint = 0;
-};
-
-class BbpPlanner {
+class BbpAllocator final : public core::Allocator {
  public:
-  /// `design` must be two-pin (one sink per net).  The planner commits
-  /// wire usage into `graph` (capacities must be set; usage empty) but
-  /// ignores buffer-site supplies — BBP has no sites, buffers pile into
-  /// free-space tiles without bound.
-  BbpPlanner(const netlist::Design& design, tile::TileGraph& graph,
-             BbpOptions options = {});
+  /// `design` must be two-pin (one sink per net — decompose first);
+  /// the graph's capacities must be set and its usage books empty.
+  BbpAllocator(const netlist::Design& design, tile::TileGraph& graph,
+               core::RabidOptions options = {});
 
-  /// Plans every net and returns the Table V row.
-  /// `buffer_area_um2` sizes one buffer for the MTAP metric.
-  BbpResult run(double buffer_area_um2);
+  core::Backend backend() const override { return core::Backend::kBbp; }
+  std::vector<core::StageStats> plan() override;
+  core::AuditOptions audit_options() const override;
 
-  /// Section IV-C's wirelength-neutral congestion post-pass, applied to
-  /// the planned routes (buffer tiles stay pinned; placements are
-  /// remapped onto the re-embedded trees).  Requires run() first;
-  /// returns refreshed Table-V statistics.
-  BbpResult congestion_post(double buffer_area_um2);
-
-  const std::vector<BbpNetState>& nets() const { return nets_; }
-  /// Buffers placed in each tile (the emergent "buffer blocks").
-  const std::vector<std::int32_t>& buffers_per_tile() const {
-    return tile_buffers_;
-  }
+  /// Each net's delay target (1.10x its optimal delay), in design-net
+  /// order; filled by plan().
+  const std::vector<double>& constraints_ps() const { return constraint_ps_; }
 
  private:
-  /// Delay of the net's path with k evenly spaced buffers.
-  double evenly_buffered_delay(const std::vector<tile::TileId>& path,
-                               std::int32_t k) const;
-  bool tile_is_free(tile::TileId t) const;
+  /// Plans net `id`: picks k, snaps the buffers to free space, routes,
+  /// commits the tree and books the buffers.
+  void plan_net(netlist::NetId id);
+  /// Section IV-C's wirelength-neutral congestion post-pass: buffer
+  /// tiles stay pinned and placements are remapped onto the re-embedded
+  /// trees (wide nets sit it out, as in RABID's stage 2).
+  void congestion_post();
+  /// Refreshes a net's length-rule flag and delay from its tree/buffers.
+  void evaluate(netlist::NetId id);
 
-  const netlist::Design& design_;
-  tile::TileGraph& graph_;
-  BbpOptions options_;
-  std::vector<BbpNetState> nets_;
   std::vector<bool> free_tile_;
-  std::vector<std::int32_t> tile_buffers_;
+  std::vector<double> constraint_ps_;
 };
 
-/// Max tile-area percentage occupied by buffers given per-tile counts.
-double mtap_pct(const tile::TileGraph& g,
-                std::span<const std::int32_t> buffers_per_tile,
-                double buffer_area_um2);
+/// Max tile-area percentage occupied by buffers, over the graph's b(v)
+/// book; `buffer_area_um2` is one buffer's area.
+double mtap_pct(const tile::TileGraph& g, double buffer_area_um2);
 
 /// Number of emergent "buffer blocks": connected components (4-adjacent
-/// tiles) whose tiles each hold at least `min_buffers` buffers.  This is
-/// the Fig.-1 phenomenon made measurable — BBP concentrates buffers into
-/// a few dozen clusters in the channels; RABID's usage stays diffuse
-/// (many tiny components or none above the threshold).
+/// tiles) whose tiles each hold at least `min_buffers` buffers in the
+/// graph's b(v) book.  This is the Fig.-1 phenomenon made measurable —
+/// BBP concentrates buffers into a few dozen clusters in the channels;
+/// RABID's usage stays diffuse (many tiny components or none above the
+/// threshold).
 std::int32_t count_buffer_blocks(const tile::TileGraph& g,
-                                 std::span<const std::int32_t> buffers_per_tile,
                                  std::int32_t min_buffers = 4);
 
 }  // namespace rabid::bbp

@@ -108,7 +108,9 @@ struct RabidOptions {
   /// any linear combination"; the footnote-7 ablation varies this one).
   double stage4_wire_weight = 1.0;
   /// Runs the wirelength-neutral congestion post-pass (Section IV-C's
-  /// Table-V step) at the end of stage 2, before any buffers exist.
+  /// Table-V step): RABID runs it at the end of stage 2, before any
+  /// buffers exist; BBP/FR runs it after routing, with its buffer tiles
+  /// pinned.
   bool congestion_post_after_stage2 = false;
   /// Worker threads for the per-net stages (Stage-1 tree construction,
   /// Stage-3 buffer DP, delay refreshes).  0 = one per hardware thread;

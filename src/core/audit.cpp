@@ -378,7 +378,7 @@ void SolutionAuditor::audit_net(netlist::NetId id, const NetState& state,
   }
 
   // --- delay: recompute Elmore from scratch and compare exactly --------
-  if (buffers_ok && options_.check_delays) {
+  if (buffers_ok) {
     const timing::Technology tech =
         timing::scaled_for_width(options_.tech, net.width);
     const timing::DelayResult fresh = timing::evaluate_delay(

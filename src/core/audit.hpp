@@ -108,9 +108,6 @@ struct AuditOptions {
   /// Fig. 1 phenomenon Table V quantifies), and its allocator downgrades
   /// overload to a warning so clean() still certifies integrity.
   AuditSeverity buffer_overflow_severity = AuditSeverity::kError;
-  /// Recompute and cross-check Elmore delays (skippable for states that
-  /// never had delays evaluated, e.g. a freshly loaded solution).
-  bool check_delays = true;
   /// Accept nets with no route as warnings instead of errors.  A
   /// deadline-cancelled run legitimately leaves nets unrouted; with this
   /// set, clean() still certifies the *integrity* of everything that was

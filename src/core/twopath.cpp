@@ -315,23 +315,6 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
                       astar_floor);
 }
 
-TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
-                            tile::TileId to, std::int32_t L,
-                            const route::EdgeCostFn& wire_cost,
-                            const buffer::TileCostFn& buffer_cost,
-                            double wire_weight) {
-  std::vector<double> wires(static_cast<std::size_t>(g.edge_count()));
-  for (tile::EdgeId e = 0; e < g.edge_count(); ++e) {
-    wires[static_cast<std::size_t>(e)] = wire_cost(e);
-  }
-  std::vector<double> sites(static_cast<std::size_t>(g.tile_count()));
-  for (tile::TileId t = 0; t < g.tile_count(); ++t) {
-    sites[static_cast<std::size_t>(t)] = buffer_cost(t);
-  }
-  return route_two_path(g, from, to, L, wires, sites, wire_weight,
-                        /*astar_floor=*/0.0);
-}
-
 TileTreeEditor::TileTreeEditor(const tile::TileGraph& g)
     : g_(g),
       sink_multiplicity_(static_cast<std::size_t>(g.tile_count()), 0),

@@ -27,6 +27,9 @@ constexpr double kBlockedPrice = route::kOverflowPenalty;
 /// MazeRouter's scratch across the block.
 constexpr std::size_t kOracleBlock = 64;
 
+/// Rip-up/reroute passes over overflowed edges after rounding.
+constexpr std::int32_t kRepairIterations = 3;
+
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -261,7 +264,7 @@ std::vector<core::StageStats> McfAllocator::plan() {
   // Bounded overflow repair: rip up and reroute nets riding an edge
   // whose usage exceeds capacity (possible only via fallback routes).
   const auto repair_start = std::chrono::steady_clock::now();
-  for (std::int32_t iter = 0; iter < mcf_.repair_iterations; ++iter) {
+  for (std::int32_t iter = 0; iter < kRepairIterations; ++iter) {
     std::vector<std::uint8_t> over(static_cast<std::size_t>(graph_.edge_count()),
                                    0);
     bool any = false;

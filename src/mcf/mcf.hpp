@@ -62,8 +62,6 @@ struct McfOptions {
   double epsilon = 0.25;
   /// Fractional phases P (each runs the oracle once per net).
   std::int32_t phases = 8;
-  /// Rip-up/reroute passes over overflowed edges after rounding.
-  std::int32_t repair_iterations = 3;
   /// Seed for the per-net rounding streams (net id is mixed in, so one
   /// seed drives the whole design deterministically).
   std::uint64_t round_seed = 0x8d1f3a0b24c96e57ULL;

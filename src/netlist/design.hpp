@@ -67,7 +67,6 @@ class Design {
 
   const std::string& name() const { return name_; }
   const geom::Rect& outline() const { return outline_; }
-  void set_outline(geom::Rect r) { outline_ = r; }
 
   BlockId add_block(Block b);
   NetId add_net(Net n);

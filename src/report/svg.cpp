@@ -20,6 +20,9 @@ void emitf(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
+/// Plot scale.
+constexpr double kPixelsPerMm = 24.0;
+
 /// Route-stroke palette; nets cycle through it.
 constexpr const char* kNetColors[] = {"#2b6cb0", "#2f855a", "#b7791f",
                                       "#6b46c1", "#c05621", "#2c7a7b"};
@@ -30,7 +33,7 @@ std::string render_svg(const netlist::Design& design,
                        const tile::TileGraph& g,
                        std::span<const core::NetState> nets,
                        const SvgOptions& options) {
-  const double scale = options.pixels_per_mm / 1000.0;  // px per um
+  const double scale = kPixelsPerMm / 1000.0;  // px per um
   const geom::Rect& die = design.outline();
   const double w = die.width() * scale;
   const double h = die.height() * scale;
@@ -100,22 +103,6 @@ std::string render_svg(const netlist::Design& design,
               "<circle cx=\"%.2f\" cy=\"%.2f\" r=\"%.2f\" fill=\"#1a1a1a\" "
               "fill-opacity=\"0.8\"/>\n",
               px(c.x), py(c.y), r);
-      }
-    }
-  }
-
-  // Pins.
-  if (options.draw_pins) {
-    for (const netlist::Net& n : design.nets()) {
-      emitf(out,
-            "<rect x=\"%.2f\" y=\"%.2f\" width=\"2\" height=\"2\" "
-            "fill=\"#c53030\"/>\n",
-            px(n.source.location.x) - 1.0, py(n.source.location.y) - 1.0);
-      for (const netlist::Pin& s : n.sinks) {
-        emitf(out,
-              "<rect x=\"%.2f\" y=\"%.2f\" width=\"2\" height=\"2\" "
-              "fill=\"#2b6cb0\"/>\n",
-              px(s.location.x) - 1.0, py(s.location.y) - 1.0);
       }
     }
   }

@@ -9,7 +9,7 @@
 ///
 /// Output is a standalone SVG document string.  Layers (in paint
 /// order): die outline, macro blocks, zero-site tiles, route arcs,
-/// buffers, pins.
+/// buffers.
 
 #include <span>
 #include <string>
@@ -21,10 +21,8 @@
 namespace rabid::report {
 
 struct SvgOptions {
-  double pixels_per_mm = 24.0;
   bool draw_routes = true;
   bool draw_buffers = true;
-  bool draw_pins = false;
   bool draw_zero_site_tiles = true;
   /// Cap on rendered nets (0 = all); playout-sized plots stay viewable.
   std::size_t max_nets = 0;

@@ -124,17 +124,12 @@ std::uint64_t MazeRouter::memory_bytes() const {
 
 namespace {
 
-/// Cost accessors the templated search cores specialize over: a flat
-/// per-edge array (one load) or an arbitrary callback.
+/// The search cores' view of a flat per-edge cost array: one load.
 struct SpanCost {
   std::span<const double> v;
   double operator()(tile::EdgeId e) const {
     return v[static_cast<std::size_t>(e)];
   }
-};
-struct FnCost {
-  const EdgeCostFn& fn;
-  double operator()(tile::EdgeId e) const { return fn(e); }
 };
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -147,11 +142,11 @@ constexpr double kBoundSlack = 1e-9;
 
 }  // namespace
 
-template <typename CostT>
-RouteTree MazeRouter::grow_impl(tile::TileId source_tile,
-                                std::span<const tile::TileId> sink_tiles,
-                                double alpha, const CostT& cost,
-                                double astar_floor) {
+RouteTree MazeRouter::grow(tile::TileId source_tile,
+                           std::span<const tile::TileId> sink_tiles,
+                           double alpha, std::span<const double> costs,
+                           double astar_floor) {
+  const SpanCost cost{costs};
   RouteTree tree(source_tile);
 
   // Unconnected sink tiles (deduplicated); multiplicity handled at the end.
@@ -337,21 +332,6 @@ RouteTree MazeRouter::grow_impl(tile::TileId source_tile,
   return tree;
 }
 
-RouteTree MazeRouter::grow(tile::TileId source_tile,
-                           std::span<const tile::TileId> sink_tiles,
-                           double alpha, std::span<const double> cost,
-                           double astar_floor) {
-  return grow_impl(source_tile, sink_tiles, alpha, SpanCost{cost},
-                   astar_floor);
-}
-
-RouteTree MazeRouter::grow(tile::TileId source_tile,
-                           std::span<const tile::TileId> sink_tiles,
-                           double alpha, const EdgeCostFn& cost,
-                           double astar_floor) {
-  return grow_impl(source_tile, sink_tiles, alpha, FnCost{cost}, astar_floor);
-}
-
 RouteTree MazeRouter::route_net(const netlist::Net& net, double alpha,
                                 std::span<const double> cost,
                                 double astar_floor) {
@@ -364,22 +344,10 @@ RouteTree MazeRouter::route_net(const netlist::Net& net, double alpha,
               astar_floor);
 }
 
-RouteTree MazeRouter::route_net(const netlist::Net& net, double alpha,
-                                const EdgeCostFn& cost, double astar_floor) {
-  std::vector<tile::TileId> sinks;
-  sinks.reserve(net.sinks.size());
-  for (const netlist::Pin& p : net.sinks) {
-    sinks.push_back(g_.tile_at(p.location));
-  }
-  return grow(g_.tile_at(net.source.location), sinks, alpha, cost,
-              astar_floor);
-}
-
-template <typename CostT>
-std::vector<tile::TileId> MazeRouter::shortest_path_impl(tile::TileId from,
-                                                         tile::TileId to,
-                                                         const CostT& cost,
-                                                         double astar_floor) {
+std::vector<tile::TileId> MazeRouter::shortest_path(
+    tile::TileId from, tile::TileId to, std::span<const double> costs,
+    double astar_floor) {
+  const SpanCost cost{costs};
   begin_pass();
   heap_.clear();
   const geom::TileCoord goal = g_.coord_of(to);
@@ -419,19 +387,6 @@ std::vector<tile::TileId> MazeRouter::shortest_path_impl(tile::TileId from,
   }
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-std::vector<tile::TileId> MazeRouter::shortest_path(
-    tile::TileId from, tile::TileId to, std::span<const double> cost,
-    double astar_floor) {
-  return shortest_path_impl(from, to, SpanCost{cost}, astar_floor);
-}
-
-std::vector<tile::TileId> MazeRouter::shortest_path(tile::TileId from,
-                                                    tile::TileId to,
-                                                    const EdgeCostFn& cost,
-                                                    double astar_floor) {
-  return shortest_path_impl(from, to, FnCost{cost}, astar_floor);
 }
 
 }  // namespace rabid::route

@@ -67,7 +67,8 @@ constexpr double kOverflowPenalty = 1.0e7;
 /// Eq. (1) with the overflow tier: finite everywhere.
 double soft_wire_cost(const tile::TileGraph& g, tile::EdgeId e);
 
-/// Edge-cost callback; defaults to soft_wire_cost.
+/// Edge-cost function an EdgeCostCache fills its flat array from
+/// (typically soft_wire_cost).
 using EdgeCostFn = std::function<double(tile::EdgeId)>;
 
 /// Per-pass flat cache of edge costs: `values()[e]` is the current cost
@@ -154,23 +155,15 @@ class MazeRouter {
   RouteTree grow(tile::TileId source_tile,
                  std::span<const tile::TileId> sink_tiles, double alpha,
                  std::span<const double> cost, double astar_floor = 0.0);
-  RouteTree grow(tile::TileId source_tile,
-                 std::span<const tile::TileId> sink_tiles, double alpha,
-                 const EdgeCostFn& cost, double astar_floor = 0.0);
 
   /// Convenience for a Net: maps pins to tiles and grows.
   RouteTree route_net(const netlist::Net& net, double alpha,
                       std::span<const double> cost, double astar_floor = 0.0);
-  RouteTree route_net(const netlist::Net& net, double alpha,
-                      const EdgeCostFn& cost, double astar_floor = 0.0);
 
   /// Lowest-cost tile path between two tiles under `cost` (both endpoints
   /// included).  Used by tests and simple point-to-point reconnects.
   std::vector<tile::TileId> shortest_path(tile::TileId from, tile::TileId to,
                                           std::span<const double> cost,
-                                          double astar_floor = 0.0);
-  std::vector<tile::TileId> shortest_path(tile::TileId from, tile::TileId to,
-                                          const EdgeCostFn& cost,
                                           double astar_floor = 0.0);
 
   /// Confines every subsequent search to the tiles of `span` (inclusive
@@ -201,16 +194,6 @@ class MazeRouter {
       return tile > o.tile;
     }
   };
-
-  template <typename CostT>
-  RouteTree grow_impl(tile::TileId source_tile,
-                      std::span<const tile::TileId> sink_tiles, double alpha,
-                      const CostT& cost, double astar_floor);
-  template <typename CostT>
-  std::vector<tile::TileId> shortest_path_impl(tile::TileId from,
-                                               tile::TileId to,
-                                               const CostT& cost,
-                                               double astar_floor);
 
   void heap_push(HeapEntry e) { heap_.push(e); }
   HeapEntry heap_pop() { return heap_.pop(); }

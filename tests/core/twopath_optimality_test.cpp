@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "core/twopath.hpp"
 #include "route/maze.hpp"
@@ -14,8 +16,8 @@ namespace {
 /// simple-per-state walks by DFS with cost pruning.  Tiny grids only.
 double brute_force_two_path(const tile::TileGraph& g, tile::TileId from,
                             tile::TileId to, std::int32_t L,
-                            const route::EdgeCostFn& wire_cost,
-                            const buffer::TileCostFn& buffer_cost) {
+                            std::span<const double> wire_cost,
+                            std::span<const double> buffer_cost) {
   // Dynamic program over the same state space but computed by value
   // iteration (Bellman-Ford style) — an independent formulation.
   const auto n_states =
@@ -34,7 +36,7 @@ double brute_force_two_path(const tile::TileGraph& g, tile::TileId from,
         const double d = dist[state_of(t, j)];
         if (!std::isfinite(d)) continue;
         if (j > 0) {
-          const double q = buffer_cost(t);
+          const double q = buffer_cost[static_cast<std::size_t>(t)];
           if (std::isfinite(q) && d + q < dist[state_of(t, 0)] - 1e-15) {
             dist[state_of(t, 0)] = d + q;
             changed = true;
@@ -44,7 +46,8 @@ double brute_force_two_path(const tile::TileGraph& g, tile::TileId from,
           tile::TileId nbr[4];
           const int cnt = g.neighbors(t, nbr);
           for (int k = 0; k < cnt; ++k) {
-            const double nd = d + wire_cost(g.edge_between(t, nbr[k]));
+            const double nd = d + wire_cost[static_cast<std::size_t>(
+                                      g.edge_between(t, nbr[k]))];
             if (nd < dist[state_of(nbr[k], j + 1)] - 1e-15) {
               dist[state_of(nbr[k], j + 1)] = nd;
               changed = true;
@@ -77,12 +80,10 @@ TEST_P(TwoPathOptimality, DijkstraMatchesValueIteration) {
     q = rng.chance(0.2) ? std::numeric_limits<double>::infinity()
                         : rng.uniform(0.1, 4.0);
   }
-  const route::EdgeCostFn wire = [&](tile::EdgeId e) {
-    return route::soft_wire_cost(g, e);
-  };
-  const buffer::TileCostFn site = [&](tile::TileId t) {
-    return qv[static_cast<std::size_t>(t)];
-  };
+  std::vector<double> wire(static_cast<std::size_t>(g.edge_count()));
+  for (tile::EdgeId e = 0; e < g.edge_count(); ++e) {
+    wire[static_cast<std::size_t>(e)] = route::soft_wire_cost(g, e);
+  }
 
   for (int probe = 0; probe < 6; ++probe) {
     const auto a =
@@ -90,8 +91,8 @@ TEST_P(TwoPathOptimality, DijkstraMatchesValueIteration) {
     const auto b =
         static_cast<tile::TileId>(rng.uniform_int(0, g.tile_count() - 1));
     const auto L = static_cast<std::int32_t>(rng.uniform_int(2, 5));
-    const TwoPathRoute got = route_two_path(g, a, b, L, wire, site);
-    const double want = brute_force_two_path(g, a, b, L, wire, site);
+    const TwoPathRoute got = route_two_path(g, a, b, L, wire, qv);
+    const double want = brute_force_two_path(g, a, b, L, wire, qv);
     if (std::isinf(want)) {
       EXPECT_TRUE(std::isinf(got.cost));
     } else {

@@ -65,8 +65,8 @@ TEST(FullFlowBbp, RabidBeatsBbpOnCongestionAndMtap) {
   const netlist::Design two = netlist::Design::decompose_to_two_pin(base);
 
   tile::TileGraph bbp_graph = circuits::build_tile_graph(two, spec);
-  bbp::BbpPlanner planner(two, bbp_graph);
-  const bbp::BbpResult theirs = planner.run(circuits::kBufferSiteAreaUm2);
+  const core::StageStats theirs =
+      bbp::BbpAllocator(two, bbp_graph).plan().back();
 
   tile::TileGraph our_graph = circuits::build_tile_graph(two, spec);
   core::Rabid rabid(two, our_graph);
@@ -74,17 +74,8 @@ TEST(FullFlowBbp, RabidBeatsBbpOnCongestionAndMtap) {
   const auto& ours = stats.back();
 
   EXPECT_EQ(ours.overflow, 0);
-  const double our_mtap =
-      [&] {
-        std::vector<std::int32_t> counts(
-            static_cast<std::size_t>(our_graph.tile_count()));
-        for (tile::TileId t = 0; t < our_graph.tile_count(); ++t) {
-          counts[static_cast<std::size_t>(t)] = our_graph.site_usage(t);
-        }
-        return bbp::mtap_pct(our_graph, counts,
-                             circuits::kBufferSiteAreaUm2);
-      }();
-  EXPECT_LT(our_mtap, theirs.mtap_pct);
+  EXPECT_LT(bbp::mtap_pct(our_graph, circuits::kBufferSiteAreaUm2),
+            bbp::mtap_pct(bbp_graph, circuits::kBufferSiteAreaUm2));
   // Delay comparable: within 2x either way (paper: "quite comparable").
   EXPECT_LT(ours.avg_delay_ps, 2.0 * theirs.avg_delay_ps);
 }

@@ -219,25 +219,5 @@ TEST(AStarEquivalence, CacheFloorStaysAdmissibleUnderMidFlowCapacityEdits) {
   }
 }
 
-/// The callback overload is a convenience veneer over the same core: it
-/// must route exactly like the span overload.
-TEST(AStarEquivalence, FnOverloadMatchesSpanOverload) {
-  const circuits::RandomCircuit circuit(11);
-  const netlist::Design design = circuit.design();
-  tile::TileGraph graph = circuit.graph(design);
-  const std::vector<double> cost = jittered_costs(graph, 11);
-
-  MazeRouter router(graph);
-  const EdgeCostFn fn = [&](tile::EdgeId e) {
-    return cost[static_cast<std::size_t>(e)];
-  };
-  for (std::size_t i = 0; i < design.nets().size(); ++i) {
-    const netlist::Net& net = design.net(static_cast<netlist::NetId>(i));
-    const RouteTree via_span = router.route_net(net, 0.4, cost);
-    const RouteTree via_fn = router.route_net(net, 0.4, fn);
-    EXPECT_TRUE(same_arcs(graph, via_span, via_fn)) << "net " << i;
-  }
-}
-
 }  // namespace
 }  // namespace rabid::route

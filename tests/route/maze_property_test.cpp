@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "route/maze.hpp"
@@ -9,11 +10,20 @@
 namespace rabid::route {
 namespace {
 
-/// Bellman-Ford reference distances over the tile graph under an
-/// arbitrary per-edge cost function.
+/// Flat eq. (1) costs of the graph's current books.
+std::vector<double> soft_costs(const tile::TileGraph& g) {
+  std::vector<double> cost(static_cast<std::size_t>(g.edge_count()));
+  for (tile::EdgeId e = 0; e < g.edge_count(); ++e) {
+    cost[static_cast<std::size_t>(e)] = soft_wire_cost(g, e);
+  }
+  return cost;
+}
+
+/// Bellman-Ford reference distances over the tile graph under flat
+/// per-edge costs.
 std::vector<double> reference_distances(const tile::TileGraph& g,
                                         tile::TileId source,
-                                        const EdgeCostFn& cost) {
+                                        std::span<const double> cost) {
   std::vector<double> dist(static_cast<std::size_t>(g.tile_count()),
                            std::numeric_limits<double>::infinity());
   dist[static_cast<std::size_t>(source)] = 0.0;
@@ -25,7 +35,8 @@ std::vector<double> reference_distances(const tile::TileGraph& g,
       const int n = g.neighbors(t, nbr);
       for (int k = 0; k < n; ++k) {
         const double nd = dist[static_cast<std::size_t>(t)] +
-                          cost(g.edge_between(t, nbr[k]));
+                          cost[static_cast<std::size_t>(
+                              g.edge_between(t, nbr[k]))];
         if (nd < dist[static_cast<std::size_t>(nbr[k])] - 1e-15) {
           dist[static_cast<std::size_t>(nbr[k])] = nd;
           changed = true;
@@ -48,9 +59,7 @@ TEST_P(MazeOptimality, ShortestPathMatchesBellmanFord) {
     const auto w = static_cast<std::int32_t>(rng.uniform_int(0, 3));
     for (std::int32_t k = 0; k < w; ++k) g.add_wire(e);
   }
-  const EdgeCostFn cost = [&](tile::EdgeId e) {
-    return soft_wire_cost(g, e);
-  };
+  const std::vector<double> cost = soft_costs(g);
   MazeRouter router(g);
   const auto src = static_cast<tile::TileId>(
       rng.uniform_int(0, g.tile_count() - 1));
@@ -66,7 +75,7 @@ TEST_P(MazeOptimality, ShortestPathMatchesBellmanFord) {
     for (std::size_t i = 1; i < path.size(); ++i) {
       const tile::EdgeId e = g.edge_between(path[i - 1], path[i]);
       ASSERT_NE(e, tile::kNoEdge);
-      total += cost(e);
+      total += cost[static_cast<std::size_t>(e)];
     }
     EXPECT_NEAR(total, ref[static_cast<std::size_t>(dst)], 1e-9);
   }
@@ -77,9 +86,7 @@ TEST_P(MazeOptimality, GrowTreeTouchesEverySinkWithFiniteCost) {
   tile::TileGraph g(geom::Rect{{0, 0}, {900, 900}}, 9, 9);
   g.set_uniform_wire_capacity(3);
   MazeRouter router(g);
-  const EdgeCostFn cost = [&](tile::EdgeId e) {
-    return soft_wire_cost(g, e);
-  };
+  const std::vector<double> cost = soft_costs(g);
   for (int trial = 0; trial < 5; ++trial) {
     const auto src = static_cast<tile::TileId>(
         rng.uniform_int(0, g.tile_count() - 1));

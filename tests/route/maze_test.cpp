@@ -15,6 +15,20 @@ tile::TileGraph make_graph(std::int32_t cap = 4) {
   return g;
 }
 
+/// Flat eq. (1) costs of the graph's current books.
+std::vector<double> soft_costs(const tile::TileGraph& g) {
+  std::vector<double> cost(static_cast<std::size_t>(g.edge_count()));
+  for (tile::EdgeId e = 0; e < g.edge_count(); ++e) {
+    cost[static_cast<std::size_t>(e)] = soft_wire_cost(g, e);
+  }
+  return cost;
+}
+
+/// Pure-length costs: 1 per edge.
+std::vector<double> unit_costs(const tile::TileGraph& g) {
+  return std::vector<double>(static_cast<std::size_t>(g.edge_count()), 1.0);
+}
+
 TEST(SoftWireCost, MatchesEq1BelowCapacityAndPenalizesAbove) {
   tile::TileGraph g = make_graph(3);
   const tile::EdgeId e = 0;
@@ -33,7 +47,7 @@ TEST(SoftWireCost, MatchesEq1BelowCapacityAndPenalizesAbove) {
 TEST(MazeRouter, ShortestPathOnEmptyGraphIsManhattan) {
   tile::TileGraph g = make_graph();
   MazeRouter router(g);
-  const auto cost = [&](tile::EdgeId e) { return soft_wire_cost(g, e); };
+  const std::vector<double> cost = soft_costs(g);
   const auto path =
       router.shortest_path(g.id_of({0, 0}), g.id_of({5, 3}), cost);
   EXPECT_EQ(path.size(), 9U);  // 8 arcs + 1
@@ -54,14 +68,14 @@ TEST(MazeRouter, AvoidsCongestedCorridor) {
     g.add_wire(e);
   }
   MazeRouter router(g);
-  const auto cost = [&](tile::EdgeId e) { return soft_wire_cost(g, e); };
+  const std::vector<double> cost = soft_costs(g);
   const auto path =
       router.shortest_path(g.id_of({0, 0}), g.id_of({7, 0}), cost);
   // Must detour off row 0: longer than 8 tiles but no overflow cost.
   EXPECT_GT(path.size(), 8U);
   double total = 0.0;
   for (std::size_t i = 1; i < path.size(); ++i) {
-    total += cost(g.edge_between(path[i - 1], path[i]));
+    total += soft_wire_cost(g, g.edge_between(path[i - 1], path[i]));
   }
   EXPECT_LT(total, kOverflowPenalty);
 }
@@ -74,12 +88,12 @@ TEST(MazeRouter, OverflowsMinimallyWhenNoFeasiblePathExists) {
     g.add_wire(g.edge_between(g.id_of({x, 3}), g.id_of({x, 4})));
   }
   MazeRouter router(g);
-  const auto cost = [&](tile::EdgeId e) { return soft_wire_cost(g, e); };
+  const std::vector<double> cost = soft_costs(g);
   const auto path =
       router.shortest_path(g.id_of({4, 0}), g.id_of({4, 7}), cost);
   double total = 0.0;
   for (std::size_t i = 1; i < path.size(); ++i) {
-    total += cost(g.edge_between(path[i - 1], path[i]));
+    total += soft_wire_cost(g, g.edge_between(path[i - 1], path[i]));
   }
   EXPECT_GE(total, kOverflowPenalty);
   EXPECT_LT(total, 2 * kOverflowPenalty);  // exactly one overflow edge
@@ -88,7 +102,7 @@ TEST(MazeRouter, OverflowsMinimallyWhenNoFeasiblePathExists) {
 TEST(MazeRouter, GrowConnectsAllSinksAsTree) {
   tile::TileGraph g = make_graph();
   MazeRouter router(g);
-  const auto cost = [&](tile::EdgeId e) { return soft_wire_cost(g, e); };
+  const std::vector<double> cost = soft_costs(g);
   const std::vector<tile::TileId> sinks{g.id_of({7, 0}), g.id_of({7, 7}),
                                         g.id_of({0, 7}), g.id_of({3, 3})};
   const RouteTree t = router.grow(g.id_of({0, 0}), sinks, 0.4, cost);
@@ -102,7 +116,7 @@ TEST(MazeRouter, GrowConnectsAllSinksAsTree) {
 TEST(MazeRouter, GrowHandlesDuplicateAndSourceCoincidentSinks) {
   tile::TileGraph g = make_graph();
   MazeRouter router(g);
-  const auto cost = [&](tile::EdgeId e) { return soft_wire_cost(g, e); };
+  const std::vector<double> cost = soft_costs(g);
   const std::vector<tile::TileId> sinks{g.id_of({2, 2}), g.id_of({2, 2}),
                                         g.id_of({0, 0})};
   const RouteTree t = router.grow(g.id_of({0, 0}), sinks, 0.4, cost);
@@ -114,7 +128,7 @@ TEST(MazeRouter, GrowHandlesDuplicateAndSourceCoincidentSinks) {
 TEST(MazeRouter, GrowOnEmptyGraphIsNearSteinerLength) {
   tile::TileGraph g = make_graph();
   MazeRouter router(g);
-  const auto cost = [&](tile::EdgeId) { return 1.0; };  // pure length
+  const std::vector<double> cost = unit_costs(g);
   // A symmetric T: source bottom-center, sinks at both top corners.
   const std::vector<tile::TileId> sinks{g.id_of({0, 7}), g.id_of({7, 7})};
   const RouteTree t = router.grow(g.id_of({4, 0}), sinks, 0.0, cost);
@@ -127,7 +141,7 @@ TEST(MazeRouter, GrowOnEmptyGraphIsNearSteinerLength) {
 TEST(MazeRouter, AlphaOneGivesShortestPathsPerSink) {
   tile::TileGraph g = make_graph();
   MazeRouter router(g);
-  const auto cost = [&](tile::EdgeId) { return 1.0; };
+  const std::vector<double> cost = unit_costs(g);
   const std::vector<tile::TileId> sinks{g.id_of({7, 1}), g.id_of({7, 6})};
   const RouteTree t = router.grow(g.id_of({0, 0}), sinks, 1.0, cost);
   // With alpha = 1 each sink's tree depth equals its Manhattan distance.
@@ -141,7 +155,7 @@ TEST(MazeRouter, RouteNetMapsPins) {
   netlist::Net net;
   net.source = {{50, 50}, netlist::PinKind::kFree, netlist::kNoBlock};
   net.sinks.push_back({{750, 750}, netlist::PinKind::kFree, netlist::kNoBlock});
-  const auto cost = [&](tile::EdgeId e) { return soft_wire_cost(g, e); };
+  const std::vector<double> cost = soft_costs(g);
   const RouteTree t = router.route_net(net, 0.4, cost);
   EXPECT_EQ(t.node(t.root()).tile, g.id_of({0, 0}));
   EXPECT_TRUE(t.contains(g.id_of({7, 7})));

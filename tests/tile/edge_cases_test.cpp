@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "books.hpp"
 #include "circuits/generator.hpp"
 #include "circuits/specs.hpp"
@@ -68,9 +70,10 @@ TEST(EdgeCases, ZeroCapacityEdgeCostIsOverflowTier) {
   EXPECT_GE(route::soft_wire_cost(g, 0), route::kOverflowPenalty);
   // Routing still completes (with overflow) rather than hanging.
   route::MazeRouter router(g);
-  const auto path = router.shortest_path(
-      g.id_of({0, 0}), g.id_of({2, 0}),
-      [&](tile::EdgeId e) { return route::soft_wire_cost(g, e); });
+  const std::vector<double> cost(static_cast<std::size_t>(g.edge_count()),
+                                 route::soft_wire_cost(g, 0));
+  const auto path =
+      router.shortest_path(g.id_of({0, 0}), g.id_of({2, 0}), cost);
   EXPECT_EQ(path.size(), 3U);
 }
 

@@ -81,7 +81,7 @@
 #include <fstream>
 
 #include "alloc/factory.hpp"
-#include "bbp/bbp_allocator.hpp"
+#include "bbp/bbp.hpp"
 #include "circuits/generator.hpp"
 #include "circuits/specs.hpp"
 #include "core/audit.hpp"
@@ -425,9 +425,9 @@ int main(int argc, char** argv) {
   }
   table.print();
   if (alloc.backend() == core::Backend::kBbp) {
-    const bbp::BbpResult& r = static_cast<bbp::BbpAllocator&>(alloc).result();
     std::printf("BBP/FR: MTAP %.2f%% (Table V column the stage rows"
-                " cannot carry)\n", r.mtap_pct);
+                " cannot carry)\n",
+                bbp::mtap_pct(graph, circuits::kBufferSiteAreaUm2));
   }
 
   int rc = 0;
