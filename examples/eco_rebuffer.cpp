@@ -37,7 +37,7 @@ int main() {
 
   // 2. Timing-driven ECO on the 30 worst nets (inverters allowed).
   const core::StageStats eco = rabid.rebuffer_timing_driven(
-      30, buffer::BufferLibrary::standard_180nm(), /*use_inverters=*/true);
+      30, buffer::BufferLibrary::standard_180nm());
 
   report::Table table({"step", "#bufs", "max delay (ps)", "avg delay (ps)",
                        "max slew (ps)"});

@@ -83,6 +83,14 @@ BufferLibrary BufferLibrary::standard_180nm(const timing::Technology& tech) {
   });
 }
 
+BufferLibrary BufferLibrary::buffers_only() const {
+  std::vector<BufferType> buffers;
+  for (const BufferType& t : types_) {
+    if (!t.inverting) buffers.push_back(t);
+  }
+  return BufferLibrary(std::move(buffers));
+}
+
 bool BufferLibrary::preset(std::string_view name, BufferLibrary* out) {
   if (name == "unit") {
     *out = single_unit();

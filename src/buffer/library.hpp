@@ -79,6 +79,10 @@ class BufferLibrary {
   static BufferLibrary standard_180nm(
       const timing::Technology& tech = timing::kTech180nm);
 
+  /// This library's non-inverting cells, in order (van Ginneken
+  /// rebuffering with buffers only).  Asserts that there is one.
+  BufferLibrary buffers_only() const;
+
   /// Library preset by name ("unit", "paper2", "paper4"); false when
   /// `name` matches no preset.
   static bool preset(std::string_view name, BufferLibrary* out);

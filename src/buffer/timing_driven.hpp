@@ -14,9 +14,15 @@
 ///
 /// Classic bottom-up candidate propagation: each tree point keeps a
 /// pruned list of (downstream capacitance, worst slack) pairs; wires
-/// degrade slack by the pi-model Elmore term; a buffer option caps the
+/// degrade slack by the pi-model Elmore term; a repeater option caps the
 /// load at the cell's input capacitance.  Sink required-arrival times
 /// are zero, so maximizing root slack minimizes the worst sink delay.
+/// Repeaters are exactly the cells of the library passed in.  Lists are
+/// kept per signal-polarity parity, so inverting cells (Section I-B: a
+/// site realizes "a buffer, inverter (with a range of power levels)...")
+/// may be used and every sink still sees an even inversion count; with
+/// no inverting cell the parity-1 lists stay empty.  A caller that wants
+/// buffers only passes BufferLibrary::buffers_only().
 /// Buffer placements use the same vocabulary as the length-based DP:
 /// an arc buffer {v, child} decouples one branch at v, a driving buffer
 /// {v, kNoNode} (only at nodes with >= 2 children) drives the joint
@@ -46,27 +52,17 @@ struct TimingDrivenResult {
   double delay_ps = 0.0;
 };
 
-/// Minimizes the worst sink Elmore delay of `tree` by optimal buffer
-/// insertion from `lib` (non-inverting cells only) on tiles where
-/// `allow` is true.  O(n^2 B^2) worst case; intended for the handful of
-/// critical nets, not the full netlist.
+/// Minimizes the worst sink Elmore delay of `tree` by optimal repeater
+/// insertion from the cells of `lib` on tiles where `allow` is true.
+/// Per node, the wire step and the joins are linear in the lists and
+/// the repeater options scan each list once per cell: O(B k) for lists
+/// of k candidates and B cells.  Intended for the handful of critical
+/// nets, not the full netlist.
 TimingDrivenResult van_ginneken(const route::RouteTree& tree,
                                 const tile::TileGraph& g,
                                 const BufferLibrary& lib,
                                 const TileAllowFn& allow,
                                 const timing::Technology& tech =
                                     timing::kTech180nm);
-
-/// Inverter-aware variant: repeaters may also be the library's
-/// inverting cells (Section I-B: a site realizes "a buffer, inverter
-/// (with a range of power levels)...").  Candidate lists are tracked per
-/// signal-polarity parity; every sink is guaranteed an even inversion
-/// count, so the returned solution is logically equivalent to the
-/// buffer-only one but can exploit the cheaper inverting stages in
-/// pairs.  Never worse than van_ginneken() on the same library.
-TimingDrivenResult van_ginneken_with_inverters(
-    const route::RouteTree& tree, const tile::TileGraph& g,
-    const BufferLibrary& lib, const TileAllowFn& allow,
-    const timing::Technology& tech = timing::kTech180nm);
 
 }  // namespace rabid::buffer

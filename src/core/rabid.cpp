@@ -234,8 +234,7 @@ StageStats Rabid::run_stage1() {
 }
 
 StageStats Rabid::rebuffer_timing_driven(std::size_t worst_nets,
-                                         const buffer::BufferLibrary& lib,
-                                         bool use_inverters) {
+                                         const buffer::BufferLibrary& lib) {
   RABID_ASSERT_MSG(stage3_done_, "timing-driven rebuffering needs buffers");
   obs::ScopedTimer obs_timer("rebuffer_vG", "stage");
   const auto start = std::chrono::steady_clock::now();
@@ -265,10 +264,7 @@ StageStats Rabid::rebuffer_timing_driven(std::size_t worst_nets,
                    forbidden.end();
           };
           buffer::TimingDrivenResult vg =
-              use_inverters ? buffer::van_ginneken_with_inverters(
-                                  state.tree, graph_, lib, allow, tech)
-                            : buffer::van_ginneken(state.tree, graph_, lib,
-                                                   allow, tech);
+              buffer::van_ginneken(state.tree, graph_, lib, allow, tech);
           buffer::InsertionResult result;
           result.buffers = std::move(vg.buffers);
           result.types = std::move(vg.types);

@@ -62,14 +62,14 @@ class Rabid final : public Allocator {
   /// The paper's prescribed later-flow step (Section II): rips up the
   /// buffering of the `worst_nets` highest-delay nets and re-inserts
   /// buffers with the timing-driven van Ginneken algorithm [18] and the
-  /// power-level library, honoring remaining site supply.  Requires
-  /// stage 3.  Wire routes are untouched; the length rule may be
-  /// knowingly traded for delay (flags are re-evaluated honestly).
+  /// cells of `lib` (by default the power-level buffers, no inverters),
+  /// honoring remaining site supply.  Requires stage 3.  Wire routes are
+  /// untouched; the length rule may be knowingly traded for delay (flags
+  /// are re-evaluated honestly).
   StageStats rebuffer_timing_driven(
       std::size_t worst_nets,
       const buffer::BufferLibrary& lib =
-          buffer::BufferLibrary::standard_180nm(),
-      bool use_inverters = false);
+          buffer::BufferLibrary::standard_180nm().buffers_only());
 
   /// Current solution snapshot (stats of the live books).
   StageStats snapshot(std::string stage_name, double cpu_s) const;

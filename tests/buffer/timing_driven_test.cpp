@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "timing/delay.hpp"
@@ -36,11 +37,33 @@ std::vector<BufferType> cells_of(const BufferLibrary& lib,
   return cells;
 }
 
-/// Exhaustive optimum over all placement subsets x cell choices for
-/// small trees, using the same Elmore evaluator.
-double brute_force_delay(const route::RouteTree& tree,
-                         const tile::TileGraph& g, const BufferLibrary& lib,
-                         const TileAllowFn& allow) {
+/// True when every sink's root path passes an even number of inverting
+/// cells.  A driving repeater at x and an arc repeater into x both lie on
+/// the path of every sink at or below x.
+bool sinks_see_even_inversions(const route::RouteTree& tree,
+                               const route::BufferList& buffers,
+                               const std::vector<BufferType>& cells) {
+  for (const route::NodeId sink : tree.sink_nodes()) {
+    int inversions = 0;
+    for (route::NodeId x = sink; x != route::kNoNode;
+         x = tree.node(x).parent) {
+      for (std::size_t i = 0; i < buffers.size(); ++i) {
+        const route::BufferPlacement& b = buffers[i];
+        if (cells[i].inverting &&
+            ((b.child == route::kNoNode && b.node == x) || b.child == x)) {
+          ++inversions;
+        }
+      }
+    }
+    if (inversions % 2 != 0) return false;
+  }
+  return true;
+}
+
+/// Every place a repeater may go: an arc slot per child of an allowed
+/// node, and a drive slot at allowed non-root nodes with >= 2 children.
+route::BufferList repeater_slots(const route::RouteTree& tree,
+                                 const TileAllowFn& allow) {
   route::BufferList slots;
   for (std::size_t i = 0; i < tree.node_count(); ++i) {
     const auto v = static_cast<route::NodeId>(i);
@@ -51,10 +74,17 @@ double brute_force_delay(const route::RouteTree& tree,
       slots.push_back({v, route::kNoNode});
     }
   }
-  std::vector<BufferType> cells;
-  for (const BufferType& c : lib.types()) {
-    if (!c.inverting) cells.push_back(c);
-  }
+  return slots;
+}
+
+/// Exhaustive optimum over every placement subset x cell choice of `lib`
+/// on a small tree, using the same Elmore evaluator.  A plan counts only
+/// when every sink sees an even inversion count.
+double brute_force_delay(const route::RouteTree& tree,
+                         const tile::TileGraph& g, const BufferLibrary& lib,
+                         const TileAllowFn& allow) {
+  const route::BufferList slots = repeater_slots(tree, allow);
+  const auto cells = lib.types();
   double best = timing::evaluate_delay(tree, g).max_ps;  // no buffers at all
   // Enumerate subsets; per selected slot enumerate cells (mixed-radix).
   const std::uint32_t count = 1U << slots.size();
@@ -67,9 +97,10 @@ double brute_force_delay(const route::RouteTree& tree,
     for (;;) {
       std::vector<BufferType> types;
       for (const std::size_t r : radix) types.push_back(cells[r]);
-      best = std::min(
-          best,
-          timing::evaluate_delay(tree, chosen, types, g).max_ps);
+      if (sinks_see_even_inversions(tree, chosen, types)) {
+        best = std::min(
+            best, timing::evaluate_delay(tree, chosen, types, g).max_ps);
+      }
       std::size_t d = 0;
       while (d < radix.size() && ++radix[d] == cells.size()) {
         radix[d++] = 0;
@@ -80,10 +111,78 @@ double brute_force_delay(const route::RouteTree& tree,
   return best;
 }
 
+/// A random tree of `nodes` tiles grown from (0, 0): each step hangs a
+/// free neighbour tile off a random node.  Every leaf holds a sink, and
+/// about one inner node in four does too.
+route::RouteTree random_tree(const tile::TileGraph& g, util::Rng& rng,
+                             std::int64_t nodes) {
+  route::RouteTree t(g.id_of({0, 0}));
+  while (static_cast<std::int64_t>(t.node_count()) < nodes) {
+    const auto v = static_cast<route::NodeId>(rng.uniform_int(
+        0, static_cast<std::int64_t>(t.node_count()) - 1));
+    geom::TileCoord c = g.coord_of(t.node(v).tile);
+    const std::int64_t dir = rng.uniform_int(0, 3);
+    c.x += dir == 0 ? 1 : dir == 1 ? -1 : 0;
+    c.y += dir == 2 ? 1 : dir == 3 ? -1 : 0;
+    if (!g.in_bounds(c) || t.contains(g.id_of(c))) continue;
+    t.add_child(v, g.id_of(c));
+  }
+  for (std::size_t i = 0; i < t.node_count(); ++i) {
+    const auto v = static_cast<route::NodeId>(i);
+    if (t.node(v).children().empty() || rng.chance(0.25)) t.add_sink(v);
+  }
+  return t;
+}
+
+TEST(VanGinneken, OptimalOnRandomSmallTrees) {
+  util::Rng rng(31);
+  const tile::TileGraph g = make_graph(5, 5, 2500.0);
+  const BufferLibrary full = BufferLibrary::standard_180nm();
+  const BufferLibrary buffers = full.buffers_only();
+  int solved = 0;
+  int with_inverters = 0;
+  while (solved < 60) {
+    const route::RouteTree t = random_tree(g, rng, rng.uniform_int(3, 8));
+    std::vector<bool> site(static_cast<std::size_t>(g.tile_count()));
+    for (std::size_t i = 0; i < site.size(); ++i) site[i] = rng.chance(0.7);
+    const TileAllowFn allow = [&](tile::TileId tl) {
+      return site[static_cast<std::size_t>(tl)];
+    };
+    const std::size_t slots = repeater_slots(t, allow).size();
+    for (const BufferLibrary* lib : {&buffers, &full}) {
+      // Keep the enumeration, (cells + 1)^slots plans, near 1e5.
+      if (std::pow(static_cast<double>(lib->size() + 1),
+                   static_cast<double>(slots)) > 1.2e5) {
+        continue;
+      }
+      const TimingDrivenResult r = van_ginneken(t, g, *lib, allow);
+      const std::vector<BufferType> cells = cells_of(*lib, r.types);
+      const double best = brute_force_delay(t, g, *lib, allow);
+      EXPECT_NEAR(r.delay_ps, best, best * 1e-9) << "tree " << solved;
+      EXPECT_NEAR(r.delay_ps,
+                  timing::evaluate_delay(t, r.buffers, cells, g).max_ps,
+                  1e-6);
+      EXPECT_TRUE(sinks_see_even_inversions(t, r.buffers, cells));
+      for (const route::BufferPlacement& b : r.buffers) {
+        EXPECT_TRUE(allow(t.node(b.node).tile));
+      }
+      for (const BufferType& c : cells) {
+        if (c.inverting) {
+          ++with_inverters;
+          break;
+        }
+      }
+      ++solved;
+    }
+  }
+  // The inverter half of the battery must exercise odd-parity lists.
+  EXPECT_GT(with_inverters, 0);
+}
+
 TEST(VanGinneken, MatchesEvaluatorOnItsOwnSolution) {
   const tile::TileGraph g = make_graph();
   const route::RouteTree t = chain(g, 12);
-  const BufferLibrary lib = BufferLibrary::standard_180nm();
+  const BufferLibrary lib = BufferLibrary::standard_180nm().buffers_only();
   const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
   const timing::DelayResult check =
       timing::evaluate_delay(t, r.buffers, cells_of(lib, r.types), g);
@@ -93,7 +192,7 @@ TEST(VanGinneken, MatchesEvaluatorOnItsOwnSolution) {
 TEST(VanGinneken, OptimalOnSmallChain) {
   const tile::TileGraph g = make_graph(8, 2, 2000.0);  // long tiles
   const route::RouteTree t = chain(g, 5);
-  const BufferLibrary lib = BufferLibrary::standard_180nm();
+  const BufferLibrary lib = BufferLibrary::standard_180nm().buffers_only();
   const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
   const double brute = brute_force_delay(t, g, lib, kAllowAll);
   EXPECT_NEAR(r.delay_ps, brute, brute * 1e-9);
@@ -135,7 +234,7 @@ TEST(VanGinneken, NeverWorseThanUnbuffered) {
     for (std::int32_t y = 1; y <= rise; ++y)
       b = t.add_child(b, g.id_of({bx, y}));
     t.add_sink(b);
-    const BufferLibrary lib = BufferLibrary::standard_180nm();
+    const BufferLibrary lib = BufferLibrary::standard_180nm().buffers_only();
     const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
     EXPECT_LE(r.delay_ps, timing::evaluate_delay(t, g).max_ps + 1e-9);
     // And the reported delay is self-consistent.
@@ -153,7 +252,7 @@ TEST(VanGinneken, RespectsBlockedTiles) {
   const TileAllowFn allow = [&](tile::TileId tl) {
     return g.coord_of(tl).x % 3 == 0;  // sparse site columns
   };
-  const BufferLibrary lib = BufferLibrary::standard_180nm();
+  const BufferLibrary lib = BufferLibrary::standard_180nm().buffers_only();
   const TimingDrivenResult r = van_ginneken(t, g, lib, allow);
   for (const route::BufferPlacement& b : r.buffers) {
     EXPECT_EQ(g.coord_of(t.node(b.node).tile).x % 3, 0);
@@ -167,7 +266,7 @@ TEST(VanGinneken, NoBuffersWhenTheyDoNotHelp) {
   // A tiny net: any buffer adds intrinsic delay for nothing.
   const tile::TileGraph g = make_graph(4, 1, 200.0);
   const route::RouteTree t = chain(g, 2);
-  const BufferLibrary lib = BufferLibrary::standard_180nm();
+  const BufferLibrary lib = BufferLibrary::standard_180nm().buffers_only();
   const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
   EXPECT_TRUE(r.buffers.empty());
   EXPECT_NEAR(r.delay_ps, timing::evaluate_delay(t, g).max_ps, 1e-9);
@@ -176,7 +275,7 @@ TEST(VanGinneken, NoBuffersWhenTheyDoNotHelp) {
 TEST(VanGinneken, LongWireGetsRepeaters) {
   const tile::TileGraph g = make_graph(16, 1, 1500.0);  // 24 mm run
   const route::RouteTree t = chain(g, 15);
-  const BufferLibrary lib = BufferLibrary::standard_180nm();
+  const BufferLibrary lib = BufferLibrary::standard_180nm().buffers_only();
   const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
   EXPECT_GE(r.buffers.size(), 2U);
   EXPECT_LT(r.delay_ps, timing::evaluate_delay(t, g).max_ps / 2.0);
@@ -193,7 +292,7 @@ TEST(VanGinneken, DecouplesHeavySideBranchForCriticalPath) {
   for (std::int32_t y = 1; y <= 6; ++y)
     stub = t.add_child(stub, g.id_of({2, y}));
   t.add_sink(stub);
-  const BufferLibrary lib = BufferLibrary::standard_180nm();
+  const BufferLibrary lib = BufferLibrary::standard_180nm().buffers_only();
   const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
   const timing::DelayResult d =
       timing::evaluate_delay(t, r.buffers, cells_of(lib, r.types), g);
@@ -207,9 +306,9 @@ TEST(VanGinnekenInverters, NeverWorseThanBufferOnly) {
   const tile::TileGraph g = make_graph(16, 1, 1500.0);
   const route::RouteTree t = chain(g, 15);
   const BufferLibrary lib = BufferLibrary::standard_180nm();
-  const TimingDrivenResult buf = van_ginneken(t, g, lib, kAllowAll);
-  const TimingDrivenResult inv =
-      van_ginneken_with_inverters(t, g, lib, kAllowAll);
+  const TimingDrivenResult buf =
+      van_ginneken(t, g, lib.buffers_only(), kAllowAll);
+  const TimingDrivenResult inv = van_ginneken(t, g, lib, kAllowAll);
   EXPECT_LE(inv.delay_ps, buf.delay_ps + 1e-9);
   EXPECT_NEAR(
       inv.delay_ps,
@@ -233,72 +332,18 @@ TEST(VanGinnekenInverters, EverySinkSeesEvenInversionCount) {
   t.add_sink(right);
 
   const BufferLibrary lib = BufferLibrary::standard_180nm();
-  const TimingDrivenResult r =
-      van_ginneken_with_inverters(t, g, lib, kAllowAll);
+  const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
 
-  // Count inversions on each sink's root path.
-  for (const route::NodeId sink : t.sink_nodes()) {
-    int inversions = 0;
-    for (route::NodeId x = sink; x != route::kNoNode;
-         x = t.node(x).parent) {
-      for (std::size_t i = 0; i < r.buffers.size(); ++i) {
-        if (!lib.type(static_cast<std::size_t>(r.types[i])).inverting) {
-          continue;
-        }
-        const route::BufferPlacement& b = r.buffers[i];
-        // Driving repeater at x, or a decoupling repeater on the arc
-        // parent(x)->x: both lie on this sink's signal path.
-        if ((b.child == route::kNoNode && b.node == x) ||
-            (b.child == x)) {
-          ++inversions;
-        }
-      }
-    }
-    EXPECT_EQ(inversions % 2, 0) << "sink node " << sink;
-  }
+  EXPECT_TRUE(sinks_see_even_inversions(t, r.buffers, cells_of(lib, r.types)));
 }
 
 TEST(VanGinnekenInverters, OptimalOnSmallChainWithParity) {
   const tile::TileGraph g = make_graph(8, 1, 2500.0);
   const route::RouteTree t = chain(g, 5);
   const BufferLibrary lib = BufferLibrary::standard_180nm();
-  const TimingDrivenResult r =
-      van_ginneken_with_inverters(t, g, lib, kAllowAll);
+  const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
 
-  // Exhaustive reference with parity legality (chain: every repeater is
-  // on the single sink path, so legality == even inverter count).
-  route::BufferList slots;
-  for (std::size_t i = 1; i < t.node_count(); ++i) {
-    const auto v = static_cast<route::NodeId>(i);
-    const route::NodeId p = t.node(v).parent;
-    slots.push_back({p, v});
-  }
-  const auto cells = lib.types();
-  double best = timing::evaluate_delay(t, g).max_ps;
-  const std::uint32_t count = 1U << slots.size();
-  for (std::uint32_t mask = 1; mask < count; ++mask) {
-    route::BufferList chosen;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      if ((mask >> s) & 1U) chosen.push_back(slots[s]);
-    }
-    std::vector<std::size_t> radix(chosen.size(), 0);
-    for (;;) {
-      int inverters = 0;
-      std::vector<BufferType> types;
-      for (const std::size_t rdx : radix) {
-        types.push_back(cells[rdx]);
-        if (cells[rdx].inverting) ++inverters;
-      }
-      if (inverters % 2 == 0) {
-        best = std::min(
-            best,
-            timing::evaluate_delay(t, chosen, types, g).max_ps);
-      }
-      std::size_t d = 0;
-      while (d < radix.size() && ++radix[d] == cells.size()) radix[d++] = 0;
-      if (d == radix.size()) break;
-    }
-  }
+  const double best = brute_force_delay(t, g, lib, kAllowAll);
   EXPECT_NEAR(r.delay_ps, best, best * 1e-9);
 }
 
@@ -311,15 +356,15 @@ TEST(VanGinnekenInverters, UsesInvertersWhenProfitable) {
   for (std::int32_t x = 1; x <= 23; ++x) cur = t.add_child(cur, g.id_of({x, 0}));
   t.add_sink(cur);
   const BufferLibrary lib = BufferLibrary::standard_180nm();
-  const TimingDrivenResult r =
-      van_ginneken_with_inverters(t, g, lib, kAllowAll);
+  const TimingDrivenResult r = van_ginneken(t, g, lib, kAllowAll);
   int inverters = 0;
   for (const std::int32_t ty : r.types) {
     if (lib.type(static_cast<std::size_t>(ty)).inverting) ++inverters;
   }
   EXPECT_GT(inverters, 0);
   EXPECT_EQ(inverters % 2, 0);
-  EXPECT_LT(r.delay_ps, van_ginneken(t, g, lib, kAllowAll).delay_ps);
+  EXPECT_LT(r.delay_ps,
+            van_ginneken(t, g, lib.buffers_only(), kAllowAll).delay_ps);
 }
 
 }  // namespace

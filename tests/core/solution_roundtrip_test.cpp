@@ -69,7 +69,7 @@ TEST(SolutionRoundTrip, SizedBuffersSurviveViaTheLibrary) {
   rabid.run_all();
   const buffer::BufferLibrary library =
       buffer::BufferLibrary::standard_180nm();
-  rabid.rebuffer_timing_driven(6, library);
+  rabid.rebuffer_timing_driven(6, library.buffers_only());
 
   const RoundTrip rt = round_trip(design, graph, rabid, {&library, 1});
   EXPECT_TRUE(rt.diff.identical())
