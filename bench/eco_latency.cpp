@@ -39,6 +39,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuits/generator.hpp"
@@ -193,8 +194,9 @@ int main(int argc, char** argv) {
       eco::StreamOptions sopt;
       sopt.tech = options.tech;
       sopt.buffer_library = options.buffer_library;
-      eco::StreamPlanner stream(design.name(), design.outline(),
-                                design.default_length_limit(), fresh, sopt);
+      netlist::Design header = design;
+      header.mutable_nets().clear();
+      eco::StreamPlanner stream(std::move(header), fresh, sopt);
       t0 = std::chrono::steady_clock::now();
       for (const netlist::Net& net : design.nets()) {
         (void)stream.add_net(net);

@@ -12,50 +12,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-bool placement_is_legal(const route::RouteTree& tree,
-                        const route::BufferList& buffers, std::int32_t L) {
-  const std::size_t n = tree.node_count();
-  std::vector<bool> driving(n, false);
-  std::vector<bool> decoupled(n, false);  // arc parent->node has a buffer
-  for (const route::BufferPlacement& b : buffers) {
-    // Decoupling at the source tile is fine; a buffer in series with the
-    // net driver is not.
-    if (b.node == tree.root() && b.child == route::kNoNode) return false;
-    if (b.child == route::kNoNode) {
-      driving[static_cast<std::size_t>(b.node)] = true;
-    } else {
-      if (tree.node(b.child).parent != b.node) return false;
-      decoupled[static_cast<std::size_t>(b.child)] = true;
-    }
-  }
-
-  // load[v] = tile-units of unbuffered wire hanging below point v
-  // *after* v's driving buffer (i.e. what a gate placed at v would see).
-  // Child-before-parent accumulation; each arc contributes 1 plus the
-  // child's upward-visible load.
-  std::vector<std::int32_t> load(n, 0);
-  for (const route::NodeId v : tree.postorder()) {
-    std::int32_t total = 0;
-    for (const route::NodeId w : tree.node(v).children()) {
-      const std::int32_t arc_load =
-          1 + load[static_cast<std::size_t>(w)];
-      if (decoupled[static_cast<std::size_t>(w)]) {
-        // The decoupling buffer at v must itself satisfy the rule...
-        if (arc_load > L) return false;
-      } else {
-        total += arc_load;
-      }
-    }
-    if (driving[static_cast<std::size_t>(v)]) {
-      if (total > L) return false;  // the driving buffer's own stage
-      total = 0;
-    }
-    load[static_cast<std::size_t>(v)] = total;
-  }
-  // ...and the net driver drives whatever is visible at the root.
-  return load[static_cast<std::size_t>(tree.root())] <= L;
-}
-
 double placement_cost(const route::RouteTree& tree,
                       const route::BufferList& buffers, const TileCostFn& q) {
   double cost = 0.0;
@@ -152,6 +108,13 @@ bool placement_is_legal_lib(const route::RouteTree& tree,
                    "types must parallel buffers");
   const LoadCheck check = accumulate_loads(tree, buffers, types, L, lib);
   return check.gates_ok && check.root_load <= L;
+}
+
+bool placement_is_legal(const route::RouteTree& tree,
+                        const route::BufferList& buffers, std::int32_t L) {
+  // One type with drive_limit(0, L) == L: the plain rule.
+  static const BufferLibrary kUnit = BufferLibrary::single_unit();
+  return placement_is_legal_lib(tree, buffers, {}, L, kUnit);
 }
 
 double placement_cost_lib(const route::RouteTree& tree,

@@ -22,8 +22,9 @@ InsertionResult brute_force_insert(const route::RouteTree& tree,
                                    std::int32_t L, const TileCostFn& q);
 
 /// True iff `buffers` on `tree` satisfies the rule: every gate (driver
-/// included) drives at most L tile-units of wire.  Shared by tests to
-/// validate DP outputs on large trees where enumeration is impossible.
+/// included) drives at most L tile-units of wire.  The unit-library case
+/// of placement_is_legal_lib; shared by the auditor, BBP and the tests
+/// that check DP outputs on trees too large to enumerate.
 bool placement_is_legal(const route::RouteTree& tree,
                         const route::BufferList& buffers, std::int32_t L);
 
@@ -34,7 +35,7 @@ double placement_cost(const route::RouteTree& tree,
 /// Multi-type legality: buffer i (library type types[i]) may drive at
 /// most lib.drive_limit(types[i], L) tile-units; the net driver always
 /// obeys the plain L.  `types` parallels `buffers`; empty means all
-/// type 0.  With a unit library this coincides with placement_is_legal.
+/// type 0.
 bool placement_is_legal_lib(const route::RouteTree& tree,
                             const route::BufferList& buffers,
                             std::span<const std::int32_t> types,

@@ -153,7 +153,6 @@ netlist::Design generate_scale_design(const CircuitSpec& spec) {
     design.add_net(std::move(net));
   }
 
-  design.check_invariants();
   return design;
 }
 
@@ -222,7 +221,6 @@ netlist::Design generate_design(const CircuitSpec& spec) {
     }
   }
 
-  design.check_invariants();
   return design;
 }
 

@@ -50,87 +50,21 @@ void write_solution(std::ostream& out, const netlist::Design& design,
   }
 }
 
-std::int64_t SolutionSummary::total_arcs() const {
-  std::int64_t total = 0;
-  for (const NetSummary& n : nets) total += n.arcs;
-  return total;
-}
-
-std::int64_t SolutionSummary::total_buffers() const {
-  std::int64_t total = 0;
-  for (const NetSummary& n : nets) total += n.buffers;
-  return total;
-}
-
-SolutionSummary read_solution_summary(std::istream& in) {
-  SolutionSummary summary;
-  std::string line;
-  SolutionSummary::NetSummary* open = nullptr;
-  SolutionSummary::NetSummary current;
-  int line_no = 0;
-  auto fail = [&](const char* msg) {
-    std::fprintf(stderr, "solution parse error at line %d: %s\n", line_no,
-                 msg);
-    std::abort();
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ss(line);
-    std::string cmd;
-    if (!(ss >> cmd)) continue;
-    if (cmd == "solution") {
-      if (!(ss >> summary.design >> summary.nx >> summary.ny)) {
-        fail("solution header needs name nx ny");
-      }
-    } else if (cmd == "net") {
-      if (open != nullptr) fail("nested net");
-      current = {};
-      std::string status;
-      if (!(ss >> current.name >> status)) fail("net needs name + status");
-      if (status != "ok" && status != "fail" && status != "unrouted") {
-        fail("bad net status");
-      }
-      current.ok = status == "ok";
-      open = &current;
-    } else if (cmd == "arc") {
-      if (open == nullptr) fail("arc outside net");
-      ++open->arcs;
-    } else if (cmd == "buffer") {
-      if (open == nullptr) fail("buffer outside net");
-      ++open->buffers;
-    } else if (cmd == "end") {
-      if (open == nullptr) fail("end outside net");
-      summary.nets.push_back(std::move(current));
-      open = nullptr;
-    } else {
-      fail("unknown directive");
-    }
-  }
-  if (open != nullptr) fail("unterminated net");
-  return summary;
-}
-
 namespace {
 
-/// Thrown by read_solution_impl on malformed input; converted to an
-/// abort (legacy read_solution) or a Status (read_solution_checked).
+/// Thrown by read_solution_impl on malformed input;
+/// read_solution_checked() converts it to a Status carrying the line.
 struct SolutionParseError {
   std::string message;
   int line;
 };
 
-/// `strict` additionally enforces header-before-nets and a design-name
-/// match — requirements of the checkpoint/resume path that the legacy
-/// trusted round-trip reader never had.
 LoadedSolution read_solution_impl(std::istream& in,
                                   const netlist::Design& design,
                                   const tile::TileGraph& g,
                                   std::span<const buffer::BufferLibrary>
                                       libraries,
-                                  const timing::Technology& tech,
-                                  bool strict) {
+                                  const timing::Technology& tech) {
   LoadedSolution sol;
   std::string line;
   int line_no = 0;
@@ -206,12 +140,12 @@ LoadedSolution read_solution_impl(std::istream& in,
       if (sol.nx != g.nx() || sol.ny != g.ny()) {
         fail("solution grid differs from the tile graph");
       }
-      if (strict && sol.design != design.name()) {
+      if (sol.design != design.name()) {
         fail("solution was written for a different design");
       }
       have_header = true;
     } else if (cmd == "net") {
-      if (strict && !have_header) fail("net before the solution header");
+      if (!have_header) fail("net before the solution header");
       if (open) fail("nested net");
       if (net_index >= design.nets().size()) fail("more nets than design");
       std::string name;
@@ -287,27 +221,12 @@ LoadedSolution read_solution_impl(std::istream& in,
 
 }  // namespace
 
-LoadedSolution read_solution(std::istream& in, const netlist::Design& design,
-                             const tile::TileGraph& g,
-                             std::span<const buffer::BufferLibrary> libraries,
-                             const timing::Technology& tech) {
-  try {
-    return read_solution_impl(in, design, g, libraries, tech,
-                              /*strict=*/false);
-  } catch (const SolutionParseError& e) {
-    std::fprintf(stderr, "solution parse error at line %d: %s\n", e.line,
-                 e.message.c_str());
-    std::abort();
-  }
-}
-
 Result<LoadedSolution> read_solution_checked(
     std::istream& in, const netlist::Design& design, const tile::TileGraph& g,
     std::span<const buffer::BufferLibrary> libraries,
     const timing::Technology& tech) {
   try {
-    return read_solution_impl(in, design, g, libraries, tech,
-                              /*strict=*/true);
+    return read_solution_impl(in, design, g, libraries, tech);
   } catch (const SolutionParseError& e) {
     return Status::invalid_input(e.message, "solution", e.line);
   }

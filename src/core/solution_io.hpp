@@ -19,10 +19,9 @@
 /// the decoupled child's tile, which made multi-branch placements
 /// ambiguous on re-ingestion.)
 ///
-/// Two readers: read_solution_summary() for cheap structural counts,
-/// and read_solution() for a full NetState reconstruction — the
-/// round-trip tests feed the latter straight back into the
-/// SolutionAuditor (core/audit.hpp) to certify the dump is lossless.
+/// One reader, read_solution_checked(), rebuilds every NetState; the
+/// round-trip tests feed it straight back into the SolutionAuditor
+/// (core/audit.hpp) to certify the dump is lossless.
 
 #include <cstdint>
 #include <istream>
@@ -41,24 +40,6 @@ void write_solution(std::ostream& out, const netlist::Design& design,
                     const tile::TileGraph& g,
                     std::span<const NetState> nets);
 
-/// A structural summary parsed back from a solution dump.
-struct SolutionSummary {
-  struct NetSummary {
-    std::string name;
-    bool ok = false;
-    std::int64_t arcs = 0;
-    std::int64_t buffers = 0;
-  };
-  std::string design;
-  std::int32_t nx = 0, ny = 0;
-  std::vector<NetSummary> nets;
-
-  std::int64_t total_arcs() const;
-  std::int64_t total_buffers() const;
-};
-
-SolutionSummary read_solution_summary(std::istream& in);
-
 /// A full solution parsed back from a dump.
 struct LoadedSolution {
   std::string design;
@@ -70,24 +51,16 @@ struct LoadedSolution {
   std::vector<NetState> nets;
 };
 
-/// Reconstructs the complete solution.  Nets must appear in design
-/// order under their design names; sink attachment is re-derived from
-/// the design's pin locations.  Aborts with a line-numbered message on
-/// malformed input.  Dumped cell names resolve against `libraries`, the
-/// first library naming a cell wins, and each loaded tag is a copy of
-/// its cell; with no libraries, cell names are ignored and delays use
-/// unit buffers.
-LoadedSolution read_solution(
-    std::istream& in, const netlist::Design& design, const tile::TileGraph& g,
-    std::span<const buffer::BufferLibrary> libraries = {},
-    const timing::Technology& tech = timing::kTech180nm);
-
-/// Hardened variant of read_solution() for untrusted dumps (checkpoint
-/// resume, fuzzed files): malformed input comes back as a structured
-/// Status with the offending line instead of an abort.  Additionally
-/// requires the header to precede any net and the dumped design name to
-/// match `design` — a checkpoint written for a different circuit must
-/// not silently load.
+/// Reconstructs the complete solution.  The header must precede any
+/// net, and its design name and grid must match `design` and `g` — a
+/// checkpoint written for a different circuit must not silently load.
+/// Nets must appear in design order under their design names; sink
+/// attachment is re-derived from the design's pin locations.  Dumped
+/// cell names resolve against `libraries`, the first library naming a
+/// cell wins, and each loaded tag is a copy of its cell; with no
+/// libraries, cell names are ignored and delays use unit buffers.
+/// Malformed input (a fuzzed file, a stale checkpoint) comes back as a
+/// structured Status with the offending line, never an abort.
 Result<LoadedSolution> read_solution_checked(
     std::istream& in, const netlist::Design& design, const tile::TileGraph& g,
     std::span<const buffer::BufferLibrary> libraries = {},

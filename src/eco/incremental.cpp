@@ -53,8 +53,7 @@ IncrementalPlanner::IncrementalPlanner(netlist::Design design,
 
 core::Status IncrementalPlanner::validate(const Perturbation& p) const {
   const auto admit = [this](const netlist::Net& net, const char* what) {
-    return netlist::validate_incoming_net(design_.outline(), net, what,
-                                          "perturbation");
+    return netlist::validate_net(design_, net, what, "perturbation");
   };
   for (const WireEdit& we : p.wire_edits) {
     if (we.edge < 0 || we.edge >= graph_.edge_count()) {

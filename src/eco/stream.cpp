@@ -8,6 +8,7 @@
 #include "core/replan.hpp"
 #include "netlist/validate.hpp"
 #include "obs/counters.hpp"
+#include "util/assert.hpp"
 
 namespace rabid::eco {
 
@@ -22,22 +23,22 @@ const char* stream_event_name(StreamEvent e) {
   return "unknown";
 }
 
-StreamPlanner::StreamPlanner(std::string name, geom::Rect outline,
-                             std::int32_t default_length_limit,
-                             tile::TileGraph& graph, StreamOptions options)
-    : design_(std::move(name), outline),
+StreamPlanner::StreamPlanner(netlist::Design header, tile::TileGraph& graph,
+                             StreamOptions options)
+    : design_(std::move(header)),
       graph_(graph),
       options_(std::move(options)),
       cache_(graph, [this](tile::EdgeId e) {
         return route::soft_wire_cost(graph_, e);
       }),
       router_(graph) {
-  design_.set_default_length_limit(default_length_limit);
+  RABID_ASSERT_MSG(design_.nets().empty(),
+                   "a stream session starts from a net-less design");
 }
 
 core::Result<netlist::NetId> StreamPlanner::add_net(netlist::Net net) {
-  const core::Status valid = netlist::validate_incoming_net(
-      design_.outline(), net, "streamed", "stream");
+  const core::Status valid =
+      netlist::validate_net(design_, net, "streamed", "stream");
   if (!valid) return valid;
   const netlist::NetId id = design_.add_net(std::move(net));
   nets_.emplace_back();

@@ -24,14 +24,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "buffer/library.hpp"
 #include "core/audit.hpp"
 #include "core/rabid.hpp"
 #include "core/status.hpp"
-#include "geom/rect.hpp"
 #include "netlist/design.hpp"
 #include "route/maze.hpp"
 #include "tile/tile_graph.hpp"
@@ -72,9 +70,10 @@ class StreamPlanner {
  public:
   /// Starts an empty session on `graph` (capacities set, books empty or
   /// holding prior commitments the caller accounts for elsewhere).
-  /// `name`/`outline`/`default_length_limit` seed the growing design.
-  StreamPlanner(std::string name, geom::Rect outline,
-                std::int32_t default_length_limit, tile::TileGraph& graph,
+  /// `header` is a net-less design — name, outline, default length limit
+  /// and blocks — that the streamed nets join; block pins must name its
+  /// blocks.
+  StreamPlanner(netlist::Design header, tile::TileGraph& graph,
                 StreamOptions options = {});
 
   StreamPlanner(const StreamPlanner&) = delete;
@@ -84,10 +83,8 @@ class StreamPlanner {
 
   /// Admits one net and tries to plan it immediately; a net that does
   /// not fit is parked (the id is still returned — parked is a
-  /// legitimate state, not an error).  Errors are reserved for
-  /// structurally invalid nets (netlist::validate_incoming_net: no
-  /// sinks, a non-positive width, a negative length limit, pins
-  /// off-chip).
+  /// legitimate state, not an error).  Errors are reserved for nets
+  /// that fail netlist::validate_net against the session's design.
   core::Result<netlist::NetId> add_net(netlist::Net net);
 
   /// Rips a planned net (or drops a parked one), then drains the retry

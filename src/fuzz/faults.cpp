@@ -157,7 +157,8 @@ FaultReport fuzz_circuit_faults(std::uint64_t seed,
                       options, report);
   }
 
-  // Duplicate a sink pin (the duplicate-pin validator's case).
+  // Duplicate a sink pin.  Repeated sink locations are valid input
+  // (netlist/validate.hpp), so this mutant must plan audit-clean.
   for (std::size_t i = 0; i < lines.size(); ++i) {
     if (lines[i].find("  sink ") == 0) {
       std::vector<std::string> mutated = lines;

@@ -34,22 +34,6 @@ std::size_t Design::pad_count() const {
   return total;
 }
 
-void Design::check_invariants() const {
-  for (const Net& n : nets_) {
-    RABID_ASSERT_MSG(!n.sinks.empty(), "net without sinks");
-    RABID_ASSERT_MSG(outline_.contains(n.source.location),
-                     "net source outside chip outline");
-    for (const Pin& p : n.sinks) {
-      RABID_ASSERT_MSG(outline_.contains(p.location),
-                       "net sink outside chip outline");
-    }
-  }
-  for (const Block& b : blocks_) {
-    RABID_ASSERT_MSG(outline_.intersects(b.shape),
-                     "block entirely outside chip outline");
-  }
-}
-
 Design Design::decompose_to_two_pin(const Design& d) {
   Design out{d.name() + "-2pin", d.outline()};
   out.set_default_length_limit(d.default_length_limit());

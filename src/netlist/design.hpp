@@ -91,10 +91,6 @@ class Design {
   /// Number of pins with kind kPad.
   std::size_t pad_count() const;
 
-  /// Verifies every pin lies inside the chip outline and every net has at
-  /// least one sink; aborts (assertion) on violation.
-  void check_invariants() const;
-
   /// Splits every multi-sink net into independent two-pin (source, sink)
   /// nets, as done for the BBP/FR comparison (Section IV-C).  Net names
   /// get a "/k" suffix.

@@ -28,8 +28,8 @@ void write_pin(std::ostream& out, const char* tag, const Pin& p) {
   out << '\n';
 }
 
-/// Thrown by the tokenizer on malformed input; caught at the two public
-/// entry points and converted to an abort (legacy) or a Status (checked).
+/// Thrown by the tokenizer on malformed input; read_design_checked()
+/// converts it to a Status carrying the line.
 struct ParseError {
   std::string message;
   int line;
@@ -118,9 +118,9 @@ class Parser {
   int line_no_ = 0;
 };
 
-/// Parsed file content before Design construction.  Kept raw so the
-/// checked path can validate it *before* feeding Design::add_net /
-/// add_block, whose precondition asserts would abort on hostile data.
+/// Parsed file content before Design construction.  Kept raw so each
+/// net can be validated *before* Design::add_net, whose precondition
+/// assert would abort on hostile data.
 struct RawDesign {
   std::string name = "unnamed";
   geom::Rect outline{{0, 0}, {1, 1}};
@@ -177,8 +177,13 @@ RawDesign parse_design(std::istream& in) {
       raw.default_limit = p.int_num(tok[1]);
     } else if (cmd == "block") {
       if (tok.size() != 7) p.fail("block needs: name 4 coords fraction");
-      raw.blocks.push_back(Block{
-          tok[1], p.rect(tok[2], tok[3], tok[4], tok[5]), p.num(tok[6])});
+      // Range-checked here because Design::add_block asserts it.
+      const double fraction = p.num(tok[6]);
+      if (!(fraction >= 0.0 && fraction <= 1.0)) {
+        p.fail("block site_fraction must be in [0,1]");
+      }
+      raw.blocks.push_back(
+          Block{tok[1], p.rect(tok[2], tok[3], tok[4], tok[5]), fraction});
     } else if (cmd == "net") {
       if (tok.size() < 2) p.fail("net needs a name");
       current = Net{};
@@ -188,7 +193,6 @@ RawDesign parse_design(std::istream& in) {
       }
       if (tok.size() > 3) {
         current.width = p.int_num(tok[3]);
-        if (current.width < 1) p.fail("net width must be >= 1");
       }
       open_net = &current;
     } else {
@@ -198,33 +202,6 @@ RawDesign parse_design(std::istream& in) {
   if (open_net != nullptr) p.fail("unterminated net (missing 'end')");
   if (!have_outline) p.fail("missing outline");
   return raw;
-}
-
-/// Checks the exact preconditions Design::add_block / add_net assert, so
-/// the checked path can refuse hostile data without tripping them.
-core::Status check_buildable(const RawDesign& raw) {
-  for (const Block& b : raw.blocks) {
-    if (!std::isfinite(b.site_fraction) || b.site_fraction < 0.0 ||
-        b.site_fraction > 1.0) {
-      return core::Status::invalid_input(
-          "block '" + b.name + "' site_fraction must be in [0,1]", "design");
-    }
-  }
-  for (const Net& n : raw.nets) {
-    if (n.sinks.empty()) {
-      return core::Status::invalid_input(
-          "net '" + n.name + "' has no sinks", "design");
-    }
-  }
-  return core::Status::ok();
-}
-
-Design build_design(RawDesign&& raw) {
-  Design design{raw.name, raw.outline};
-  if (raw.default_limit > 0) design.set_default_length_limit(raw.default_limit);
-  for (Block& b : raw.blocks) design.add_block(std::move(b));
-  for (Net& n : raw.nets) design.add_net(std::move(n));
-  return design;
 }
 
 }  // namespace
@@ -253,20 +230,6 @@ void write_design(std::ostream& out, const Design& design) {
   }
 }
 
-Design read_design(std::istream& in) {
-  RawDesign raw;
-  try {
-    raw = parse_design(in);
-  } catch (const ParseError& e) {
-    std::fprintf(stderr, "design parse error at line %d: %s\n", e.line,
-                 e.message.c_str());
-    std::abort();
-  }
-  Design design = build_design(std::move(raw));
-  design.check_invariants();
-  return design;
-}
-
 core::Result<Design> read_design_checked(std::istream& in) {
   RawDesign raw;
   try {
@@ -274,9 +237,15 @@ core::Result<Design> read_design_checked(std::istream& in) {
   } catch (const ParseError& e) {
     return core::Status::invalid_input(e.message, "design", e.line);
   }
-  if (core::Status s = check_buildable(raw); !s) return s;
-  Design design = build_design(std::move(raw));
+  Design design{raw.name, raw.outline};
+  if (raw.default_limit > 0) design.set_default_length_limit(raw.default_limit);
+  for (Block& b : raw.blocks) design.add_block(std::move(b));
+  // Still net-less: this checks the outline, the limit and the blocks.
   if (core::Status s = validate_design(design); !s) return s;
+  for (Net& n : raw.nets) {
+    if (core::Status s = validate_net(design, n, "", "design"); !s) return s;
+    design.add_net(std::move(n));
+  }
   return design;
 }
 
@@ -284,11 +253,6 @@ std::string to_string(const Design& design) {
   std::ostringstream out;
   write_design(out, design);
   return out.str();
-}
-
-Design design_from_string(const std::string& text) {
-  std::istringstream in(text);
-  return read_design(in);
 }
 
 core::Result<Design> design_from_string_checked(const std::string& text) {

@@ -32,22 +32,18 @@ namespace rabid::netlist {
 /// Writes `design` in the text format above.
 void write_design(std::ostream& out, const Design& design);
 
-/// Parses a design; aborts with a line-numbered message on malformed
-/// input.  Trusted-input convenience wrapper around
-/// read_design_checked() for tests and research scripts.
-Design read_design(std::istream& in);
-
-/// Hardened parser for untrusted input: grammar errors come back as a
-/// structured Status carrying the offending 1-based line, and the parsed
-/// design is run through validate_design() before it is returned — so a
-/// success here is a design the planner can safely consume.  Never
+/// The one design reader.  Grammar errors come back as a structured
+/// Status carrying the offending 1-based line.  The outline, default
+/// limit and blocks are checked as validate_design() checks them, and
+/// each net is checked by validate_net() before it joins the design —
+/// so a success here is a design the planner can safely consume.  Never
 /// aborts, never exhibits UB (non-finite or out-of-range numeric fields
-/// are parse errors, not casts).
+/// are parse errors, not casts).  Callers that trust their input take
+/// value(), which aborts on an error.
 core::Result<Design> read_design_checked(std::istream& in);
 
 /// Convenience: round-trip through a string.
 std::string to_string(const Design& design);
-Design design_from_string(const std::string& text);
 core::Result<Design> design_from_string_checked(const std::string& text);
 
 }  // namespace rabid::netlist

@@ -396,9 +396,11 @@ void Server::run_stream_job(const Job& job,
                                     &options.buffer_library);
     }
     const netlist::Design& source = job.prepared->design;
-    eco::StreamPlanner planner(source.name(), source.outline(),
-                               source.default_length_limit(), graph,
-                               options);
+    // The session's design is the prepared design's header: streamed
+    // block pins name its blocks.
+    netlist::Design header = source;
+    header.mutable_nets().clear();
+    eco::StreamPlanner planner(std::move(header), graph, options);
     planner.set_event_sink(
         [&job](netlist::NetId net, eco::StreamEvent e) {
           job.sink(event_stream_net(job.id, net,

@@ -101,9 +101,35 @@ TEST(CheckedParse, RejectsHostileInputsWithLineNumbers) {
   EXPECT_FALSE(parse_error(  // pin outside the outline
       "design t\noutline 0 0 9 9\nnet n0\n  source 1 1 pad\n"
       "  sink 500 1 pad\nend\n"));
-  EXPECT_FALSE(parse_error(  // duplicate sink pins
+  EXPECT_TRUE(parse_error(  // duplicate sink pins are valid input
       "design t\noutline 0 0 9 9\nnet n0\n  source 1 1 pad\n"
       "  sink 5 5 pad\n  sink 5 5 pad\nend\n"));
+}
+
+/// Each grammar error is a Status naming the fault and the line it was
+/// found on.
+TEST(CheckedParse, ReportsGrammarErrorsWithMessagesAndLines) {
+  struct Case {
+    const char* text;
+    const char* message;
+    int line;
+  };
+  const Case cases[] = {
+      {"garbage line\n", "unknown directive", 1},
+      {"design x\n", "missing outline", 1},
+      {"design x\noutline 0 0 10 10\nnet n\n  source 1 1 free\n",
+       "unterminated net", 4},
+      {"design x\noutline 0 0 10 10\nnet n\n  source 1 1 bogus\nend\n",
+       "unknown pin kind", 4},
+  };
+  for (const Case& c : cases) {
+    const Status s = parse_error(c.text);
+    ASSERT_FALSE(s) << c.text;
+    EXPECT_EQ(s.code(), StatusCode::kInvalidInput) << c.text;
+    EXPECT_NE(s.message().find(c.message), std::string::npos)
+        << s.to_string();
+    EXPECT_EQ(s.line(), c.line) << s.to_string();
+  }
 }
 
 TEST(ValidateInputs, RejectsPreSeededBooks) {

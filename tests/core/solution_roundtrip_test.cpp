@@ -31,8 +31,9 @@ RoundTrip round_trip(const netlist::Design& design,
   std::stringstream io;
   core::write_solution(io, design, graph, rabid.nets());
   RoundTrip rt;
-  rt.loaded = core::read_solution(io, design, graph, libraries,
-                                  rabid.options().tech);
+  rt.loaded = core::read_solution_checked(io, design, graph, libraries,
+                                          rabid.options().tech)
+                  .value();
   rt.diff = fuzz::diff_solutions(design, graph, rabid.nets(), graph,
                                  rt.loaded.nets);
   rt.audit = core::SolutionAuditor(design, graph).audit(rt.loaded.nets);
@@ -96,7 +97,7 @@ TEST(SolutionRoundTrip, SecondGenerationDumpIsByteIdentical) {
   std::stringstream first;
   core::write_solution(first, design, graph, rabid.nets());
   const core::LoadedSolution loaded =
-      core::read_solution(first, design, graph);
+      core::read_solution_checked(first, design, graph).value();
   std::stringstream second;
   core::write_solution(second, design, graph, loaded.nets);
   EXPECT_EQ(first.str(), second.str());

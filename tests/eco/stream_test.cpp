@@ -28,6 +28,13 @@ tile::TileGraph corridor(std::int32_t wire_capacity,
   return g;
 }
 
+/// The session's net-less design: the corridor's outline, no blocks.
+netlist::Design session(std::int32_t default_length_limit) {
+  netlist::Design d("stream", geom::Rect({0.0, 0.0}, {400.0, 100.0}));
+  d.set_default_length_limit(default_length_limit);
+  return d;
+}
+
 netlist::Net span_net(const tile::TileGraph& g, const char* name,
                       tile::TileId from, tile::TileId to) {
   netlist::Net net;
@@ -56,8 +63,7 @@ struct EventLog {
 
 TEST(StreamPlanner, PlansDisjointNetsAsTheyArrive) {
   tile::TileGraph g = corridor(/*wire_capacity=*/1, /*sites_per_tile=*/0);
-  StreamPlanner planner("stream", geom::Rect({0.0, 0.0}, {400.0, 100.0}),
-                        /*default_length_limit=*/8, g);
+  StreamPlanner planner(session(8), g);
   EventLog log;
   planner.set_event_sink(log.sink());
 
@@ -80,8 +86,7 @@ TEST(StreamPlanner, PlansDisjointNetsAsTheyArrive) {
 
 TEST(StreamPlanner, ParksWhenWiresFullAndDrainsOnRemove) {
   tile::TileGraph g = corridor(1, 0);
-  StreamPlanner planner("stream", geom::Rect({0.0, 0.0}, {400.0, 100.0}), 8,
-                        g);
+  StreamPlanner planner(session(8), g);
   EventLog log;
   planner.set_event_sink(log.sink());
 
@@ -105,8 +110,7 @@ TEST(StreamPlanner, ParksWhenWiresFullAndDrainsOnRemove) {
 
 TEST(StreamPlanner, DrainsOnWireCapacityRaise) {
   tile::TileGraph g = corridor(1, 0);
-  StreamPlanner planner("stream", geom::Rect({0.0, 0.0}, {400.0, 100.0}), 8,
-                        g);
+  StreamPlanner planner(session(8), g);
   const netlist::NetId a = planner.add_net(span_net(g, "a", 0, 3)).value();
   const netlist::NetId b = planner.add_net(span_net(g, "b", 0, 3)).value();
   EXPECT_TRUE(planner.is_planned(a));
@@ -124,8 +128,7 @@ TEST(StreamPlanner, ParksOnBufferShortageAndDrainsOnSiteRaise) {
   // L = 2 but the net spans 3 tile units: a buffer is mandatory, and
   // with zero site supply the net must park with its wires rolled back.
   tile::TileGraph g = corridor(4, 0);
-  StreamPlanner planner("stream", geom::Rect({0.0, 0.0}, {400.0, 100.0}),
-                        /*default_length_limit=*/2, g);
+  StreamPlanner planner(session(2), g);
   const netlist::NetId id = planner.add_net(span_net(g, "long", 0, 3)).value();
   EXPECT_TRUE(planner.is_parked(id));
   for (tile::EdgeId e = 0; e < g.edge_count(); ++e) {
@@ -142,8 +145,7 @@ TEST(StreamPlanner, ParksOnBufferShortageAndDrainsOnSiteRaise) {
 
 TEST(StreamPlanner, RemoveHandlesParkedAndRejectsDoubleRemove) {
   tile::TileGraph g = corridor(1, 0);
-  StreamPlanner planner("stream", geom::Rect({0.0, 0.0}, {400.0, 100.0}), 8,
-                        g);
+  StreamPlanner planner(session(8), g);
   const netlist::NetId a = planner.add_net(span_net(g, "a", 0, 3)).value();
   const netlist::NetId b = planner.add_net(span_net(g, "b", 0, 3)).value();
   ASSERT_TRUE(planner.is_parked(b));
@@ -160,8 +162,7 @@ TEST(StreamPlanner, RemoveHandlesParkedAndRejectsDoubleRemove) {
 
 TEST(StreamPlanner, NoNetIsLostOrDuplicatedAcrossTheSession) {
   tile::TileGraph g = corridor(2, 0);
-  StreamPlanner planner("stream", geom::Rect({0.0, 0.0}, {400.0, 100.0}), 8,
-                        g);
+  StreamPlanner planner(session(8), g);
   EventLog log;
   planner.set_event_sink(log.sink());
 
@@ -204,8 +205,7 @@ TEST(StreamPlanner, NoNetIsLostOrDuplicatedAcrossTheSession) {
 
 TEST(StreamPlanner, RejectsStructurallyInvalidNets) {
   tile::TileGraph g = corridor(2, 0);
-  StreamPlanner planner("stream", geom::Rect({0.0, 0.0}, {400.0, 100.0}), 8,
-                        g);
+  StreamPlanner planner(session(8), g);
   netlist::Net sinkless;
   sinkless.name = "sinkless";
   sinkless.source.location = g.center(0);
@@ -228,8 +228,7 @@ TEST(StreamPlanner, RejectsStructurallyInvalidNets) {
 /// default limit.
 TEST(StreamPlanner, RejectsNegativeLengthLimit) {
   tile::TileGraph g = corridor(2, 0);
-  StreamPlanner planner("stream", geom::Rect({0.0, 0.0}, {400.0, 100.0}), 8,
-                        g);
+  StreamPlanner planner(session(8), g);
   netlist::Net negative = span_net(g, "negative", 0, 3);
   negative.length_limit = -1;
   const core::Result<netlist::NetId> r = planner.add_net(negative);

@@ -208,8 +208,9 @@ std::string apte_stream_digest(const buffer::BufferLibrary& library) {
   tile::TileGraph graph = circuits::build_tile_graph(design, spec);
   eco::StreamOptions options;
   options.buffer_library = library;
-  eco::StreamPlanner planner(design.name(), design.outline(),
-                             design.default_length_limit(), graph, options);
+  netlist::Design header = design;
+  header.mutable_nets().clear();
+  eco::StreamPlanner planner(std::move(header), graph, options);
   for (const netlist::Net& net : design.nets()) {
     EXPECT_TRUE(planner.add_net(net).ok());
   }

@@ -87,7 +87,7 @@ TEST(WideWires, IoRoundTripsWidthAndLimit) {
   d.add_net(wide_default_l);
 
   const netlist::Design back =
-      netlist::design_from_string(netlist::to_string(d));
+      netlist::design_from_string_checked(netlist::to_string(d)).value();
   EXPECT_EQ(back.nets()[0].width, 2);
   EXPECT_EQ(back.nets()[0].length_limit, 6);
   EXPECT_EQ(back.nets()[1].width, 3);

@@ -30,7 +30,7 @@ Design sample() {
 
 TEST(DesignIo, RoundTripPreservesEverything) {
   const Design a = sample();
-  const Design b = design_from_string(to_string(a));
+  const Design b = design_from_string_checked(to_string(a)).value();
   EXPECT_EQ(b.name(), a.name());
   EXPECT_EQ(b.outline(), a.outline());
   EXPECT_EQ(b.default_length_limit(), a.default_length_limit());
@@ -61,7 +61,8 @@ TEST(DesignIo, RoundTripPreservesEverything) {
 TEST(DesignIo, RoundTripIsIdempotent) {
   const Design a = sample();
   const std::string once = to_string(a);
-  const std::string twice = to_string(design_from_string(once));
+  const std::string twice =
+      to_string(design_from_string_checked(once).value());
   EXPECT_EQ(once, twice);
 }
 
@@ -76,7 +77,7 @@ TEST(DesignIo, CommentsAndBlankLinesIgnored) {
       "  source 10 10 free\n"
       "  sink 90 90 free\n"
       "end\n";
-  const Design d = design_from_string(text);
+  const Design d = design_from_string_checked(text).value();
   EXPECT_EQ(d.name(), "t");
   EXPECT_EQ(d.default_length_limit(), 4);
   EXPECT_EQ(d.nets().size(), 1U);
@@ -85,7 +86,7 @@ TEST(DesignIo, CommentsAndBlankLinesIgnored) {
 TEST(DesignIo, GeneratedBenchmarkRoundTrips) {
   const circuits::CircuitSpec& spec = circuits::spec_by_name("hp");
   const Design a = circuits::generate_design(spec);
-  const Design b = design_from_string(to_string(a));
+  const Design b = design_from_string_checked(to_string(a)).value();
   EXPECT_EQ(b.nets().size(), a.nets().size());
   EXPECT_EQ(b.total_sinks(), a.total_sinks());
   EXPECT_EQ(b.pad_count(), a.pad_count());

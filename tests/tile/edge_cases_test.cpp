@@ -6,6 +6,7 @@
 #include "circuits/generator.hpp"
 #include "circuits/specs.hpp"
 #include "core/rabid.hpp"
+#include "netlist/validate.hpp"
 #include "route/maze.hpp"
 
 namespace rabid {
@@ -124,7 +125,7 @@ TEST(EdgeCases, PinExactlyOnChipCorner) {
   n.source = {{0, 0}, netlist::PinKind::kPad, netlist::kNoBlock};
   n.sinks = {{{1000, 1000}, netlist::PinKind::kPad, netlist::kNoBlock}};
   d.add_net(n);
-  d.check_invariants();
+  EXPECT_TRUE(netlist::validate_design(d));
   tile::TileGraph g(d.outline(), 4, 4);
   g.set_uniform_wire_capacity(2);
   for (tile::TileId t = 0; t < g.tile_count(); ++t) g.set_site_supply(t, 1);

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "buffer/insertion.hpp"
-#include "netlist/io.hpp"
+#include "netlist/design.hpp"
 #include "route/route_tree.hpp"
 #include "tile/tile_graph.hpp"
 
@@ -54,35 +54,12 @@ TEST(ContractsDeathTest, InsertionRejectsZeroLimit) {
       "at least one tile");
 }
 
-TEST(ContractsDeathTest, MalformedDesignTextAborts) {
-  EXPECT_DEATH(netlist::design_from_string("garbage line\n"),
-               "unknown directive");
-  EXPECT_DEATH(netlist::design_from_string("design x\n"), "missing outline");
-  EXPECT_DEATH(netlist::design_from_string(
-                   "design x\noutline 0 0 10 10\nnet n\n  source 1 1 free\n"),
-               "unterminated net");
-  EXPECT_DEATH(
-      netlist::design_from_string(
-          "design x\noutline 0 0 10 10\nnet n\n  source 1 1 bogus\nend\n"),
-      "unknown pin kind");
-}
-
 TEST(ContractsDeathTest, DesignRejectsSinklessNet) {
   netlist::Design d("x", geom::Rect{{0, 0}, {10, 10}});
   netlist::Net n;
   n.name = "n";
   n.source = {{1, 1}, netlist::PinKind::kFree, netlist::kNoBlock};
   EXPECT_DEATH(d.add_net(n), "at least one sink");
-}
-
-TEST(ContractsDeathTest, PinOutsideOutlineFailsInvariants) {
-  netlist::Design d("x", geom::Rect{{0, 0}, {10, 10}});
-  netlist::Net n;
-  n.name = "n";
-  n.source = {{1, 1}, netlist::PinKind::kFree, netlist::kNoBlock};
-  n.sinks = {{{99, 99}, netlist::PinKind::kFree, netlist::kNoBlock}};
-  d.add_net(n);
-  EXPECT_DEATH(d.check_invariants(), "outside chip outline");
 }
 
 }  // namespace
