@@ -75,8 +75,13 @@ class CandidateDp {
       nodes_[i].q = q(tree.node(static_cast<route::NodeId>(i)).tile);
     }
     // Every leaf shares the one sink frontier {(0, 0)}: zero wire, zero
-    // cost (Fig. 6 Step 1).
-    pool_.reserve(4 * n);
+    // cost (Fig. 6 Step 1).  The pool is reserved at the most states per
+    // node measured: 2.5-3.8 on the Table-I trees (5.6 at most), up to 9
+    // on long unconstrained chains (n = 8192, L = n).  A pool that has to
+    // regrow pays for copies and fresh pages, which cost a 2048-node
+    // chain 3x its DP time at 4 per node; reserved capacity that is never
+    // written costs nothing.
+    pool_.reserve(9 * n);
     pool_.push_back({});
     for (const route::NodeId v : tree.postorder()) {
       forward_node(v);

@@ -90,7 +90,7 @@ void polish_net(tile::TileGraph& graph, NetState& state, std::int32_t L,
   rip_buffers(graph, state, site_cost);
   rip_wires(graph, state, width, cache);
   state.tree = rerouter.reroute(state.tree, L, cache.values(), site_cost,
-                                wire_weight, cache.min_cost());
+                                wire_weight, cache.cut_floors());
   commit_wires(graph, state, width, cache);
   buffer_net(graph, state, L, lib);
   for (const route::BufferPlacement& b : state.buffers) {

@@ -51,35 +51,67 @@ void TwoPathSearch::ensure_states(std::size_t n_states) {
   }
 }
 
+bool TwoPathSearch::same_floors(const route::CutFloors& floors) const {
+  for (std::size_t x = 0; x < cut_cols_.size(); ++x) {
+    if (floors.col(static_cast<std::int32_t>(x)) != cut_cols_[x]) return false;
+  }
+  for (std::size_t y = 0; y < cut_rows_.size(); ++y) {
+    if (floors.row(static_cast<std::int32_t>(y)) != cut_rows_[y]) return false;
+  }
+  return true;
+}
+
+void TwoPathSearch::cut_distances(geom::TileCoord anchor,
+                                  std::vector<double>& out_x,
+                                  std::vector<double>& out_y) const {
+  const auto fill = [](const std::vector<double>& floor, std::int32_t at,
+                       std::vector<double>& out) {
+    const auto a = static_cast<std::size_t>(at);
+    out.resize(floor.size() + 1);
+    out[a] = 0.0;
+    for (std::size_t i = a + 1; i < out.size(); ++i) {
+      out[i] = out[i - 1] + floor[i - 1];
+    }
+    for (std::size_t i = a; i-- > 0;) out[i] = out[i + 1] + floor[i];
+    for (double& v : out) v *= 1.0 - kBoundMargin;
+  };
+  fill(cut_cols_, anchor.x, out_x);
+  fill(cut_rows_, anchor.y, out_y);
+}
+
 void TwoPathSearch::start_field(tile::TileId from, tile::TileId to,
-                                double astar_floor) {
+                                const route::CutFloors& floors) {
   ++field_epoch_;
   field_heap_.clear();
   field_goal_ = to;
   FieldLabel& goal = field_[static_cast<std::size_t>(to)];
   goal.seen = field_epoch_;
   goal.dist = 0.0;
-  // Aim the field at the forward source: astar_floor is a lower bound
-  // on every wire_cost entry, so floor * manhattan is consistent for
-  // the field's own expansion (values stay exact, see field_settle).
+  cut_cols_.resize(static_cast<std::size_t>(g_.nx() - 1));
+  for (std::size_t x = 0; x < cut_cols_.size(); ++x) {
+    cut_cols_[x] = floors.col(static_cast<std::int32_t>(x));
+  }
+  cut_rows_.resize(static_cast<std::size_t>(g_.ny() - 1));
+  for (std::size_t y = 0; y < cut_rows_.size(); ++y) {
+    cut_rows_[y] = floors.row(static_cast<std::int32_t>(y));
+  }
+  cut_distances(coords_[static_cast<std::size_t>(to)], goal_x_, goal_y_);
+  // Aim the field at the forward source: the cut bound is consistent
+  // for the field's own expansion (values stay exact, see field_settle).
   field_hot_ = coords_[static_cast<std::size_t>(from)];
-  field_floor_ = astar_floor;
-  field_heap_.push(
-      {field_floor_ * static_cast<double>(geom::manhattan(
-                          coords_[static_cast<std::size_t>(to)], field_hot_)),
-       0.0, to});
+  cut_distances(field_hot_, hot_x_, hot_y_);
+  field_heap_.push({cut_bound(to, hot_x_, hot_y_), 0.0, to});
 }
 
 void TwoPathSearch::aim_field(tile::TileId from) {
   const geom::TileCoord hot = coords_[static_cast<std::size_t>(from)];
   if (hot == field_hot_) return;
   field_hot_ = hot;
+  cut_distances(field_hot_, hot_x_, hot_y_);
   field_heap_.rebuild([&](FieldEntry& e) {
     const FieldLabel& fl = field_[static_cast<std::size_t>(e.t)];
     if (fl.settled == field_epoch_ || e.d != fl.dist) return false;
-    e.key = e.d + field_floor_ * static_cast<double>(geom::manhattan(
-                                     coords_[static_cast<std::size_t>(e.t)],
-                                     field_hot_));
+    e.key = e.d + cut_bound(e.t, hot_x_, hot_y_);
     return true;
   });
 }
@@ -110,10 +142,8 @@ double TwoPathSearch::field_settle(tile::TileId t,
       if (fl.seen != field_epoch_ || nd < fl.dist) {
         fl.seen = field_epoch_;
         fl.dist = nd;
-        const double bound =
-            field_floor_ *
-            static_cast<double>(geom::manhattan(coords_[vi], field_hot_));
-        field_heap_.push({nd + bound, nd, adj[k].tile});
+        field_heap_.push(
+            {nd + cut_bound(adj[k].tile, hot_x_, hot_y_), nd, adj[k].tile});
       }
     }
   }
@@ -124,7 +154,8 @@ TwoPathRoute TwoPathSearch::search(tile::TileId from, tile::TileId to,
                                    std::int32_t L,
                                    std::span<const double> wire_cost,
                                    std::span<const double> buffer_cost,
-                                   double wire_weight, double astar_floor,
+                                   double wire_weight,
+                                   const route::CutFloors& floors,
                                    bool reuse_field) {
   RABID_ASSERT(L >= 1);
   RABID_ASSERT(wire_weight >= 0.0);
@@ -148,12 +179,12 @@ TwoPathRoute TwoPathSearch::search(tile::TileId from, tile::TileId to,
   // A* bound per *tile* (states of one tile share it): the exact wire-
   // only distance to the goal, settled lazily by a goal-rooted backward
   // Dijkstra (see the class comment for the admissibility argument).
-  const bool use_h = astar_floor > 0.0;
+  const bool use_h = floors.enabled();
   if (use_h) {
-    if (reuse_field && field_goal_ == to && field_floor_ == astar_floor) {
+    if (reuse_field && field_goal_ == to && same_floors(floors)) {
       aim_field(from);
     } else {
-      start_field(from, to, astar_floor);
+      start_field(from, to, floors);
     }
   }
   const auto h_of = [&](tile::TileId t) -> double {
@@ -283,7 +314,7 @@ TwoPathRoute TwoPathSearch::search(tile::TileId from, tile::TileId to,
     // than L).  Fall back to a pure-wire shortest path; the net will be
     // counted as a length failure by the re-buffering step.
     route::MazeRouter fallback(g_);
-    out.tiles = fallback.shortest_path(from, to, wire_cost, astar_floor);
+    out.tiles = fallback.shortest_path(from, to, wire_cost, floors.min());
     out.cost = kInf;
     return out;
   }
@@ -309,10 +340,11 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
                             tile::TileId to, std::int32_t L,
                             std::span<const double> wire_cost,
                             std::span<const double> buffer_cost,
-                            double wire_weight, double astar_floor) {
+                            double wire_weight,
+                            const route::CutFloors& floors) {
   TwoPathSearch search(g);
   return search.route(from, to, L, wire_cost, buffer_cost, wire_weight,
-                      astar_floor);
+                      floors);
 }
 
 TileTreeEditor::TileTreeEditor(const tile::TileGraph& g)
@@ -499,7 +531,7 @@ route::RouteTree TwoPathRerouter::reroute(const route::RouteTree& tree,
                                           std::span<const double> wire_cost,
                                           std::span<const double> buffer_cost,
                                           double wire_weight,
-                                          double astar_floor) {
+                                          const route::CutFloors& floors) {
   // Costs may have moved since the last call: no field survives it.
   // Inside this call they hold still (the net stays uncommitted).
   search_.drop_field();
@@ -514,7 +546,7 @@ route::RouteTree TwoPathRerouter::reroute(const route::RouteTree& tree,
     editor_.remove_path(key.first, interior_, key.second);
     const TwoPathRoute reroute = search_.route_keeping_field(
         key.second, key.first, L, wire_cost, buffer_cost, wire_weight,
-        astar_floor);
+        floors);
     editor_.add_path(reroute.tiles);
     editor_.prune();
   }

@@ -45,17 +45,19 @@ struct TwoPathRoute {
 ///
 /// Costs are flat per-edge / per-tile arrays (one load per
 /// relaxation), plus optional A* targeting.
-/// `astar_floor > 0` (any positive value — pass e.g.
-/// EdgeCostCache::min_cost()) enables the goal-rooted exact-wire-
-/// distance heuristic described on TwoPathSearch; the returned cost is
-/// provably identical either way.  0 disables the heuristic and
-/// reproduces plain Dijkstra expansion order exactly.
+/// Enabled `floors` (route::CutFloors: per-cut lower bounds on
+/// `wire_cost`, e.g. EdgeCostCache::cut_floors(), or any positive scalar
+/// floor such as EdgeCostCache::min_cost()) turn on the goal-rooted
+/// exact-wire-distance heuristic described on TwoPathSearch; the
+/// returned cost is provably identical either way.  The scalar 0
+/// disables the heuristic and reproduces plain Dijkstra expansion order
+/// exactly.
 TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
                             tile::TileId to, std::int32_t L,
                             std::span<const double> wire_cost,
                             std::span<const double> buffer_cost,
                             double wire_weight = 1.0,
-                            double astar_floor = 0.0);
+                            const route::CutFloors& floors = {});
 
 /// Reusable (tile x L) search: all scratch — per-state distance/parent
 /// labels, the heap's backing store, the heuristic field — lives in
@@ -63,7 +65,7 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
 /// touches only the states the wavefront actually visits.  Stage 4 keeps
 /// one TwoPathSearch alive across every two-path of every net.
 ///
-/// With `astar_floor > 0` the search upgrades the Manhattan bound to the
+/// With enabled floors the search upgrades the cut bound to the
 /// *exact* wire-only distance-to-goal: a goal-rooted tile-level Dijkstra
 /// over `wire_cost` (no length rule, no buffers) settled lazily, exactly
 /// as far as the forward search's pops ask (see "Deferred keys").
@@ -116,23 +118,28 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
 /// the entry deferred.  A deferred pop that is stale is dropped; any
 /// other settles the field up to its tile and pushes the entry again at
 /// its exact key d + wire_weight * h(t).  Only exact pops expand, touch
-/// the dominance record or end the search.  The bound is
-///     b(t) = max(floor * manh(t, goal), K_open - floor * manh(t, hot)),
-/// K_open being the smallest key in the field's open set and hot the
-/// forward source the field is aimed at.
-///   1. Every edge costs at least the floor, so h(t) >= the first term.
+/// the dominance record or end the search.  With cut(a, b) the sum of
+/// the floors of the cuts between tiles a and b (route::CutFloors) and
+/// m = kBoundMargin, the bound is
+///     b(t) = max(m' * cut(t, goal), m' * K_open - m' * cut(t, hot)),
+/// m' = 1 - m, K_open being the smallest key in the field's open set
+/// and hot the forward source the field is aimed at (the field keys a
+/// tile o at d(o) + m' * cut(o, hot)).
+///   1. Every path t -> goal crosses each cut between them on its own
+///      edge, so h(t) >= cut(t, goal) >= the first term.
 ///   2. Take the path goal -> t that yields h(t), and its first tile o
 ///      not settled when the bound is taken.  o's predecessor is, so o
 ///      sits in the open set with its final distance d(o), keyed d(o) +
-///      floor * manh(o, hot) >= K_open.  Then h(t) >= d(o) + floor *
-///      manh(o, t) >= K_open - floor * manh(t, hot) by the triangle
-///      inequality.  A stale heap top only lowers K_open.
+///      m' * cut(o, hot) >= K_open.  Then h(t) >= d(o) + cut(o, t) >=
+///      d(o) + m' * cut(o, hot) - m' * cut(t, hot) >= K_open - m' *
+///      cut(t, hot), cut being a metric.  A stale heap top only lowers
+///      K_open.
 ///   3. Rounding: a computed n-edge path sum can sit about 2n ulps below
-///      its real value, so each term gives up kBoundMargin (1e-9) of its
-///      scale; b(t) then stays below the *computed* h(t), and since
-///      rounding is monotone the bound key stays below the exact key.
-///      The resolution asserts it, so an unsound bound aborts instead
-///      of reordering pops.
+///      its real value, and so can an n-cut sum sit above it, so each
+///      term gives up m = 1e-9 of its scale; b(t) then stays below the
+///      *computed* h(t), and since rounding is monotone the bound key
+///      stays below the exact key.  The resolution asserts it, so an
+///      unsound bound aborts instead of reordering pops.
 /// Routes cannot change.  A deferred (bound, s) orders before the exact
 /// (key, s) it stands for, so it is popped and resolved before any exact
 /// entry that (key, s) precedes can be expanded: the exact entries pop
@@ -158,23 +165,25 @@ class TwoPathSearch {
   TwoPathRoute route(tile::TileId from, tile::TileId to, std::int32_t L,
                      std::span<const double> wire_cost,
                      std::span<const double> buffer_cost,
-                     double wire_weight = 1.0, double astar_floor = 0.0) {
-    return search(from, to, L, wire_cost, buffer_cost, wire_weight,
-                  astar_floor, /*reuse_field=*/false);
+                     double wire_weight = 1.0,
+                     const route::CutFloors& floors = {}) {
+    return search(from, to, L, wire_cost, buffer_cost, wire_weight, floors,
+                  /*reuse_field=*/false);
   }
 
   /// route() for a caller that holds the wire costs still between
-  /// searches: when the previous search had the same goal and floor, its
-  /// settled field is kept and re-aimed at `from` instead of rebuilt.
+  /// searches: when the previous search had the same goal and floors,
+  /// its settled field is kept and re-aimed at `from` instead of rebuilt.
   /// Valid only while `wire_cost` holds the values of that previous
   /// search — call drop_field() whenever they change.
   TwoPathRoute route_keeping_field(tile::TileId from, tile::TileId to,
                                    std::int32_t L,
                                    std::span<const double> wire_cost,
                                    std::span<const double> buffer_cost,
-                                   double wire_weight, double astar_floor) {
-    return search(from, to, L, wire_cost, buffer_cost, wire_weight,
-                  astar_floor, /*reuse_field=*/true);
+                                   double wire_weight,
+                                   const route::CutFloors& floors) {
+    return search(from, to, L, wire_cost, buffer_cost, wire_weight, floors,
+                  /*reuse_field=*/true);
   }
 
   /// Forgets the kept field: the next search builds a fresh one.
@@ -184,7 +193,7 @@ class TwoPathSearch {
   /// backward Dijkstra); returns the unweighted wire distance t -> goal.
   /// Called for the start state and for each deferred key resolved; the
   /// settled case is a single stamped load.  Public for inspection after
-  /// a search with astar_floor > 0 that left its field live: `wire_cost`
+  /// a search with enabled floors that left its field live: `wire_cost`
   /// must hold that search's values.
   double field_distance(tile::TileId t, std::span<const double> wire_cost) {
     const FieldLabel& fl = field_[static_cast<std::size_t>(t)];
@@ -256,24 +265,44 @@ class TwoPathSearch {
                sizeof(FieldLabel) +
            static_cast<std::uint64_t>(coords_.capacity()) *
                sizeof(geom::TileCoord) +
+           static_cast<std::uint64_t>(
+               cut_cols_.capacity() + cut_rows_.capacity() +
+               hot_x_.capacity() + hot_y_.capacity() + goal_x_.capacity() +
+               goal_y_.capacity()) *
+               sizeof(double) +
            heap_.memory_bytes() + field_heap_.memory_bytes();
   }
 
  private:
   /// The search behind route().  With `reuse_field`, a field left by the
-  /// previous search toward the same goal (and floor) is kept and
+  /// previous search toward the same goal (and floors) is kept and
   /// re-aimed; the caller guarantees `wire_cost` has not changed since.
   TwoPathRoute search(tile::TileId from, tile::TileId to, std::int32_t L,
                       std::span<const double> wire_cost,
                       std::span<const double> buffer_cost,
-                      double wire_weight, double astar_floor,
+                      double wire_weight, const route::CutFloors& floors,
                       bool reuse_field);
   void ensure_states(std::size_t n_states);
-  /// Starts a fresh goal-rooted field aimed at `from`.
-  void start_field(tile::TileId from, tile::TileId to, double astar_floor);
+  /// True when `floors` are the live field's (cut by cut).
+  bool same_floors(const route::CutFloors& floors) const;
+  /// Starts a fresh goal-rooted field under `floors`, aimed at `from`.
+  void start_field(tile::TileId from, tile::TileId to,
+                   const route::CutFloors& floors);
   /// Re-aims the open set of the current field at `from`: drops stale
   /// entries and re-keys the rest.  Settled values are kept.
   void aim_field(tile::TileId from);
+  /// Fills `out_x` / `out_y` with m' * cut(anchor, .) per column / row
+  /// (see "Deferred keys"), summed outward from the anchor so that each
+  /// entry is one running sum of the floors it spans.
+  void cut_distances(geom::TileCoord anchor, std::vector<double>& out_x,
+                     std::vector<double>& out_y) const;
+  /// m' * cut(t, anchor) from a pair of cut_distances tables.
+  double cut_bound(tile::TileId t, const std::vector<double>& tx,
+                   const std::vector<double>& ty) const {
+    const geom::TileCoord c = coords_[static_cast<std::size_t>(t)];
+    return tx[static_cast<std::size_t>(c.x)] +
+           ty[static_cast<std::size_t>(c.y)];
+  }
   /// Out-of-line slow path of field_distance: pops the backward-Dijkstra
   /// heap until `t` is settled.
   double field_settle(tile::TileId t, std::span<const double> wire_cost);
@@ -282,21 +311,14 @@ class TwoPathSearch {
   /// kBoundMargin of its scale to rounding, so the bound stays below
   /// the computed field value, not just the real one.
   double field_lower_bound(tile::TileId t) {
-    const geom::TileCoord c = coords_[static_cast<std::size_t>(t)];
-    const double to_goal =
-        field_floor_ *
-        static_cast<double>(geom::manhattan(
-            c, coords_[static_cast<std::size_t>(field_goal_)]));
-    double bound = to_goal * (1.0 - kBoundMargin);
+    double bound = cut_bound(t, goal_x_, goal_y_);
     if (!field_heap_.empty()) {
-      bound = std::max(
-          bound, field_heap_.top().key * (1.0 - kBoundMargin) -
-                     field_floor_ * static_cast<double>(
-                                        geom::manhattan(c, field_hot_)));
+      bound = std::max(bound, field_heap_.top().key * (1.0 - kBoundMargin) -
+                                  cut_bound(t, hot_x_, hot_y_));
     }
     return bound;
   }
-  /// Relative rounding allowance of field_lower_bound: a computed field
+  /// Relative rounding allowance of the cut bounds: a computed field
   /// value of an n-edge path can sit (2n + 4) ulps below the real-number
   /// bound, so 1e-9 covers paths of up to ~4M edges.
   static constexpr double kBoundMargin = 1e-9;
@@ -323,8 +345,11 @@ class TwoPathSearch {
   std::uint32_t field_epoch_ = 0;
   tile::TileId field_goal_ = tile::kNoTile;  ///< goal of the live field
   geom::TileCoord field_hot_{0, 0};  ///< forward source; field A* target
-  double field_floor_ = 0.0;         ///< admissible per-step bound (0 = off)
-  std::uint64_t field_pops_ = 0;     ///< flushed to obs once per search
+  std::vector<double> cut_cols_;  ///< the live field's floor per column cut
+  std::vector<double> cut_rows_;  ///< ... and per row cut
+  std::vector<double> hot_x_, hot_y_;    ///< cut_distances from field_hot_
+  std::vector<double> goal_x_, goal_y_;  ///< cut_distances from the goal
+  std::uint64_t field_pops_ = 0;  ///< flushed to obs once per search
 };
 
 /// An editable tile-level tree: a RouteTree exploded into undirected
@@ -449,7 +474,8 @@ class TwoPathRerouter {
   route::RouteTree reroute(const route::RouteTree& tree, std::int32_t L,
                            std::span<const double> wire_cost,
                            std::span<const double> buffer_cost,
-                           double wire_weight, double astar_floor);
+                           double wire_weight,
+                           const route::CutFloors& floors);
 
   /// Search plus editor scratch (obs memory.maze_scratch accounting).
   std::uint64_t memory_bytes() const {

@@ -1,7 +1,6 @@
 #include "eco/incremental.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -26,12 +25,6 @@ namespace {
 /// Rip-up/reroute iterations of the closure loop: the stage-2 cap
 /// (RabidOptions::reroute_iterations).
 constexpr std::int32_t kClosureIterations = 3;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 core::Status bad(std::string message) {
   return core::Status::invalid_input(std::move(message), "perturbation");
@@ -110,7 +103,6 @@ core::Status IncrementalPlanner::validate(const Perturbation& p) const {
 core::Status IncrementalPlanner::replan(const Perturbation& p,
                                         ReplanStats* stats) {
   if (core::Status s = validate(p); !s) return s;
-  const auto start = std::chrono::steady_clock::now();
   obs::count(obs::Counter::kEcoReplans);
 
   route::EdgeCostCache cache(graph_, [this](tile::EdgeId e) {
@@ -125,10 +117,12 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
 
   // --- capacity edits -------------------------------------------------
   // Wire edits go through on_capacity_change: a raised capacity can
-  // drop an edge's true cost below the cached A* floor, and only this
-  // entry point lowers the floor with it (route/maze.hpp).
-  std::vector<std::uint8_t> edge_dirty(
-      static_cast<std::size_t>(graph_.edge_count()), 0);
+  // drop an edge's true cost below the cached A* floors, and only this
+  // entry point lowers the floors with it (route/maze.hpp).  The per-
+  // edge and per-tile marks are allocated only when there are edits, so
+  // a step without any does no O(chip) work here.
+  std::vector<std::uint8_t> edge_dirty;
+  bool any_edge_dirty = false;
   std::int64_t capacity_edits = 0;
   for (const WireEdit& we : p.wire_edits) {
     const double before = cache[we.edge];
@@ -138,16 +132,18 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
     const bool overflowed = graph_.wire_usage(we.edge) > we.new_capacity;
     if (overflowed || std::abs(cache[we.edge] - before) >
                           core::kDirtyCostThreshold * before) {
+      edge_dirty.resize(static_cast<std::size_t>(graph_.edge_count()), 0);
       edge_dirty[static_cast<std::size_t>(we.edge)] = 1;
+      any_edge_dirty = true;
     }
   }
-  std::vector<std::uint8_t> tile_over(
-      static_cast<std::size_t>(graph_.tile_count()), 0);
+  std::vector<std::uint8_t> tile_over;
   bool any_tile_over = false;
   for (const SiteEdit& se : p.site_edits) {
     graph_.set_site_supply(se.tile, se.new_supply);
     ++capacity_edits;
     if (graph_.site_usage(se.tile) > se.new_supply) {
+      tile_over.resize(static_cast<std::size_t>(graph_.tile_count()), 0);
       tile_over[static_cast<std::size_t>(se.tile)] = 1;
       any_tile_over = true;
     }
@@ -166,20 +162,30 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
   const auto edited = [&](tile::EdgeId e) {
     return edge_dirty[static_cast<std::size_t>(e)] != 0;
   };
+  std::uint64_t trees_walked = 0;
   for (std::size_t i = 0; i < nets_.size(); ++i) {
     if (dirty[i]) continue;
     const core::NetState& st = nets_[i];
+    // A net never planned (e.g. a deadline-cancelled batch run) is
+    // planned now.
+    if (st.tree.empty()) {
+      dirty[i] = 1;
+      continue;
+    }
+    // Only an edited edge or an over-used site can recruit a planned
+    // net, so without either no tree is walked.
+    if (!any_edge_dirty && !any_tile_over) continue;
+    ++trees_walked;
     const auto on_cut_site = [&](const route::BufferPlacement& b) {
       const tile::TileId t = st.tree.node(b.node).tile;
       return tile_over[static_cast<std::size_t>(t)] != 0;
     };
-    // A net never planned (e.g. a deadline-cancelled batch run) is
-    // planned now.
-    if (st.tree.empty() || core::any_arc(graph_, st.tree, edited) ||
+    if ((any_edge_dirty && core::any_arc(graph_, st.tree, edited)) ||
         (any_tile_over && std::ranges::any_of(st.buffers, on_cut_site))) {
       dirty[i] = 1;
     }
   }
+  obs::count(obs::Counter::kEcoSeedTreesWalked, trees_walked);
 
   // --- rip the seed set (before the design edits: uncommit must use
   // the *old* width, and a moved net's buffers must leave the books) ---
@@ -217,7 +223,11 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
   std::vector<std::uint8_t> ever = dirty;
   std::int64_t iterations = 0;
   for (std::int32_t iter = 0; iter < kClosureIterations; ++iter) {
-    cache.refresh_all();
+    // Before the first iteration only wire edits can have raised a cost
+    // since the cache was built: rips only lower costs, and every rip
+    // refreshed its edges and lowered the floors with them, so without
+    // wire edits the cache already equals a full refresh.
+    if (iter > 0 || !p.wire_edits.empty()) cache.refresh_all();
     if (iter > 0) {
       std::vector<std::int32_t> excess(
           static_cast<std::size_t>(graph_.edge_count()), 0);
@@ -301,8 +311,6 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
     stats->kept_nets = kept;
     stats->capacity_edits = capacity_edits;
     stats->iterations = iterations;
-    stats->after = core::solution_snapshot(graph_, nets_, "eco",
-                                           seconds_since(start), 1);
   }
   return core::Status::ok();
 }

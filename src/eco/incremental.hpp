@@ -106,7 +106,6 @@ struct ReplanStats {
   std::int64_t kept_nets = 0;       ///< nets whose solution was untouched
   std::int64_t capacity_edits = 0;  ///< W(e)/B(v) entries edited
   std::int64_t iterations = 0;      ///< closure-loop iterations run
-  core::StageStats after;           ///< solution snapshot post-replan
 };
 
 /// Incremental planner over an adopted batch solution.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 
 #include "netlist/validate.hpp"
@@ -55,6 +56,9 @@ class Parser {
     }
     return false;
   }
+
+  /// 1-based number of the line next_line() last returned.
+  int line() const { return line_no_; }
 
   [[noreturn]] void fail(const std::string& msg) const {
     throw ParseError{msg, line_no_};
@@ -124,7 +128,8 @@ class Parser {
 struct RawDesign {
   std::string name = "unnamed";
   geom::Rect outline{{0, 0}, {1, 1}};
-  std::int32_t default_limit = 0;
+  std::optional<std::int32_t> default_limit;  ///< as given, if given
+  int default_limit_line = 0;
   std::vector<Block> blocks;
   std::vector<Net> nets;
 };
@@ -175,6 +180,7 @@ RawDesign parse_design(std::istream& in) {
     } else if (cmd == "length_limit") {
       if (tok.size() != 2) p.fail("length_limit needs a value");
       raw.default_limit = p.int_num(tok[1]);
+      raw.default_limit_line = p.line();
     } else if (cmd == "block") {
       if (tok.size() != 7) p.fail("block needs: name 4 coords fraction");
       // Range-checked here because Design::add_block asserts it.
@@ -221,7 +227,9 @@ void write_design(std::ostream& out, const Design& design) {
   }
   for (const Net& n : design.nets()) {
     out << "net " << n.name;
-    if (n.length_limit > 0 || n.width != 1) out << ' ' << n.length_limit;
+    // Any non-zero limit is written, a negative one included: dropping
+    // it would turn an invalid design into a valid one on a round trip.
+    if (n.length_limit != 0 || n.width != 1) out << ' ' << n.length_limit;
     if (n.width != 1) out << ' ' << n.width;
     out << '\n';
     write_pin(out, "source", n.source);
@@ -238,10 +246,20 @@ core::Result<Design> read_design_checked(std::istream& in) {
     return core::Status::invalid_input(e.message, "design", e.line);
   }
   Design design{raw.name, raw.outline};
-  if (raw.default_limit > 0) design.set_default_length_limit(raw.default_limit);
   for (Block& b : raw.blocks) design.add_block(std::move(b));
-  // Still net-less: this checks the outline, the limit and the blocks.
+  // Still net-less: this checks the outline and the blocks.
   if (core::Status s = validate_design(design); !s) return s;
+  // A given limit is applied as written, so a bad one (0, negative) fails
+  // validate_design here instead of falling back to the default; the
+  // only new failure this check can find is the limit's, so it carries
+  // the directive's line.
+  if (raw.default_limit) {
+    design.set_default_length_limit(*raw.default_limit);
+    if (core::Status s = validate_design(design); !s) {
+      return core::Status::invalid_input(s.message(), s.context(),
+                                         raw.default_limit_line);
+    }
+  }
   for (Net& n : raw.nets) {
     if (core::Status s = validate_net(design, n, "", "design"); !s) return s;
     design.add_net(std::move(n));

@@ -71,6 +71,7 @@ constexpr std::array<std::string_view,
         "eco.dirty_nets",
         "eco.nets_kept",
         "eco.capacity_edits",
+        "eco.seed_trees_walked",
         "stream.nets_admitted",
         "stream.nets_planned",
         "stream.nets_parked",

@@ -131,6 +131,7 @@ enum class Counter : std::uint16_t {
   kEcoDirtyNets,      ///< nets in the computed dirty closure (re-planned)
   kEcoNetsKept,       ///< nets outside the closure (solution untouched)
   kEcoCapacityEdits,  ///< W(e)/B(v) book entries edited by perturbations
+  kEcoSeedTreesWalked,  ///< untouched nets the seed scan walked for edits
   // eco/stream.cpp — streaming net ingest (the retry-queue pattern).
   kStreamNetsAdmitted,  ///< nets accepted into a stream session
   kStreamNetsPlanned,   ///< nets planned and committed (incl. retries)

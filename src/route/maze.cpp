@@ -1,6 +1,7 @@
 #include "route/maze.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "obs/counters.hpp"
@@ -20,46 +21,72 @@ double soft_wire_cost(const tile::TileGraph& g, tile::EdgeId e) {
 EdgeCostCache::EdgeCostCache(const tile::TileGraph& g, EdgeCostFn base)
     : g_(g),
       base_(std::move(base)),
-      values_(static_cast<std::size_t>(g.edge_count()), 0.0) {
+      values_(static_cast<std::size_t>(g.edge_count()), 0.0),
+      cut_floor_(static_cast<std::size_t>(g.nx() - 1 + g.ny() - 1), 0.0) {
   refresh_all();
+}
+
+std::size_t EdgeCostCache::cut_of(tile::EdgeId e) const {
+  const std::int32_t cols = g_.nx() - 1;
+  const std::int32_t horizontal = cols * g_.ny();
+  if (e < horizontal) return static_cast<std::size_t>(e % cols);
+  return static_cast<std::size_t>(cols + (e - horizontal) / g_.nx());
 }
 
 void EdgeCostCache::refresh_all() {
   obs::count(obs::Counter::kEdgeCacheFullRefreshes);
-  double lo = std::numeric_limits<double>::infinity();
-  for (tile::EdgeId e = 0; e < g_.edge_count(); ++e) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  min_cost_ = kInf;
+  std::fill(cut_floor_.begin(), cut_floor_.end(), kInf);
+  const auto refresh = [this](tile::EdgeId e, double& cut) {
     const double c = base_(e);
     values_[static_cast<std::size_t>(e)] = c;
-    lo = std::min(lo, c);
+    min_cost_ = std::min(min_cost_, c);
+    cut = std::min(cut, c);
+  };
+  // Edge ids in order, walked so that each edge's cut is a loop index
+  // (cut_of()'s division per edge doubled this loop's time): horizontal
+  // edges first, row-major, then vertical ones (tile/tile_graph.cpp).
+  const std::int32_t nx = g_.nx();
+  const std::int32_t ny = g_.ny();
+  tile::EdgeId e = 0;
+  for (std::int32_t y = 0; y < ny; ++y) {
+    for (std::int32_t x = 0; x + 1 < nx; ++x) {
+      refresh(e++, cut_floor_[static_cast<std::size_t>(x)]);
+    }
   }
-  min_cost_ = std::isfinite(lo) ? lo : 0.0;
+  for (std::int32_t y = 0; y + 1 < ny; ++y) {
+    double& cut = cut_floor_[static_cast<std::size_t>(nx - 1 + y)];
+    for (std::int32_t x = 0; x < nx; ++x) refresh(e++, cut);
+  }
+  if (!std::isfinite(min_cost_)) min_cost_ = 0.0;
 }
 
 void EdgeCostCache::refresh_edge(tile::EdgeId e) {
   obs::count(obs::Counter::kEdgeCacheInvalidations);
   const double c = base_(e);
   values_[static_cast<std::size_t>(e)] = c;
-  // Only ever lower the bound between full refreshes: raising it on the
-  // strength of one edge could overestimate some other (stale-cheaper)
-  // edge and break A* admissibility.
-  if (c < min_cost_) min_cost_ = c;
+  // Only ever lower the bounds between full refreshes: raising them on
+  // the strength of one edge could overestimate some other (stale-
+  // cheaper) edge and break A* admissibility.
+  lower_floors(e, c);
 }
 
 void EdgeCostCache::on_capacity_change(tile::EdgeId e) {
   obs::count(obs::Counter::kEdgeCacheCapacityChanges);
   const double c = base_(e);
   values_[static_cast<std::size_t>(e)] = c;
-  // Same conservative discipline as refresh_edge(): the bound may only
+  // Same conservative discipline as refresh_edge(): the bounds may only
   // move down between full refreshes.  A capacity *increase* is the
   // dangerous direction — it lowers the true cost, so skipping this
-  // update would leave min_cost() above the true minimum and break A*
-  // admissibility (a capacity decrease only raises the cost, where a
-  // stale-low bound merely weakens the heuristic).
-  if (c < min_cost_) min_cost_ = c;
+  // update would leave min_cost() or the cut floor above the true
+  // minimum and break A* admissibility (a capacity decrease only raises
+  // the cost, where a stale-low bound merely weakens the heuristic).
+  lower_floors(e, c);
 }
 
-void EdgeCostCache::refresh_tree_sharded(const RouteTree& tree,
-                                         double& floor) {
+template <class Lower>
+void EdgeCostCache::refresh_arcs(const RouteTree& tree, Lower lower) {
   // Every node but the root contributes its parent edge; a never-routed
   // net's empty tree contributes none.
   if (tree.empty()) return;
@@ -69,8 +96,26 @@ void EdgeCostCache::refresh_tree_sharded(const RouteTree& tree,
     const tile::EdgeId e = g_.edge_between(n.tile, tree.node(n.parent).tile);
     const double c = base_(e);
     values_[static_cast<std::size_t>(e)] = c;
-    if (c < floor) floor = c;
+    lower(e, c);
   }
+}
+
+void EdgeCostCache::refresh_tree(const RouteTree& tree) {
+  refresh_arcs(tree, [this](tile::EdgeId e, double c) { lower_floors(e, c); });
+}
+
+void EdgeCostCache::refresh_tree_sharded(const RouteTree& tree,
+                                         double& floor) {
+  refresh_arcs(tree, [&floor](tile::EdgeId, double c) {
+    if (c < floor) floor = c;
+  });
+}
+
+void EdgeCostCache::lower_min(double floor) {
+  min_cost_ = std::min(min_cost_, floor);
+  // The shard wrote edges in cuts it cannot name without racing: its
+  // floor bounds every one of them, so it bounds every cut.
+  for (double& cut : cut_floor_) cut = std::min(cut, floor);
 }
 
 double EdgeCostCache::min_over(std::span<const tile::EdgeId> edges) const {

@@ -71,6 +71,46 @@ double soft_wire_cost(const tile::TileGraph& g, tile::EdgeId e);
 /// (typically soft_wire_cost).
 using EdgeCostFn = std::function<double(tile::EdgeId)>;
 
+/// Lower bounds on the cost of crossing each straight grid cut: col(x)
+/// bounds every edge between tile columns x and x+1, row(y) every edge
+/// between rows y and y+1.  A path between two tiles crosses every cut
+/// between them, each on its own edge (a horizontal edge crosses one
+/// column cut, a vertical edge one row cut), so the floors of those cuts
+/// sum to a lower bound on its cost — the cut argument of Kar et al.
+/// (arXiv 1810.12789).  The bound is consistent: one edge changes it by
+/// at most the floor of the cut it crosses, which is at most its cost.
+///
+/// A scalar floor is the uniform case (every cut at min()), so a search
+/// takes one bound argument either way; the default, 0, turns A* off.
+/// A view: per-cut floors point into the caller's storage (usually
+/// EdgeCostCache::cut_floors()).
+class CutFloors {
+ public:
+  /// Every cut at `floor` (implicit: a scalar floor is a CutFloors).
+  CutFloors(double floor = 0.0) : min_(floor) {}
+  /// One floor per column cut (nx - 1) and per row cut (ny - 1); `min`
+  /// must bound every one of them.
+  CutFloors(std::span<const double> cols, std::span<const double> rows,
+            double min)
+      : cols_(cols), rows_(rows), min_(min) {}
+
+  double col(std::int32_t x) const {
+    return cols_.empty() ? min_ : cols_[static_cast<std::size_t>(x)];
+  }
+  double row(std::int32_t y) const {
+    return rows_.empty() ? min_ : rows_[static_cast<std::size_t>(y)];
+  }
+  /// A scalar floor on every edge cost (the maze's floor x manhattan).
+  double min() const { return min_; }
+  /// False for the scalar 0: searches run without a heuristic.
+  bool enabled() const { return min_ > 0.0; }
+
+ private:
+  std::span<const double> cols_;
+  std::span<const double> rows_;
+  double min_;
+};
+
 /// Per-pass flat cache of edge costs: `values()[e]` is the current cost
 /// of edge e, so the router's inner loop is one array load instead of a
 /// std::function call plus a division.  The owner refreshes entries only
@@ -81,6 +121,13 @@ using EdgeCostFn = std::function<double(tile::EdgeId)>;
 /// admissible A* step floor.  refresh_all() recomputes it exactly;
 /// point refreshes only ever lower it (a stale-high bound would break
 /// admissibility, a stale-low one merely weakens the heuristic).
+///
+/// cut_floors() keeps one such bound per grid cut (CutFloors) under the
+/// same discipline: refresh_all() sets each to the exact minimum over
+/// the edges crossing its cut, serial refreshes only lower it, and
+/// refresh_tree_sharded() never writes it (pool workers would race on
+/// one floor); lower_min() folds a shard floor into every cut as well.
+/// min_cost() bounds every cut floor.
 class EdgeCostCache {
  public:
   EdgeCostCache(const tile::TileGraph& g, EdgeCostFn base);
@@ -101,20 +148,19 @@ class EdgeCostCache {
   void on_capacity_change(tile::EdgeId e);
   /// Recomputes the cost of every tile-graph edge `tree` crosses — the
   /// exact set whose usage a commit() or uncommit() of `tree` changed.
-  void refresh_tree(const RouteTree& tree) {
-    refresh_tree_sharded(tree, min_cost_);
-  }
+  void refresh_tree(const RouteTree& tree);
 
   /// refresh_tree on a caller-owned floor: updates the shared flat array
-  /// but lowers `floor` instead of the global min_cost().
-  /// Concurrent shards touching disjoint edge sets stay race-free —
-  /// each owns its floor, and the array writes hit distinct elements.
+  /// but lowers `floor` instead of the global min_cost() and the cut
+  /// floors.  Concurrent shards touching disjoint edge sets stay
+  /// race-free — each owns its floor, and the array writes hit distinct
+  /// elements.
   void refresh_tree_sharded(const RouteTree& tree, double& floor);
 
-  /// Folds a shard-local floor back into the global bound after a
-  /// parallel phase (the bound only ever moves down between full
-  /// refreshes, exactly like refresh_edge()).
-  void lower_min(double floor) { min_cost_ = std::min(min_cost_, floor); }
+  /// Folds a shard-local floor back into the global bound and every cut
+  /// floor after a parallel phase (the bounds only ever move down
+  /// between full refreshes, exactly like refresh_edge()).
+  void lower_min(double floor);
 
   /// Exact minimum cached cost over `edges` (e.g. a region's interior
   /// edge list): a tighter region-local A* floor than the global
@@ -123,19 +169,44 @@ class EdgeCostCache {
 
   std::span<const double> values() const { return values_; }
   double min_cost() const { return min_cost_; }
+  /// The per-cut floors (a view into this cache, valid until it dies).
+  CutFloors cut_floors() const {
+    const auto cols = static_cast<std::size_t>(g_.nx() - 1);
+    return {std::span<const double>(cut_floor_).first(cols),
+            std::span<const double>(cut_floor_).subspan(cols), min_cost_};
+  }
   double operator[](tile::EdgeId e) const {
     return values_[static_cast<std::size_t>(e)];
   }
 
-  /// Bytes held by the flat cost array (obs memory accounting).
+  /// Bytes held by the flat cost array and the cut floors (obs memory
+  /// accounting).
   std::uint64_t memory_bytes() const {
-    return static_cast<std::uint64_t>(values_.capacity()) * sizeof(double);
+    return static_cast<std::uint64_t>(values_.capacity() +
+                                      cut_floor_.capacity()) *
+           sizeof(double);
   }
 
  private:
+  /// Index into cut_floor_ of the cut edge `e` crosses: horizontal edges
+  /// (ids below (nx - 1) * ny) cross column cut x, vertical ones row
+  /// cut y, stored after the nx - 1 column cuts.
+  std::size_t cut_of(tile::EdgeId e) const;
+  /// The loop behind both refresh_tree()s: recomputes every edge `tree`
+  /// crosses and hands each (edge, new cost) to `lower`.
+  template <class Lower>
+  void refresh_arcs(const RouteTree& tree, Lower lower);
+  /// Lowers min_cost() and e's cut floor to `c` when it is below them.
+  void lower_floors(tile::EdgeId e, double c) {
+    if (c < min_cost_) min_cost_ = c;
+    double& cut = cut_floor_[cut_of(e)];
+    if (c < cut) cut = c;
+  }
+
   const tile::TileGraph& g_;
   EdgeCostFn base_;
   std::vector<double> values_;
+  std::vector<double> cut_floor_;  ///< nx - 1 column cuts, then ny - 1 rows
   double min_cost_ = 0.0;
 };
 

@@ -132,6 +132,26 @@ TEST(CheckedParse, ReportsGrammarErrorsWithMessagesAndLines) {
   }
 }
 
+/// A given default length_limit is applied as written: 0 or a negative
+/// value is a Status on the directive's line, not a silent default.
+TEST(CheckedParse, RejectsABadDefaultLengthLimitOnItsLine) {
+  for (const char* limit : {"-3", "0"}) {
+    const Status s =
+        parse_error(std::string("design t\noutline 0 0 100 100\n") +
+                    "length_limit " + limit +
+                    "\nnet n0\n  source 10 10 pad\n  sink 90 90 pad\nend\n");
+    ASSERT_FALSE(s) << limit;
+    EXPECT_EQ(s.code(), StatusCode::kInvalidInput) << limit;
+    EXPECT_NE(s.message().find("default length_limit"), std::string::npos)
+        << s.to_string();
+    EXPECT_EQ(s.line(), 3) << s.to_string();
+  }
+  Result<netlist::Design> one = netlist::design_from_string_checked(
+      "design t\noutline 0 0 100 100\nlength_limit 1\n");
+  ASSERT_TRUE(one.ok()) << one.status().to_string();
+  EXPECT_EQ(one.value().default_length_limit(), 1);
+}
+
 TEST(ValidateInputs, RejectsPreSeededBooks) {
   const circuits::RandomCircuit circuit(3);
   const netlist::Design design = circuit.design();

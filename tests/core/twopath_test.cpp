@@ -6,10 +6,13 @@
 #include <functional>
 #include <limits>
 #include <ostream>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "route/maze.hpp"
+#include "util/rng.hpp"
 
 namespace rabid::core {
 namespace {
@@ -249,6 +252,80 @@ TEST(TileTreeEditor, CollapsedTwoPathLeavesValidTree) {
   r.verify(g);
   EXPECT_EQ(r.wirelength_tiles(), t.wirelength_tiles());
   EXPECT_EQ(r.total_sinks(), 2);
+}
+
+/// Plain Dijkstra from `goal` over `wire`: the wire-only distance of
+/// every tile, the values the heuristic field must settle.
+std::vector<double> plain_field(const tile::TileGraph& g, tile::TileId goal,
+                                std::span<const double> wire) {
+  std::vector<double> dist(static_cast<std::size_t>(g.tile_count()), kInf);
+  using Item = std::pair<double, tile::TileId>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> open;
+  dist[static_cast<std::size_t>(goal)] = 0.0;
+  open.push({0.0, goal});
+  while (!open.empty()) {
+    const auto [d, t] = open.top();
+    open.pop();
+    if (d > dist[static_cast<std::size_t>(t)]) continue;
+    const tile::TileGraph::Adjacency* adj = g.adjacency(t);
+    for (int k = 0; k < g.adj_count(t); ++k) {
+      const double nd = d + wire[static_cast<std::size_t>(adj[k].edge)];
+      double& cur = dist[static_cast<std::size_t>(adj[k].tile)];
+      if (nd < cur) {
+        cur = nd;
+        open.push({nd, adj[k].tile});
+      }
+    }
+  }
+  return dist;
+}
+
+/// The field's A* aim is the cut bound over an EdgeCostCache's per-cut
+/// floors, which differ cut by cut on random costs (cheap cuts, cuts
+/// priced in the hundreds, overflow-tier edges).  Whatever it aims at,
+/// across re-aimed searches toward one goal, every value the field
+/// settles is plain Dijkstra's, and every route costs what the search
+/// without a heuristic finds.
+TEST(TwoPathFieldValues, MatchPlainDijkstraOnRandomCostGrids) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    util::Rng rng(seed);
+    const auto nx = static_cast<std::int32_t>(rng.uniform_int(2, 14));
+    const auto ny = static_cast<std::int32_t>(rng.uniform_int(2, 14));
+    const tile::TileGraph g(
+        geom::Rect{{0, 0}, {100.0 * nx, 100.0 * ny}}, nx, ny);
+    std::vector<double> wire(static_cast<std::size_t>(g.edge_count()));
+    for (double& c : wire) {
+      c = rng.uniform(0.05, 3.0);
+      if (rng.chance(0.1)) c *= 300.0;
+      if (rng.chance(0.02)) c = route::kOverflowPenalty * rng.uniform(1, 3);
+    }
+    const route::EdgeCostCache cache(
+        g, [&](tile::EdgeId e) { return wire[static_cast<std::size_t>(e)]; });
+    const std::vector<double> sites = site_costs(g, [&](tile::TileId) {
+      return rng.chance(0.2) ? kInf : rng.uniform(0.5, 2.0);
+    });
+    const auto random_tile = [&] {
+      return static_cast<tile::TileId>(rng.uniform_int(0, g.tile_count() - 1));
+    };
+    const tile::TileId goal = random_tile();
+    const std::vector<double> expect = plain_field(g, goal, wire);
+
+    TwoPathSearch search(g);
+    for (int k = 0; k < 5; ++k) {
+      const tile::TileId from = random_tile();
+      const auto L = static_cast<std::int32_t>(rng.uniform_int(2, 10));
+      const TwoPathRoute aimed = search.route_keeping_field(
+          from, goal, L, wire, sites, 1.0, cache.cut_floors());
+      const TwoPathRoute plain =
+          route_two_path(g, from, goal, L, wire, sites, 1.0, 0.0);
+      EXPECT_EQ(aimed.cost, plain.cost) << "seed " << seed << " search " << k;
+    }
+    for (tile::TileId t = 0; t < g.tile_count(); ++t) {
+      ASSERT_EQ(search.field_distance(t, wire),
+                expect[static_cast<std::size_t>(t)])
+          << "seed " << seed << " tile " << t;
+    }
+  }
 }
 
 }  // namespace

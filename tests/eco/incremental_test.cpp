@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "circuits/random_circuit.hpp"
 #include "core/rabid.hpp"
+#include "core/replan.hpp"
 #include "eco/incremental.hpp"
 #include "fuzz/differential.hpp"
 #include "geom/point.hpp"
 #include "netlist/design.hpp"
+#include "obs/counters.hpp"
+#include "route/maze.hpp"
 #include "tile/tile_graph.hpp"
 
 namespace rabid::eco {
@@ -57,6 +61,85 @@ TEST(IncrementalPlanner, NoOpReplanKeepsEverySolutionBit) {
             static_cast<std::int64_t>(inst.planner->nets().size()));
   EXPECT_EQ(wirelengths(inst), before);
   EXPECT_TRUE(inst.planner->audit().clean());
+}
+
+/// Bit-for-bit equality of two net states: tree nodes, buffers, cells,
+/// the length-rule flag and every delay.
+bool same_state(const core::NetState& a, const core::NetState& b) {
+  const auto na = a.tree.nodes();
+  const auto nb = b.tree.nodes();
+  return na.size() == nb.size() &&
+         std::memcmp(na.data(), nb.data(), na.size() * sizeof(na[0])) == 0 &&
+         a.buffers == b.buffers &&
+         a.buffer_types.size() == b.buffer_types.size() &&
+         a.meets_length_rule == b.meets_length_rule &&
+         a.delay.max_ps == b.delay.max_ps && a.delay.sum_ps == b.delay.sum_ps &&
+         a.delay.sink_delays_ps == b.delay.sink_delays_ps;
+}
+
+/// A step without capacity edits recruits no planned net, so it walks
+/// no untouched tree (eco.seed_trees_walked stays 0); a never-planned
+/// net is still planned, and every untouched net keeps every bit.  A
+/// wire edit that moves a cost walks the untouched trees again.
+TEST(IncrementalPlanner, StepWithoutCapacityEditsWalksNoUntouchedTree) {
+  const circuits::RandomCircuit circuit(5);
+  const netlist::Design design = circuit.design();
+  tile::TileGraph graph = circuit.graph(design);
+  core::RabidOptions options;
+  core::Rabid rabid(design, graph, options);
+  rabid.run_all();
+  std::vector<core::NetState> solution = rabid.nets();
+  ASSERT_GE(solution.size(), 4u);
+  {
+    // Net 0 was never planned: out of both books, no tree.
+    route::EdgeCostCache cache(graph, [&](tile::EdgeId e) {
+      return route::soft_wire_cost(graph, e);
+    });
+    core::rip_net(graph, solution[0], design.net(0).width, cache);
+  }
+  ASSERT_TRUE(solution[0].tree.empty());
+  EcoOptions eco;
+  eco.tech = options.tech;
+  eco.buffer_library = options.buffer_library;
+  IncrementalPlanner planner(design, graph, solution, eco);
+
+  obs::Registry& registry = obs::Registry::instance();
+  registry.set_level(obs::Level::kCounters);
+  registry.reset();
+  Perturbation move;
+  move.moved_nets.push_back({1, design.net(1)});
+  ReplanStats stats;
+  ASSERT_TRUE(planner.replan(move, &stats).ok_status());
+  const std::uint64_t walked_without_edits =
+      registry.snapshot()[obs::Counter::kEcoSeedTreesWalked];
+
+  EXPECT_EQ(walked_without_edits, 0u);
+  // The closure is the moved net and the never-planned one (no edge
+  // overflowed, so nothing else was recruited).
+  ASSERT_EQ(stats.dirty_nets, 2);
+  EXPECT_FALSE(planner.nets()[0].tree.empty());
+  EXPECT_FALSE(planner.nets()[1].tree.empty());
+  for (std::size_t i = 2; i < solution.size(); ++i) {
+    EXPECT_TRUE(same_state(planner.nets()[i], solution[i])) << "net " << i;
+  }
+  EXPECT_TRUE(planner.audit().clean());
+
+  // The busiest edge loses a track: every untouched planned net's tree
+  // is scanned for it.
+  tile::EdgeId busiest = 0;
+  for (tile::EdgeId e = 0; e < graph.edge_count(); ++e) {
+    if (graph.wire_usage(e) > graph.wire_usage(busiest)) busiest = e;
+  }
+  ASSERT_GT(graph.wire_usage(busiest), 0);
+  registry.reset();
+  Perturbation cut;
+  cut.wire_edits.push_back({busiest, graph.wire_usage(busiest) - 1});
+  ASSERT_TRUE(planner.replan(cut, &stats).ok_status());
+  const std::uint64_t walked_with_edit =
+      registry.snapshot()[obs::Counter::kEcoSeedTreesWalked];
+  registry.set_level(obs::Level::kOff);
+  registry.reset();
+  EXPECT_EQ(walked_with_edit, planner.nets().size());
 }
 
 TEST(IncrementalPlanner, RaisingUnusedEdgeCapacityKeepsPlan) {

@@ -4,6 +4,7 @@
 
 #include "circuits/generator.hpp"
 #include "circuits/specs.hpp"
+#include "netlist/validate.hpp"
 
 namespace rabid::netlist {
 namespace {
@@ -64,6 +65,20 @@ TEST(DesignIo, RoundTripIsIdempotent) {
   const std::string twice =
       to_string(design_from_string_checked(once).value());
   EXPECT_EQ(once, twice);
+}
+
+/// A negative per-net limit is written out, so the reread design is
+/// rejected for the same reason the original fails validate_design.
+TEST(DesignIo, NegativeNetLimitStaysInvalidOnARoundTrip) {
+  Design a = sample();
+  a.mutable_nets()[1].length_limit = -1;
+  const core::Status original = validate_design(a);
+  ASSERT_FALSE(original);
+  const std::string text = to_string(a);
+  EXPECT_NE(text.find("net scan -1\n"), std::string::npos) << text;
+  const core::Result<Design> reread = design_from_string_checked(text);
+  ASSERT_FALSE(reread.ok());
+  EXPECT_EQ(reread.status().message(), original.message());
 }
 
 TEST(DesignIo, CommentsAndBlankLinesIgnored) {
